@@ -334,6 +334,15 @@ def _selftest_outcome() -> SweepOutcome:
     )
 
 
+def _replay_margin(result: dict) -> float:
+    """The replayed check's own margin, else its ceiling minus its ratio."""
+    if "margin" in result:
+        return result["margin"]
+    if "ceiling" in result:
+        return result["ceiling"] - result["ratio"]
+    return math.nan
+
+
 def _replay_rows(path: str) -> tuple[list, int]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -355,16 +364,14 @@ def _replay_rows(path: str) -> tuple[list, int]:
             result = replay_violation(record)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad violation record: {exc}") from exc
-        ok = bool(result["ok"]) if isinstance(result, dict) else bool(result)
+        ok = bool(result["ok"])
         failures += 0 if ok else 1
         rows.append(
             {
                 "suite": f"replay:{record.get('check', '?')}",
                 "checks": 1,
                 "violations": 0 if ok else 1,
-                "worst_margin": result.get("margin", math.nan)
-                if isinstance(result, dict)
-                else math.nan,
+                "worst_margin": _replay_margin(result),
                 "stats": {},
                 "records": [] if ok else [record],
             }

@@ -511,6 +511,9 @@ def verify_tensorization(
             "channels": [np.asarray(c).tolist() for c in spec_channels],
             "ratio": ratio,
             "ceiling": ceiling,
+            "sup1": sup1,
+            "sup2": sup2,
+            "slack": slack,
         }
     return report
 
@@ -1044,9 +1047,13 @@ def replay_violation(record: dict) -> dict:
             FiniteJoint(np.asarray(record["source1"])),
             FiniteJoint(np.asarray(record["source2"])),
             record["channels"],
+            sup1=record["sup1"],
+            sup2=record["sup2"],
+            slack=record["slack"],
         )
     if check == "ratio_ceiling":
         spec = InteractiveSpec.from_jsonable(record["instance"])
         ratio, _ = _ratio_of(spec)
-        return {"ok": ratio <= record["ceiling"], "ratio": ratio}
+        ceiling = record["ceiling"]
+        return {"ok": ratio <= ceiling, "ratio": ratio, "ceiling": ceiling}
     raise ValueError(f"unknown violation record kind: {check!r}")

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from .infotheory import binary_entropy
 from .rng import substream
@@ -160,7 +160,6 @@ class Transcript:
 
     budget: int
     messages: tuple[Message, ...]
-    crs_tag: int | None = None  # shared-randomness stream tag, if any
 
     def __post_init__(self):
         if self.budget < 1:
@@ -681,6 +680,14 @@ def _local_trials(
     return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
 
 
+def _draw_from_weights(weights: np.ndarray, size: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Indices drawn by inverse CDF from nonnegative, unnormalized weights."""
+    cdf = np.cumsum(weights)
+    idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+    return np.minimum(idx, np.flatnonzero(weights)[-1])
+
+
 def _block_trials(
     rho: float,
     rho_tilde: float,
@@ -691,68 +698,106 @@ def _block_trials(
     exist_factor: float = EXIST_FACTOR,
     guard_bits: int = GUARD_BITS,
 ):
-    """Block-scheme trials from the blocks' sufficient statistics.
+    """Block-scheme trials in O(1) draws each, whatever the block count m.
 
-    A block is summarized by (alice sum, bob sum, agreement count): alice
-    sums are 2 Bin(n, 1/2) - n, and given a block with a plus-ones, bob
-    agrees with U ~ Bin(a, (1+rho)/2) of them and with V ~ Bin(n-a, ...)
-    of the minus-ones, so his sum is 2(U - V) - alice_sum and the block's
-    empirical correlation is (2(U + V) - n)/n. This reproduces the exact
-    joint law of everything run_binary_block computes from raw samples.
+    A block is summarized by (alice sum A, bob sum B, agreement count):
+    alice has a = (n + A)/2 ~ Bin(n, 1/2) plus-ones, bob agrees with
+    U ~ Bin(a, p) of them and with V ~ Bin(n - a, p) of her minus-ones,
+    p = (1 + rho)/2, so B = 2(U - V) - A and the block's empirical
+    correlation is (2(U + V) - n)/n. Blocks are iid, so the law of what
+    run_binary_block computes needs only these draws per trial:
+
+    * the anchor j*, the first block with A = t = n rho_tilde. With
+      p_hit = C(n, (n + t)/2) / 2^n, the first hit in an endless row of
+      blocks sits at the geometric G = floor(log(1 - u) / log(1 - p_hit)),
+      u uniform on [0, 1). A hit exists, with probability
+      1 - (1 - p_hit)^m, exactly when G < m, and then j* = G follows the
+      geometric truncated to [0, m).
+    * the anchor's U ~ Bin(a*, p), V ~ Bin(n - a*, p) with a* = (n + t)/2,
+      giving its bob sum 2(U - V) - t and whether it is marked.
+    * block 0, whose correlation is the fallback estimate. Unless it is the
+      anchor it missed t: a is drawn from Bin(n, 1/2) conditioned on
+      a != a*, then U and V.
+    * the other marked blocks of j*'s prefix bucket [s, min(s + 2^shift,
+      m)). Blocks before j* (block 0 aside) missed t, so their marks are
+      Bin(count, P(mark | A != t)); blocks after j* are unconditioned, so
+      Bin(count, P(mark)). Block 0 adds its own mark when it lies in the
+      bucket and is not the anchor.
+    * with exactly one mark in the bucket, the decoded bob sum: the
+      anchor's, block 0's, or a draw from the pmf of its segment restricted
+      to marked sums. Any other count is a decode failure.
+
+    Bob's sum has three pmfs: unconditioned it is 2 Bin(n, 1/2) - n; given
+    A = t, (B + n)/2 = U + (n - a* - V) is the convolution of Bin(a*, p)
+    and Bin(n - a*, 1 - p); given A != t it is their difference,
+    P(B) - p_hit P(B | A = t), over 1 - p_hit.
     """
     layout = block_layout(rho_tilde, n_block, rho_nominal, exist_factor, guard_bits)
-    n, m = layout.n_block, layout.m_blocks
+    n, m, t = layout.n_block, layout.m_blocks, layout.target_sum
     p_keep = (1.0 + rho) / 2.0
+    a_hit = (n + t) // 2
     shift = layout.index_bits - layout.prefix_bits
-    block_prefix = np.arange(m) >> shift if shift > 0 else None
 
-    raw = np.empty(trials)
-    exist_failed = np.zeros(trials, dtype=bool)
+    # pmfs over plus counts: alice's a, and bob's (B + n)/2 per block law
+    counts = np.arange(n + 1)
+    pmf_all = binom.pmf(counts, n, 0.5)
+    p_hit = float(pmf_all[a_hit])
+    alice_miss = np.where(counts == a_hit, 0.0, pmf_all)
+    bob_hit = np.convolve(
+        binom.pmf(np.arange(a_hit + 1), a_hit, p_keep),
+        binom.pmf(np.arange(n - a_hit + 1), n - a_hit, 1.0 - p_keep),
+    )
+    bob_miss = np.clip(pmf_all - p_hit * bob_hit, 0.0, None)
+    marked = np.abs((2 * counts - n) - layout.center) <= layout.window
+
+    first_hit = np.floor(np.log1p(-rng.random(trials)) / np.log1p(-p_hit))
+    exists = first_hit < m
+    j_star = np.where(exists, first_hit, 0).astype(np.int64)
+    u_hit = rng.binomial(a_hit, p_keep, size=trials)
+    v_hit = rng.binomial(n - a_hit, p_keep, size=trials)
+    bob_anchor = 2 * (u_hit - v_hit) - t
+
+    a_miss = _draw_from_weights(alice_miss, trials, rng)
+    u_miss = rng.binomial(a_miss, p_keep)
+    v_miss = rng.binomial(n - a_miss, p_keep)
+    bob_zero = 2 * (u_miss - v_miss) - (2 * a_miss - n)
+    anchor_is_zero = exists & (j_star == 0)
+    corr_block0 = np.where(
+        anchor_is_zero, 2.0 * (u_hit + v_hit) - n, 2.0 * (u_miss + v_miss) - n
+    ) / n
+
+    decoded_sum = bob_anchor
+    ok = exists
     decode_failed = np.zeros(trials, dtype=bool)
-
-    chunk = max(1, int(4_000_000 // max(m, 1)))
-    done = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        sums_a = 2 * rng.binomial(n, 0.5, size=(size, m)) - n
-        a_plus = (n + sums_a) // 2
-        u = rng.binomial(a_plus, p_keep)
-        v = rng.binomial(n - a_plus, p_keep)
-        sums_b = 2 * (u - v) - sums_a
-        corr_block1 = (2.0 * (u[:, 0] + v[:, 0]) - n) / n
-
-        hits = sums_a == layout.target_sum
-        exists = hits.any(axis=1)
-        j_star = hits.argmax(axis=1)
-        marked = np.abs(sums_b - layout.center) <= layout.window
-
-        if shift == 0:
-            decoded = j_star
-            ok = exists
-            d_failed = np.zeros(size, dtype=bool)
-        else:
-            prefix = j_star >> shift
-            match = marked & (block_prefix[None, :] == prefix[:, None])
-            counts = match.sum(axis=1)
-            d_failed = exists & (counts != 1)
-            ok = exists & (counts == 1)
-            decoded = match.argmax(axis=1)
-
-        vals = np.where(
-            ok,
-            np.take_along_axis(sums_b, decoded[:, None], axis=1)[:, 0]
-            / (n * rho_tilde),
-            corr_block1,
+    if shift > 0:
+        start = (j_star >> shift) << shift
+        stop = np.minimum(start + (1 << shift), m)
+        zero_in_bucket = exists & (start == 0) & (j_star > 0)
+        # integer 0/1 marks: summed as booleans they would saturate at 1
+        marks_anchor = (exists & marked[(bob_anchor + n) // 2]).astype(np.int64)
+        marks_zero = (zero_in_bucket & marked[(bob_zero + n) // 2]).astype(np.int64)
+        marks_before = rng.binomial(
+            np.where(exists, j_star - start - zero_in_bucket, 0),
+            min(1.0, (bob_miss * marked).sum() / bob_miss.sum()),
         )
-        sl = slice(done, done + size)
-        raw[sl] = vals
-        exist_failed[sl] = ~exists
-        decode_failed[sl] = d_failed
-        done += size
+        marks_after = rng.binomial(
+            np.where(exists, stop - j_star - 1, 0),
+            min(1.0, (pmf_all * marked).sum()),
+        )
+        total = marks_anchor + marks_zero + marks_before + marks_after
+        ok = exists & (total == 1)
+        decode_failed = exists & (total != 1)
+        decoded_sum = np.where(marks_anchor == 1, bob_anchor, bob_zero)
+        for marks, weights in ((marks_before, bob_miss), (marks_after, pmf_all)):
+            pick = ok & (marks == 1)
+            if pick.any():
+                plus = _draw_from_weights(weights * marked, int(pick.sum()), rng)
+                decoded_sum[pick] = 2 * plus - n
 
+    raw = np.where(ok, decoded_sum / (n * rho_tilde), corr_block0)
     return np.clip(raw, -1.0, 1.0), {
         "raw": raw,
-        "exist_failed": exist_failed,
+        "exist_failed": ~exists,
         "decode_failed": decode_failed,
     }
 

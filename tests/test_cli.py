@@ -298,6 +298,35 @@ def test_verify_replay_of_clean_report_passes(tmp_path, capsys):
     assert out.splitlines() == ["suite,checks,violations,worst_margin"]
 
 
+def test_verify_replay_rows_carry_ceiling_margins(tmp_path, capsys):
+    source = corrcomm.FiniteJoint.binary_symmetric(0.6)
+    search = corrcomm.search_max_ratio(
+        source, restarts=5, ascent_steps=0, seed=3, ceiling=0.01
+    )
+    s2 = corrcomm.FiniteJoint.binary_symmetric(0.8)
+    spec = corrcomm.random_spec(
+        source.product(s2), 2, 2, corrcomm.substream(3, "cli-replay")
+    )
+    tensor = corrcomm.verify_tensorization(
+        source, s2, spec.channels, sup1=0.0, sup2=0.0, slack=0.0
+    )
+    records = [search.violations[0], tensor["instance"]]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    code, out, _ = run(capsys, "verify", "--replay", str(path), "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [row["suite"] for row in rows] == [
+        "replay:ratio_ceiling",
+        "replay:tensorization",
+    ]
+    for row, record in zip(rows, records):
+        assert row["worst_margin"] == pytest.approx(
+            record["ceiling"] - record["ratio"], abs=1e-12
+        )
+        assert row["worst_margin"] < 0
+
+
 def test_verify_replay_bad_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"neither": "rows nor check"}')

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import corrcomm.contraction
 from corrcomm import (
     FiniteJoint,
     InteractiveSpec,
@@ -438,3 +439,27 @@ def test_verify_tensorization_direct():
     assert report["ok"]
     assert report["ceiling"] == pytest.approx(0.66, abs=1e-12)
     assert report["ratio"] <= report["ceiling"]
+
+
+def test_tensorization_replay_uses_the_recorded_ceiling(monkeypatch):
+    s1 = FiniteJoint.binary_symmetric(0.4)
+    s2 = FiniteJoint.binary_symmetric(0.8)
+    rng = substream(SEED, "tensor-replay")
+    spec = random_spec(s1.product(s2), r_max=2, u_max=2, rng=rng)
+    ratio = verify_tensorization(s1, s2, spec.channels, sup1=1.0, sup2=1.0)["ratio"]
+    assert ratio > 0.0
+    # sups well below the true ones: the ceiling sits under the ratio
+    report = verify_tensorization(
+        s1, s2, spec.channels, sup1=ratio / 4, sup2=ratio / 2, slack=ratio / 4
+    )
+    assert not report["ok"]
+    record = report["instance"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("replay must not re-search the sups")
+
+    monkeypatch.setattr(corrcomm.contraction, "search_max_ratio", no_search)
+    replay = replay_violation(record)
+    assert not replay["ok"]
+    assert replay["ceiling"] == record["ceiling"] == pytest.approx(0.75 * ratio)
+    assert replay["ratio"] == pytest.approx(record["ratio"], abs=1e-12)

@@ -403,6 +403,61 @@ def test_block_sampler_matches_batch_partial_prefix():
     assert_compatible(slow, fast, 150, 60_000)
 
 
+def block_decode_fail_exact(layout, rho):
+    """P(a block hits the target and the anchor's bucket holds != 1 mark)."""
+    n, m = layout.n_block, layout.m_blocks
+    a_hit = (n + layout.target_sum) // 2
+    keep = (1.0 + rho) / 2.0
+
+    def pmf(count, trials, p):
+        return math.comb(trials, count) * p**count * (1.0 - p) ** (trials - count)
+
+    def is_marked(bob_sum):
+        return abs(bob_sum - layout.center) <= layout.window
+
+    p_hit = pmf(a_hit, n, 0.5)
+    q_all = sum(pmf(c, n, 0.5) for c in range(n + 1) if is_marked(2 * c - n))
+    q_hit = sum(
+        pmf(u, a_hit, keep) * pmf(v, n - a_hit, keep)
+        for u in range(a_hit + 1)
+        for v in range(n - a_hit + 1)
+        if is_marked(2 * (u - v) - layout.target_sum)
+    )
+    q_miss = (q_all - p_hit * q_hit) / (1.0 - p_hit)
+    width = 1 << (layout.index_bits - layout.prefix_bits)
+    fail = 1.0 - (1.0 - p_hit) ** m  # a hit exists
+    for j in range(m):
+        start = j - j % width
+        before, after = j - start, min(start + width, m) - j - 1
+        none_before = (1.0 - q_miss) ** before
+        none_after = (1.0 - q_all) ** after
+        one_other = (
+            before * q_miss * (1.0 - q_miss) ** max(before - 1, 0) * none_after
+            + after * q_all * (1.0 - q_all) ** max(after - 1, 0) * none_before
+        )
+        exactly_one = q_hit * none_before * none_after + (1.0 - q_hit) * one_other
+        fail -= (1.0 - p_hit) ** j * p_hit * exactly_one
+    return fail
+
+
+def test_block_sampler_matches_batch_in_small_buckets():
+    # 195 blocks, 8 index bits, a 6-bit prefix: 4-block buckets, block 0
+    # inside the anchor's bucket whenever j* < 4, and a 3-block last bucket
+    params = {"rho_tilde": 0.5, "n_block": 16, "rho_nominal": 0.9, "guard_bits": 0}
+    layout = block_layout(0.5, 16, 0.9, guard_bits=0)
+    assert (layout.m_blocks, layout.index_bits, layout.prefix_bits) == (195, 8, 6)
+    slow, fast = both_paths("binary_block", 8, 0.9, params, 20_000, 1_000_000)
+    assert slow.extras["decode_fail_rate"] > 0
+    assert_compatible(slow, fast, 20_000, 1_000_000)
+    # no block hits the target sum 8, i.e. 12 plus-ones, in any of 195 blocks
+    p_none = (1.0 - math.comb(16, 12) / 2**16) ** 195
+    se = math.sqrt(p_none * (1.0 - p_none) / 1_000_000)
+    assert abs(fast.extras["exist_fail_rate"] - p_none) < 3 * se
+    p_fail = block_decode_fail_exact(layout, 0.9)
+    se = math.sqrt(p_fail * (1.0 - p_fail) / 1_000_000)
+    assert abs(fast.extras["decode_fail_rate"] - p_fail) < 3 * se
+
+
 def test_two_way_sampler_matches_batch():
     params = {"k1": 3}
     slow, fast = both_paths("two_way", 8, 0.6, params, 3000, 100_000)
