@@ -164,6 +164,17 @@ def _as_grid(value, name: str, cast) -> list:
         raise ConfigError(f"bad value in {name}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    # JSON true/false are Python bools, and bool is a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     scheme = cfg.get("scheme")
@@ -172,7 +183,10 @@ def cmd_simulate(args) -> int:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-    k_grid = _as_grid(cfg.get("k_grid"), "k_grid", int)
+    for key, value in params.items():
+        if not (_is_number(value) or (key == "k1" and value is None)):
+            raise ConfigError(f"params.{key} must be a number, got {value!r}")
+    k_grid = _as_grid(cfg.get("k_grid"), "k_grid", _integer)
     rho_grid = _as_grid(cfg.get("rho_grid"), "rho_grid", float)
     trials = args.trials if args.trials is not None else cfg.get("trials")
     if not isinstance(trials, int) or trials < 100:
@@ -186,7 +200,9 @@ def cmd_simulate(args) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     out = args.out if args.out is not None else cfg.get("out")
-    use_batches = bool(cfg.get("use_batches", False))
+    use_batches = cfg.get("use_batches", False)
+    if not isinstance(use_batches, bool):
+        raise ConfigError(f"use_batches must be true or false, got {use_batches!r}")
 
     # Every cell must pass preconditions before the first trial runs.
     cells = []

@@ -20,7 +20,7 @@ _MAX_SEED = 2**64
 
 def check_seed(seed: int) -> int:
     """Validate a master seed as an unsigned 64-bit integer."""
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed < _MAX_SEED:

@@ -21,8 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtri
-from scipy.stats import binom, norm
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
 from .infotheory import binary_entropy
 from .rng import substream
@@ -69,6 +68,11 @@ GUARD_BITS = 4
 
 TWO_WAY_NOMINAL_CAP = 0.95
 
+# log sqrt(2 pi), the unit normal density's log normalizer. The quadrature
+# integrand spells out norm.logpdf's own expression with this constant, so
+# its floats match scipy.stats to the bit without importing it.
+_NORM_PDF_LOGC = np.log(np.sqrt(2 * np.pi))
+
 
 # ----------------------------------------------------------------------
 # quadrature oracles for the maximum of N unit normals
@@ -85,7 +89,7 @@ def _max_normal_moment(n: int, power: int) -> float:
 
     def integrand(x):
         return x**power * math.exp(
-            log_n + norm.logpdf(x) + (n - 1) * norm.logcdf(x)
+            log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
         )
 
     points = [peak] if lo < peak < hi else None
@@ -614,7 +618,7 @@ def _sample_max_normal(n_pool: int, trials: int, rng: np.random.Generator) -> np
 
 def _sample_tail_normal(threshold: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw normals conditioned to exceed threshold."""
-    q = norm.sf(threshold)
+    q = ndtr(-threshold)
     u = _uniform_open(rng, count)
     return -ndtri(np.clip(q * u, 1e-300, 1.0 - 1e-16))
 
@@ -668,7 +672,7 @@ def _local_trials(
         threshold = _local_threshold(k, float(value), c_threshold)
         marked_w = y_w[sel] > threshold
         others = (1 << (k - m)) - 1
-        spurious = rng.binomial(others, norm.sf(threshold), size=sel.size)
+        spurious = rng.binomial(others, ndtr(-threshold), size=sel.size)
         success = marked_w & (spurious == 0)
         wrong = ~marked_w & (spurious == 1)
         fail = ~(success | wrong)
@@ -678,6 +682,13 @@ def _local_trials(
             raw[sel[wrong]] = _sample_tail_normal(threshold, n_wrong, rng) / mean_max
         failed[sel[fail]] = True
     return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
+
+
+def _binom_pmf(n: int, p: float) -> np.ndarray:
+    """Bin(n, p) pmf over 0..n, by the log-space formula of scipy's binom."""
+    k = np.arange(n + 1)
+    log_comb = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+    return np.exp(log_comb + xlogy(k, p) + xlog1py(n - k, -p))
 
 
 def _draw_from_weights(weights: np.ndarray, size: int,
@@ -740,12 +751,11 @@ def _block_trials(
 
     # pmfs over plus counts: alice's a, and bob's (B + n)/2 per block law
     counts = np.arange(n + 1)
-    pmf_all = binom.pmf(counts, n, 0.5)
+    pmf_all = _binom_pmf(n, 0.5)
     p_hit = float(pmf_all[a_hit])
     alice_miss = np.where(counts == a_hit, 0.0, pmf_all)
     bob_hit = np.convolve(
-        binom.pmf(np.arange(a_hit + 1), a_hit, p_keep),
-        binom.pmf(np.arange(n - a_hit + 1), n - a_hit, 1.0 - p_keep),
+        _binom_pmf(a_hit, p_keep), _binom_pmf(n - a_hit, 1.0 - p_keep)
     )
     bob_miss = np.clip(pmf_all - p_hit * bob_hit, 0.0, None)
     marked = np.abs((2 * counts - n) - layout.center) <= layout.window

@@ -189,6 +189,38 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
     assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"k_grid": [16.7]}, "k_grid"),
+        ({"k_grid": [True]}, "k_grid"),
+        ({"seed": True}, "seed"),
+        ({"use_batches": "false"}, "use_batches"),
+        ({"params": {"c_bits": "x"}}, "c_bits"),
+    ],
+    ids=["float-k", "bool-k", "bool-seed", "string-use_batches", "string-param"],
+)
+def test_simulate_rejects_mistyped_values(tmp_path, capsys, overrides, field):
+    # each of these used to run a different cell than asked, or crash
+    cfg = write_config(tmp_path, **overrides)
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert field in json.loads(err.strip().splitlines()[-1])["error"]
+
+
+def test_simulate_accepts_typed_values(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        scheme="two_way",
+        params={"k1": None, "c_bits": 0.2, "c_threshold": 0},
+        use_batches=False,
+    )
+    code, out, _ = run(capsys, "simulate", "--config", cfg)
+    assert code == 0
+    assert out.splitlines()[1].startswith("two_way,16,0,")
+
+
 def test_simulate_rejects_cells_before_any_trial(tmp_path, capsys):
     # a missing scheme parameter is caught during the precondition pass
     cfg = write_config(tmp_path, scheme="binary_block", k_grid=[8])
@@ -389,11 +421,46 @@ def test_console_script_target():
     assert proc.stdout.splitlines()[1].startswith("4,0,")
 
 
-def test_module_has_no_other_entry(capsys):
+def test_module_has_no_other_entry():
     # the package exposes exactly one executable surface
     proc = subprocess.run(
         [sys.executable, "-c", "from corrcomm.cli import main; raise SystemExit(main(['--version']))"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
+
+
+# Every scheme's fast sampler, one literal cell and one verify suite, so an
+# import hidden inside a function body is caught as well as a top-level one.
+EXERCISE_EVERY_SCHEME = """
+import sys
+from corrcomm.cli import main
+from corrcomm.schemes import SchemeConfig, estimate_risk
+
+partial_prefix = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
+for config, rho in [
+    (SchemeConfig("naive", 8), 0.5),
+    (SchemeConfig("max", 6), 0.5),
+    (SchemeConfig("local", 8, {"rho_nominal": 0.6}), 0.5),
+    (SchemeConfig("two_way", 8), 0.5),
+    (SchemeConfig("binary_block", 12, partial_prefix), 0.6),
+    (SchemeConfig("local", 4, use_batches=True), 0.5),
+]:
+    estimate_risk(config, rho, 200, 5)
+assert main(["verify", "--suite", "tilted", "--draws", "5"]) == 0
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+"""
+
+
+def test_package_never_imports_scipy_stats():
+    # scipy.stats costs about half a second of start-up; the package uses
+    # scipy.special kernels instead
+    proc = subprocess.run(
+        [sys.executable, "-c", EXERCISE_EVERY_SCHEME],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

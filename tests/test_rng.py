@@ -23,7 +23,7 @@ def test_check_seed_accepts_u64_range():
     assert check_seed(np.uint64(13)) == 13
 
 
-@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7", None])
+@pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7", None, True])
 def test_check_seed_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         check_seed(bad)

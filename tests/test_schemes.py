@@ -33,6 +33,7 @@ from corrcomm import (
     run_two_way,
     var_max_normal,
 )
+from corrcomm.schemes import _binom_pmf
 
 SEED = 411
 
@@ -72,6 +73,31 @@ def test_max_normal_validation():
         expected_max_normal(0)
     with pytest.raises(ValueError):
         expected_max_normal(2.5)
+
+
+@pytest.mark.parametrize(
+    "n, mean_hex, var_hex",
+    [
+        (2, "0x1.20dd750429b6ep-1", "0x1.5d067c91b1bc0p-1"),
+        (1024, "0x1.9fc650b4bd5f9p+1", "0x1.f7f15fb84a500p-4"),
+        (2**20, "0x1.37d3aa1918eb6p+2", "0x1.f61f0e9f82400p-5"),
+    ],
+)
+def test_max_normal_quadrature_is_pinned(n, mean_hex, var_hex):
+    # exact floats, so a change in the integrand's arithmetic shows in the
+    # last bit even where it stays inside the quadrature tolerance
+    assert expected_max_normal(n) == float.fromhex(mean_hex)
+    assert var_max_normal(n) == float.fromhex(var_hex)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128, 200, 1000])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.55, 0.95])
+def test_binom_pmf_matches_scipy_stats(n, p):
+    from scipy.stats import binom  # the package itself must not import it
+
+    ours = _binom_pmf(n, p)
+    ref = binom.pmf(np.arange(n + 1), n, p)
+    np.testing.assert_allclose(ours, ref, rtol=1e-11, atol=0)
 
 
 def test_exact_mse_formulas():
