@@ -57,8 +57,8 @@ def main() -> None:
     print("chain verifier on the same spec:")
     print(f"  claimed rho = 0.6 -> ok = {honest.ok}")
     print(f"  claimed rho = 0.1 -> ok = {lying.ok} "
-          f"(interchanged {lying.interchanged:.4f} > rho^2 injected "
-          f"{lying.rho_sq_injected:.4f})")
+          f"(interchanged {lying.values['interchanged']:.4f} > rho^2 injected "
+          f"{lying.values['rho_sq_injected']:.4f})")
     print("a silent verifier would be useless; this one flags the lie")
 
 

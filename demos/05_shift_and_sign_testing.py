@@ -40,8 +40,8 @@ def main() -> None:
           f"{shifted.empirical_correlation():.4f} (target {rho1})")
     report = verify_shift_reduction(rho0, rho1, (np.eye(2),))
     print(f"  exact one-bit transcript check: divergences "
-          f"({report['div_x']:.5f}, {report['div_y']:.5f}) "
-          f"<= bound {report['bound']:.5f} -> ok = {report['ok']}")
+          f"({report.values['div_x']:.5f}, {report.values['div_y']:.5f}) "
+          f"<= bound {report.values['bound']:.5f} -> ok = {report.ok}")
     print()
 
     print("sign testing at per-coordinate correlation 1/sqrt(n):")
@@ -51,7 +51,8 @@ def main() -> None:
         vote = majority_channel(n)
         second = np.stack([vote] * 2, axis=1)
         demo = gap_hamming_demo(n, (vote, second), c=1.0)
-        print(f"{n:>3} {demo['i_u_pi']:>17.6f} {demo['implied_k_lower']:>15.3f}")
+        print(f"{n:>3} {demo.values['i_u_pi']:>17.6f} "
+              f"{demo.values['implied_k_lower']:>15.3f}")
     print()
     print("One round of majority alone is blind (a transcript computed from")
     print("x only cannot see the sign), and even with a reply the per-bit")

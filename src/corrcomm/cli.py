@@ -24,16 +24,12 @@ import numpy as np
 
 from . import __version__
 from .contraction import (
+    CHECKS,
     FiniteJoint,
     InteractiveSpec,
     SweepOutcome,
     replay_violation,
-    search_max_ratio,
-    sweep_chain,
-    sweep_gap_hamming,
-    sweep_shift,
-    sweep_tensorization,
-    sweep_tilted,
+    sweep,
     verify_interactive_chain,
 )
 from .infotheory import risk_bounds
@@ -73,7 +69,8 @@ BOUNDS_COLUMNS = (
 VERIFY_COLUMNS = ("suite", "checks", "violations", "worst_margin")
 MAXNORMAL_COLUMNS = ("n", "mean", "variance", "asymptote", "ratio")
 
-SUITES = ("sdpi", "tilted", "tensor", "chain", "shift", "gaphamming")
+# suite name -> check kind, for every check with CLI defaults, in table order
+SUITES = {c.suite: kind for kind, c in CHECKS.items() if c.draws is not None}
 
 
 class ConfigError(Exception):
@@ -171,8 +168,10 @@ def _integer(value) -> int:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def cmd_simulate(args) -> int:
@@ -183,11 +182,8 @@ def cmd_simulate(args) -> int:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-    for key, value in params.items():
-        if not (_is_number(value) or (key == "k1" and value is None)):
-            raise ConfigError(f"params.{key} must be a number, got {value!r}")
     k_grid = _as_grid(cfg.get("k_grid"), "k_grid", _integer)
-    rho_grid = _as_grid(cfg.get("rho_grid"), "rho_grid", float)
+    rho_grid = _as_grid(cfg.get("rho_grid"), "rho_grid", _number)
     trials = args.trials if args.trials is not None else cfg.get("trials")
     if not isinstance(trials, int) or trials < 100:
         raise ConfigError(f"trials must be an integer >= 100, got {trials!r}")
@@ -277,48 +273,13 @@ def cmd_bounds(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-DEFAULT_DRAWS = {
-    "sdpi": 2000,
-    "tilted": 10000,
-    "tensor": 500,
-    "chain": 201,
-    "shift": 100,
-    "gaphamming": 100,
-}
-
-
 def _run_suite(name: str, draws: int | None, seed: int, rho: float | None) -> SweepOutcome:
-    n = DEFAULT_DRAWS[name] if draws is None else draws
-    if name == "sdpi":
-        r = rho if rho is not None else 0.6
-        result = search_max_ratio(
-            FiniteJoint.binary_symmetric(r),
-            r_max=3,
-            u_max=3,
-            restarts=n,
-            seed=seed,
-            ceiling=r * r + 1e-9,
-        )
-        return SweepOutcome(
-            suite="sdpi",
-            checks=result.evaluations,
-            violations=result.violations,
-            stats={
-                "worst_margin": r * r + 1e-9 - result.max_ratio_seen,
-                "best_ratio": result.best_ratio,
-            },
-        )
-    if name == "tilted":
-        return sweep_tilted(rho if rho is not None else 0.7, n, seed)
-    if name == "tensor":
-        return sweep_tensorization(0.4, 0.8, n, seed)
-    if name == "chain":
-        return sweep_chain((0.3, 0.6, 0.9), max(1, -(-n // 3)), seed)
-    if name == "shift":
-        return sweep_shift(0.25, 0.5, n, seed)
-    if name == "gaphamming":
-        return sweep_gap_hamming(8, 1.0, n, seed)
-    raise ConfigError(f"unknown suite: {name!r}")
+    kind = SUITES[name]
+    check = CHECKS[kind]
+    args = dict(check.args)
+    if rho is not None and "rho" in args:
+        args["rho"] = rho
+    return sweep(kind, check.draws if draws is None else draws, seed, **args)
 
 
 def _outcome_row(outcome: SweepOutcome) -> dict:
@@ -326,7 +287,7 @@ def _outcome_row(outcome: SweepOutcome) -> dict:
         "suite": outcome.suite,
         "checks": outcome.checks,
         "violations": len(outcome.violations),
-        "worst_margin": outcome.stats.get("worst_margin", math.nan),
+        "worst_margin": outcome.stats["worst_margin"],
         "stats": outcome.stats,
         "records": outcome.violations,
     }
@@ -340,23 +301,13 @@ def _selftest_outcome() -> SweepOutcome:
         source=FiniteJoint.binary_symmetric(0.5),
         channels=(np.eye(2),),
     )
-    report = verify_interactive_chain(spec, rho=0.1)
-    violations = [] if report.ok else [report.instance]
+    result = verify_interactive_chain(spec, rho=0.1)
     return SweepOutcome(
         suite="selftest",
         checks=1,
-        violations=violations,
-        stats={"worst_margin": report.rho_sq_injected - report.interchanged},
+        violations=[] if result.ok else [result.instance],
+        stats={"worst_margin": result.margin},
     )
-
-
-def _replay_margin(result: dict) -> float:
-    """The replayed check's own margin, else its ceiling minus its ratio."""
-    if "margin" in result:
-        return result["margin"]
-    if "ceiling" in result:
-        return result["ceiling"] - result["ratio"]
-    return math.nan
 
 
 def _replay_rows(path: str) -> tuple[list, int]:
@@ -376,18 +327,20 @@ def _replay_rows(path: str) -> tuple[list, int]:
     rows = []
     failures = 0
     for record in records:
+        if not isinstance(record, dict):
+            raise ConfigError(f"violation record must be a JSON object, got {record!r}")
         try:
             result = replay_violation(record)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad violation record: {exc}") from exc
-        ok = bool(result["ok"])
+        ok = bool(result.ok)
         failures += 0 if ok else 1
         rows.append(
             {
                 "suite": f"replay:{record.get('check', '?')}",
                 "checks": 1,
                 "violations": 0 if ok else 1,
-                "worst_margin": _replay_margin(result),
+                "worst_margin": result.margin,
                 "stats": {},
                 "records": [] if ok else [record],
             }
@@ -495,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="randomized inequality suites")
     p_verify.add_argument(
-        "--suite", choices=SUITES + ("all",), default="all", help="which suite"
+        "--suite", choices=(*SUITES, "all"), default="all", help="which suite"
     )
     p_verify.add_argument("--draws", type=int, default=None, help="instances per suite")
     p_verify.add_argument(

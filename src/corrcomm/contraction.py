@@ -3,14 +3,17 @@
 Everything here works on finite, exactly-enumerated joints: an interactive
 protocol is a list of channel tables (round i reads the round-i speaker's
 sample plus the message history), and all divergences are computed in
-closed form from the materialized joint table. Verifiers return report
-objects carrying margins; failed checks embed the violating instance in a
-JSON-ready form so it can be replayed.
+closed form from the materialized joint table. Every verifier returns a
+CheckResult carrying its margin; a failed check embeds the violating
+instance in a JSON-ready record that replay_violation re-runs. CHECKS
+holds, per record kind, how a sweep draws instances of the check and how
+any instance or record is verified.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,14 +25,16 @@ from .sources import shift_params
 __all__ = [
     "InteractiveSpec",
     "InfoSplit",
-    "ChainReport",
+    "CheckResult",
     "SearchResult",
     "SweepOutcome",
+    "CHECKS",
     "binary_symmetric_product",
     "build_joint",
     "compute_info_split",
     "random_spec",
     "search_max_ratio",
+    "verify_ratio_ceiling",
     "verify_tilted_contraction",
     "binary_input_contraction",
     "verify_tensorization",
@@ -38,16 +43,33 @@ __all__ = [
     "gap_hamming_demo",
     "majority_channel",
     "replay_violation",
-    "sweep_tilted",
-    "sweep_binary_contraction",
-    "sweep_chain",
-    "sweep_tensorization",
-    "sweep_shift",
-    "sweep_gap_hamming",
+    "sweep",
 ]
 
 JOINT_ENTRY_GUARD = 10**7
 TOL = 1e-9
+TENSOR_SLACK = 0.02  # allowance over the estimated single-coordinate sups
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of one check.
+
+    margin is how far the checked inequality holds (negative when it
+    fails; the worst side when a check tests several), values the
+    quantities it compared, and instance, set only when the check fails,
+    the JSON-ready violation record that replay_violation re-runs.
+    """
+
+    ok: bool
+    margin: float
+    values: dict
+    instance: dict | None = None
+
+
+def _result(kind: str, ok: bool, margin: float, values: dict, record) -> CheckResult:
+    """A CheckResult; record() gives the violation record's fields on failure."""
+    return CheckResult(ok, margin, values, None if ok else {"check": kind, **record()})
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +271,8 @@ def random_spec(
 @dataclass(frozen=True)
 class SearchResult:
     best_ratio: float
-    best_split: InfoSplit
-    best_spec: InteractiveSpec
+    best_split: InfoSplit | None  # None, like best_spec, after 0 restarts
+    best_spec: InteractiveSpec | None
     evaluations: int
     max_ratio_seen: float
     violations: list = field(default_factory=list)
@@ -283,6 +305,7 @@ def search_max_ratio(
     ascent_from: int = 3,
     ascent_steps: int = 300,
     ceiling: float | None = None,
+    _run: Callable[[dict], CheckResult] | None = None,
 ) -> SearchResult:
     """Randomized multi-restart hill climb on the cross/own information ratio.
 
@@ -290,37 +313,32 @@ def search_max_ratio(
     few, favoring moves that weaken channels toward input independence
     (the regime where the ratio approaches its supremum). When `ceiling`
     is given, every evaluated spec is checked against it and violators are
-    recorded with the serialized instance.
+    recorded with the serialized instance. The sdpi sweep passes its own
+    `_run` to check each evaluated spec.
     """
     rng = substream(seed, "search_max_ratio")
     evaluations = 0
     max_seen = 0.0
     violations: list[dict] = []
+    limit = math.inf if ceiling is None else ceiling
+    run = _run or CHECKS["ratio_ceiling"].verify
 
-    def consider(spec: InteractiveSpec) -> tuple[float, InfoSplit]:
+    def evaluate(spec: InteractiveSpec) -> tuple[float, InfoSplit]:
         nonlocal evaluations, max_seen
-        ratio, split = _ratio_of(spec)
+        result = run({"ceiling": limit, "instance": spec})
         evaluations += 1
-        max_seen = max(max_seen, ratio)
-        if ceiling is not None and ratio > ceiling:
-            violations.append(
-                {
-                    "check": "ratio_ceiling",
-                    "ratio": ratio,
-                    "ceiling": ceiling,
-                    "instance": spec.to_jsonable(),
-                }
-            )
-        return ratio, split
+        max_seen = max(max_seen, result.values["ratio"])
+        if not result.ok:
+            violations.append(result.instance)
+        return result.values["ratio"], result.values["split"]
 
     pool: list[tuple[float, InfoSplit, InteractiveSpec]] = []
     for _ in range(restarts):
         spec = random_spec(source, r_max, u_max, rng)
-        ratio, split = consider(spec)
-        pool.append((ratio, split, spec))
+        pool.append((*evaluate(spec), spec))
     pool.sort(key=lambda item: item[0], reverse=True)
 
-    best_ratio, best_split, best_spec = pool[0]
+    best_ratio, best_split, best_spec = pool[0] if pool else (0.0, None, None)
     for start_ratio, start_split, start_spec in pool[: max(1, ascent_from)]:
         cur_ratio, cur_split, cur_spec = start_ratio, start_split, start_spec
         channels = [c.copy() for c in cur_spec.channels]
@@ -336,13 +354,12 @@ def search_max_ratio(
                 t = 0.3 * rng.random()
                 flat[row] = (1.0 - t) * flat[row] + t * corner
             cand_spec = replace(cur_spec, channels=tuple(cand))
-            ratio, split = consider(cand_spec)
+            ratio, split = evaluate(cand_spec)
             if ratio > cur_ratio:
                 cur_ratio, cur_split, cur_spec = ratio, split, cand_spec
                 channels = cand
         if cur_ratio > best_ratio:
             best_ratio, best_split, best_spec = cur_ratio, cur_split, cur_spec
-
     return SearchResult(
         best_ratio=best_ratio,
         best_split=best_split,
@@ -350,6 +367,16 @@ def search_max_ratio(
         evaluations=evaluations,
         max_ratio_seen=max_seen,
         violations=violations,
+    )
+
+
+def verify_ratio_ceiling(spec: InteractiveSpec, ceiling: float) -> CheckResult:
+    """The spec's cross/own information ratio stays at or below ceiling."""
+    ratio, split = _ratio_of(spec)
+    return _result(
+        "ratio_ceiling", ratio <= ceiling, ceiling - ratio,
+        {"ratio": ratio, "ceiling": ceiling, "split": split},
+        lambda: {"ratio": ratio, "ceiling": ceiling, "instance": spec.to_jsonable()},
     )
 
 
@@ -364,7 +391,7 @@ def verify_tilted_contraction(
     channel_u,
     channel_v=None,
     tol: float = 1e-10,
-) -> dict:
+) -> CheckResult:
     """Contraction survives product tilts of the symmetric binary pair.
 
     The source is P(x, y) proportional to f(x) g(y) Q(x, y) with Q the
@@ -404,32 +431,27 @@ def verify_tilted_contraction(
 
     cross_u, own_u = side(channel_u, from_x=True)
     margin = rho * rho * own_u - cross_u
-    report = {
-        "ok": margin >= -tol,
-        "margin": margin,
-        "cross_u": cross_u,
-        "own_u": own_u,
-    }
+    values = {"margin_u": margin, "cross_u": cross_u, "own_u": own_u}
     if channel_v is not None:
         cross_v, own_v = side(channel_v, from_x=False)
         margin_v = rho * rho * own_v - cross_v
-        report["margin_v"] = margin_v
-        report["cross_v"] = cross_v
-        report["own_v"] = own_v
-        report["ok"] = report["ok"] and margin_v >= -tol
-    if not report["ok"]:
-        report["instance"] = {
-            "check": "tilted_contraction",
+        values.update(margin_v=margin_v, cross_v=cross_v, own_v=own_v)
+        margin = min(margin, margin_v)
+    return _result(
+        "tilted_contraction", margin >= -tol, margin, values,
+        lambda: {
             "rho": rho,
             "f": f.tolist(),
             "g": g.tolist(),
             "channel_u": np.asarray(channel_u).tolist(),
             "channel_v": None if channel_v is None else np.asarray(channel_v).tolist(),
-        }
-    return report
+        },
+    )
 
 
-def binary_input_contraction(p, q, channel, pa=(0.5, 0.5), tol: float = 1e-10) -> dict:
+def binary_input_contraction(
+    p, q, channel, pa=(0.5, 0.5), tol: float = 1e-10
+) -> CheckResult:
     """Hellinger-affinity contraction for a binary-input output channel.
 
     With A binary, B | A=0 ~ p, B | A=1 ~ q, and U drawn from A, checks
@@ -451,95 +473,56 @@ def binary_input_contraction(p, q, channel, pa=(0.5, 0.5), tol: float = 1e-10) -
     i_ua = mutual_info(joint.sum(axis=2))
     i_ub = mutual_info(joint.sum(axis=0).T)  # (u, b) -> pass (b, u) irrelevant
     margin = coeff * i_ua - i_ub
-    report = {
-        "ok": margin >= -tol,
-        "margin": margin,
-        "i_ua": i_ua,
-        "i_ub": i_ub,
-        "coefficient": coeff,
-    }
-    if not report["ok"]:
-        report["instance"] = {
-            "check": "binary_input_contraction",
-            "p": p.tolist(),
-            "q": q.tolist(),
-            "channel": chan.tolist(),
-            "pa": pa.tolist(),
-        }
-    return report
+    values = {"i_ua": i_ua, "i_ub": i_ub, "coefficient": coeff}
+    return _result(
+        "binary_input_contraction", margin >= -tol, margin, values,
+        lambda: {"p": p.tolist(), "q": q.tolist(), "channel": chan.tolist(),
+                 "pa": pa.tolist()},
+    )
 
 
 def verify_tensorization(
     source1: FiniteJoint,
     source2: FiniteJoint,
     spec_channels,
-    sup1: float | None = None,
-    sup2: float | None = None,
-    search_restarts: int = 300,
-    seed: int = 0,
-    slack: float = 0.02,
-) -> dict:
+    sup1: float,
+    sup2: float,
+    slack: float = TENSOR_SLACK,
+) -> CheckResult:
     """Product-source specs cannot beat the worst single-coordinate ratio.
 
     Runs the given channels on source1 x source2 and compares the ratio
-    against max(sup_j) + slack, where each sup_j is found by
-    search_max_ratio on coordinate j alone (or passed in precomputed).
+    against max(sup_j) + slack, where each sup_j is the supremum of the
+    ratio on coordinate j alone, as search_max_ratio estimates it.
     """
     product = source1.product(source2)
     spec = InteractiveSpec(source=product, channels=tuple(spec_channels))
     ratio, split = _ratio_of(spec)
-    if sup1 is None:
-        sup1 = search_max_ratio(source1, restarts=search_restarts, seed=seed).best_ratio
-    if sup2 is None:
-        sup2 = search_max_ratio(
-            source2, restarts=search_restarts, seed=seed + 1
-        ).best_ratio
     ceiling = max(sup1, sup2) + slack
-    report = {
-        "ok": ratio <= ceiling,
-        "ratio": ratio,
-        "ceiling": ceiling,
-        "sup1": sup1,
-        "sup2": sup2,
-        "split": split,
-    }
-    if not report["ok"]:
-        report["instance"] = {
-            "check": "tensorization",
+    values = {"ratio": ratio, "ceiling": ceiling, "sup1": sup1, "sup2": sup2}
+    return _result(
+        "tensorization", ratio <= ceiling, ceiling - ratio, {**values, "split": split},
+        lambda: {
             "source1": source1.probs.tolist(),
             "source2": source2.probs.tolist(),
             "channels": [np.asarray(c).tolist() for c in spec_channels],
-            "ratio": ratio,
-            "ceiling": ceiling,
-            "sup1": sup1,
-            "sup2": sup2,
+            **values,
             "slack": slack,
-        }
-    return report
+        },
+    )
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Divergence-chain quantities for one interactive run, in bits."""
-
-    div_transcript_x: float
-    div_transcript_y: float
-    interchanged: float
-    injected: float
-    rho_sq_injected: float
-    one_way_gap: float | None
-    ok: bool
-    instance: dict | None = None
-
-
-def verify_interactive_chain(spec: InteractiveSpec, rho: float, tol: float = TOL) -> ChainReport:
+def verify_interactive_chain(
+    spec: InteractiveSpec, rho: float, tol: float = TOL
+) -> CheckResult:
     """Transcript divergences vs the interchanged and injected information.
 
     The reference law reruns the same channels on the independent source
     with matching marginals. Checks, within tol:
     max(D(P_UX || ref), D(P_UY || ref)) <= I(X;Y) - I(X;Y|U^r)
     <= rho^2 I(U^r;X,Y), and for one-way specs the y-side divergence
-    equals the interchanged information exactly.
+    equals the interchanged information exactly. Values are in bits; the
+    margin is the tighter of the two chain inequalities.
     """
     src = spec.source
     ref_source = FiniteJoint.from_product(src.marginal_x(), src.marginal_y())
@@ -567,28 +550,17 @@ def verify_interactive_chain(spec: InteractiveSpec, rho: float, tol: float = TOL
         and interchanged <= scaled + tol
         and (one_way_gap is None or one_way_gap <= tol)
     )
-    instance = None
-    if not ok:
-        instance = {
-            "check": "interactive_chain",
-            "rho": rho,
-            **spec.to_jsonable(),
-            "values": {
-                "div_transcript_x": d_x,
-                "div_transcript_y": d_y,
-                "interchanged": interchanged,
-                "injected": injected,
-            },
-        }
-    return ChainReport(
-        div_transcript_x=d_x,
-        div_transcript_y=d_y,
-        interchanged=interchanged,
-        injected=injected,
-        rho_sq_injected=scaled,
-        one_way_gap=one_way_gap,
-        ok=ok,
-        instance=instance,
+    values = {
+        "div_transcript_x": d_x,
+        "div_transcript_y": d_y,
+        "interchanged": interchanged,
+        "injected": injected,
+    }
+    margin = min(interchanged - max(d_x, d_y), scaled - interchanged)
+    return _result(
+        "interactive_chain", ok, margin,
+        {**values, "rho_sq_injected": scaled, "one_way_gap": one_way_gap},
+        lambda: {"rho": rho, **spec.to_jsonable(), "values": values},
     )
 
 
@@ -636,7 +608,7 @@ def verify_shift_reduction(
     spec_channels,
     n: int = 1,
     tol: float = TOL,
-) -> dict:
+) -> CheckResult:
     """A correlation shift costs at most ((rho1-rho0)/(1-|rho0|))^2 per bit.
 
     The same channels run on the shifted pair under two hypotheses: input
@@ -699,23 +671,13 @@ def verify_shift_reduction(
     bits = float(sum(math.log2(np.asarray(c).shape[-1]) for c in spec_channels))
     bound = params.input_rho**2 * bits
     worst = max(d_x, d_y)
-    report = {
-        "ok": worst <= bound + tol,
-        "div_x": d_x,
-        "div_y": d_y,
-        "bound": bound,
-        "rho_input": rho_in,
-        "message_bits": bits,
-    }
-    if not report["ok"]:
-        report["instance"] = {
-            "check": "shift_reduction",
-            "rho0": rho0,
-            "rho1": rho1,
-            "n": n,
-            "channels": [np.asarray(c).tolist() for c in spec_channels],
-        }
-    return report
+    values = {"div_x": d_x, "div_y": d_y, "bound": bound, "rho_input": rho_in,
+              "message_bits": bits}
+    return _result(
+        "shift_reduction", worst <= bound + tol, bound - worst, values,
+        lambda: {"rho0": rho0, "rho1": rho1, "n": n,
+                 "channels": [np.asarray(c).tolist() for c in spec_channels]},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -733,7 +695,9 @@ def majority_channel(n: int) -> np.ndarray:
     return table
 
 
-def gap_hamming_demo(n: int, spec_channels, c: float = 1.0, tol: float = TOL) -> dict:
+def gap_hamming_demo(
+    n: int, spec_channels, c: float = 1.0, tol: float = TOL
+) -> CheckResult:
     """Sign-of-correlation testing needs order n bits of transcript.
 
     The hidden bit U flips the correlation of an n-coordinate +-1 source
@@ -785,22 +749,21 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0, tol: float = TOL) ->
         i_u_pi <= mixture_kl_bound + tol
         and mixture_kl_bound <= rho0**2 * injected_mix + tol
     )
-    report = {
-        "ok": ok,
+    values = {
         "rho0": rho0,
         "i_u_pi": i_u_pi,
         "mixture_kl_bound": mixture_kl_bound,
         "injected_mixture": injected_mix,
         "implied_k_lower": i_u_pi / rho0**2,
     }
-    if not ok:
-        report["instance"] = {
-            "check": "gap_hamming",
-            "n": n,
-            "c": c,
-            "channels": [np.asarray(ch).tolist() for ch in spec_channels],
-        }
-    return report
+    margin = min(
+        mixture_kl_bound - i_u_pi, rho0**2 * injected_mix - mixture_kl_bound
+    )
+    return _result(
+        "gap_hamming", ok, margin, values,
+        lambda: {"n": n, "c": c,
+                 "channels": [np.asarray(ch).tolist() for ch in spec_channels]},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -819,241 +782,198 @@ class SweepOutcome:
         return not self.violations
 
 
-def _random_pmf(rng: np.random.Generator, size: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(size))
+# Instance generators: draw(rng, seed, draws, run, **args) hands each drawn
+# instance (a mapping with the fields of the check's violation record) to
+# run, which verifies it and returns its CheckResult, and returns the
+# sweep's stats beyond worst_margin.
+
+def _draw_ratio_ceiling(rng, seed, draws, run, rho):
+    # search_max_ratio derives this same stream from seed; rng goes unused
+    result = search_max_ratio(FiniteJoint.binary_symmetric(rho), 3, 3, draws, seed,
+                              ceiling=rho * rho + 1e-9, _run=run)
+    return {"best_ratio": result.best_ratio}
 
 
-def sweep_tilted(rho: float, draws: int, seed: int, u_max: int = 3) -> SweepOutcome:
-    """Random tilts and channels through verify_tilted_contraction."""
-    rng = substream(seed, "sweep_tilted")
-    violations = []
-    worst = math.inf
+def _draw_tilted(rng, seed, draws, run, rho, u_max=3):
     for _ in range(draws):
-        f = rng.random(2) * 2.0
-        g = rng.random(2) * 2.0
-        if f.max() <= 0 or g.max() <= 0:
-            continue
-        m_u = int(rng.integers(2, u_max + 1))
-        m_v = int(rng.integers(2, u_max + 1))
-        chan_u = rng.dirichlet(np.ones(m_u), size=2)
-        chan_v = rng.dirichlet(np.ones(m_v), size=2)
-        report = verify_tilted_contraction(rho, f, g, chan_u, chan_v)
-        worst = min(worst, report["margin"], report.get("margin_v", math.inf))
-        if not report["ok"]:
-            violations.append(report["instance"])
-    return SweepOutcome(
-        suite="tilted",
-        checks=draws,
-        violations=violations,
-        stats={"worst_margin": worst},
-    )
+        f, g = rng.random(2) * 2.0, rng.random(2) * 2.0
+        m_u, m_v = int(rng.integers(2, u_max + 1)), int(rng.integers(2, u_max + 1))
+        run({"rho": rho, "f": f, "g": g,
+             "channel_u": rng.dirichlet(np.ones(m_u), size=2),
+             "channel_v": rng.dirichlet(np.ones(m_v), size=2)})
+    return {}
 
 
-def sweep_binary_contraction(
-    draws: int, seed: int, b_max: int = 4, u_max: int = 3
-) -> SweepOutcome:
-    rng = substream(seed, "sweep_binary_contraction")
-    violations = []
-    worst = math.inf
+def _draw_binary_input(rng, seed, draws, run, b_max=4, u_max=3):
     for _ in range(draws):
         b_size = int(rng.integers(2, b_max + 1))
-        p = _random_pmf(rng, b_size)
-        q = _random_pmf(rng, b_size)
-        chan = rng.dirichlet(np.ones(int(rng.integers(2, u_max + 1))), size=2)
-        report = binary_input_contraction(p, q, chan)
-        worst = min(worst, report["margin"])
-        if not report["ok"]:
-            violations.append(report["instance"])
-    return SweepOutcome(
-        suite="binary_contraction",
-        checks=draws,
-        violations=violations,
-        stats={"worst_margin": worst},
-    )
+        p, q = rng.dirichlet(np.ones(b_size)), rng.dirichlet(np.ones(b_size))
+        u_size = int(rng.integers(2, u_max + 1))
+        run({"p": p, "q": q, "channel": rng.dirichlet(np.ones(u_size), size=2)})
+    return {}
 
 
-def sweep_chain(
-    rhos,
-    specs_per_rho: int,
-    seed: int,
-    n_max: int = 2,
-    r_max: int = 3,
-    u_max: int = 3,
-) -> SweepOutcome:
-    """Random interactive specs on product sources through the chain check."""
-    rng = substream(seed, "sweep_chain")
-    violations = []
-    checks = 0
-    worst = math.inf
-    one_way_worst = 0.0
-    for rho in rhos:
-        for _ in range(specs_per_rho):
-            n = int(rng.integers(1, n_max + 1))
-            source = binary_symmetric_product(rho, n)
-            spec = random_spec(source, r_max, u_max, rng)
-            report = verify_interactive_chain(spec, rho)
-            checks += 1
-            worst = min(
-                worst,
-                report.interchanged - max(report.div_transcript_x, report.div_transcript_y),
-                report.rho_sq_injected - report.interchanged,
-            )
-            if report.one_way_gap is not None:
-                one_way_worst = max(one_way_worst, report.one_way_gap)
-            if not report.ok:
-                violations.append(report.instance)
-    return SweepOutcome(
-        suite="chain",
-        checks=checks,
-        violations=violations,
-        stats={"worst_margin": worst, "one_way_worst_gap": one_way_worst},
-    )
-
-
-def sweep_tensorization(
-    rho1: float,
-    rho2: float,
-    draws: int,
-    seed: int,
-    r_max: int = 2,
-    u_max: int = 2,
-) -> SweepOutcome:
+def _draw_tensorization(rng, seed, draws, run, rho1, rho2, r_max=2, u_max=2):
     source1 = FiniteJoint.binary_symmetric(rho1)
     source2 = FiniteJoint.binary_symmetric(rho2)
     sup1 = search_max_ratio(source1, restarts=400, seed=seed).best_ratio
     sup2 = search_max_ratio(source2, restarts=400, seed=seed + 1).best_ratio
-    rng = substream(seed, "sweep_tensorization")
     product = source1.product(source2)
-    violations = []
-    worst = math.inf
     for _ in range(draws):
-        spec = random_spec(product, r_max, u_max, rng)
-        report = verify_tensorization(
-            source1, source2, spec.channels, sup1=sup1, sup2=sup2
-        )
-        worst = min(worst, report["ceiling"] - report["ratio"])
-        if not report["ok"]:
-            violations.append(report["instance"])
-    return SweepOutcome(
-        suite="tensor",
-        checks=draws,
-        violations=violations,
-        stats={"worst_margin": worst, "sup1": sup1, "sup2": sup2},
-    )
+        run({"source1": source1, "source2": source2,
+             "channels": random_spec(product, r_max, u_max, rng).channels,
+             "sup1": sup1, "sup2": sup2, "slack": TENSOR_SLACK})
+    return {"sup1": sup1, "sup2": sup2}
 
 
-def sweep_shift(
-    rho0: float,
-    rho1: float,
-    draws: int,
-    seed: int,
-    r_max: int = 3,
-    u_max: int = 3,
-    n: int = 1,
-) -> SweepOutcome:
-    rng = substream(seed, "sweep_shift")
+def _draw_chain(rng, seed, draws, run, rhos, n_max=2, r_max=3, u_max=3):
+    # draws is split evenly over rhos, rounding up, at least one each
+    one_way_worst = 0.0
+    for rho in rhos:
+        for _ in range(max(1, -(-draws // len(rhos)))):
+            n = int(rng.integers(1, n_max + 1))
+            spec = random_spec(binary_symmetric_product(rho, n), r_max, u_max, rng)
+            gap = run({"rho": rho, "spec": spec}).values["one_way_gap"]
+            if gap is not None:
+                one_way_worst = max(one_way_worst, gap)
+    return {"one_way_worst_gap": one_way_worst}
+
+
+def _draw_shift(rng, seed, draws, run, rho0, rho1, r_max=3, u_max=3, n=1):
     # channel shapes live on the shifted alphabets
     shape_source = binary_symmetric_product(0.0, n)
-    violations = []
-    worst = math.inf
     for _ in range(draws):
         spec = random_spec(shape_source, r_max, u_max, rng)
-        report = verify_shift_reduction(rho0, rho1, spec.channels, n=n)
-        worst = min(worst, report["bound"] - max(report["div_x"], report["div_y"]))
-        if not report["ok"]:
-            violations.append(report["instance"])
-    return SweepOutcome(
-        suite="shift",
-        checks=draws,
-        violations=violations,
-        stats={"worst_margin": worst},
-    )
+        run({"rho0": rho0, "rho1": rho1, "n": n, "channels": spec.channels})
+    return {}
 
 
-def sweep_gap_hamming(
-    n: int,
-    c: float,
-    draws: int,
-    seed: int,
-    include_majority: bool = True,
-) -> SweepOutcome:
-    rng = substream(seed, "sweep_gap_hamming")
-    source_shape = binary_symmetric_product(0.0, n)
-    violations = []
-    checks = 0
-    worst = math.inf
-    majority_report = None
-
-    def account(report: dict) -> None:
-        nonlocal worst
-        worst = min(
-            worst,
-            report["mixture_kl_bound"] - report["i_u_pi"],
-            report["rho0"] ** 2 * report["injected_mixture"]
-            - report["mixture_kl_bound"],
-        )
-        if not report["ok"]:
-            violations.append(report["instance"])
-
+def _draw_gap_hamming(rng, seed, draws, run, n, c, include_majority=True):
+    stats = {}
     if include_majority:
-        majority_report = gap_hamming_demo(n, (majority_channel(n),), c)
-        checks += 1
-        account(majority_report)
+        values = run({"n": n, "c": c, "channels": (majority_channel(n),)}).values
+        keys = ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
+        stats["majority"] = {key: values[key] for key in keys}
+    source_shape = binary_symmetric_product(0.0, n)
     for _ in range(draws):
         # allow two rounds: a transcript that never touches y carries zero
         # information about the correlation sign, so r=1 alone is vacuous
         spec = random_spec(source_shape, r_max=2, u_max=2, rng=rng)
-        report = gap_hamming_demo(n, spec.channels, c)
+        run({"n": n, "c": c, "channels": spec.channels})
+    return stats
+
+
+def _live(value, cls, build):
+    """The object a sweep drew, or one built from a violation record."""
+    return value if isinstance(value, cls) else build(value)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One kind of check, named by its violation records' "check" field.
+
+    A sweep over it draws from substream (seed, stream) with the instance
+    generator draw and reports under suite; verify(record) checks a drawn
+    instance or re-runs a violation record. draws and args are the CLI's
+    defaults; draws None keeps the suite off the CLI. verify looks its
+    verifier up when called, so wrappers installed on this module see
+    every call.
+    """
+
+    suite: str
+    stream: str
+    draw: Callable[..., dict]
+    verify: Callable[[dict], CheckResult]
+    draws: int | None = None
+    args: dict = field(default_factory=dict)
+
+
+CHECKS = {
+    "ratio_ceiling": Check(
+        "sdpi", "search_max_ratio", _draw_ratio_ceiling,
+        lambda r: verify_ratio_ceiling(
+            _live(r["instance"], InteractiveSpec, InteractiveSpec.from_jsonable),
+            r["ceiling"],
+        ),
+        2000, {"rho": 0.6},
+    ),
+    "tilted_contraction": Check(
+        "tilted", "sweep_tilted", _draw_tilted,
+        lambda r: verify_tilted_contraction(
+            r["rho"], r["f"], r["g"], r["channel_u"], r.get("channel_v")
+        ),
+        10000, {"rho": 0.7},
+    ),
+    "binary_input_contraction": Check(
+        "binary_contraction", "sweep_binary_contraction", _draw_binary_input,
+        lambda r: binary_input_contraction(
+            r["p"], r["q"], r["channel"], r.get("pa", (0.5, 0.5))
+        ),
+    ),
+    "tensorization": Check(
+        "tensor", "sweep_tensorization", _draw_tensorization,
+        lambda r: verify_tensorization(
+            _live(r["source1"], FiniteJoint, FiniteJoint),
+            _live(r["source2"], FiniteJoint, FiniteJoint), r["channels"],
+            sup1=r["sup1"], sup2=r["sup2"], slack=r["slack"],
+        ),
+        500, {"rho1": 0.4, "rho2": 0.8},
+    ),
+    "interactive_chain": Check(
+        "chain", "sweep_chain", _draw_chain,
+        lambda r: verify_interactive_chain(
+            _live(r.get("spec", r), InteractiveSpec, InteractiveSpec.from_jsonable),
+            r["rho"],
+        ),
+        201, {"rhos": (0.3, 0.6, 0.9)},
+    ),
+    "shift_reduction": Check(
+        "shift", "sweep_shift", _draw_shift,
+        lambda r: verify_shift_reduction(
+            r["rho0"], r["rho1"], r["channels"], r.get("n", 1)
+        ),
+        100, {"rho0": 0.25, "rho1": 0.5},
+    ),
+    "gap_hamming": Check(
+        "gaphamming", "sweep_gap_hamming", _draw_gap_hamming,
+        lambda r: gap_hamming_demo(r["n"], r["channels"], r["c"]),
+        100, {"n": 8, "c": 1.0},
+    ),
+}
+
+
+def sweep(kind: str, draws: int, seed: int, **args) -> SweepOutcome:
+    """Verify the instances CHECKS[kind] draws from (seed, its stream).
+
+    args go to the check's instance generator. Stats carry the worst
+    margin over all checks, then whatever the generator reports.
+    """
+    check = CHECKS[kind]
+    violations = []
+    checks = 0
+    worst = math.inf
+
+    def run(instance) -> CheckResult:
+        nonlocal checks, worst
+        result = check.verify(instance)
         checks += 1
-        account(report)
-    stats = {"worst_margin": worst}
-    if majority_report is not None:
-        stats["majority"] = {
-            k: majority_report[k]
-            for k in ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
-        }
+        worst = min(worst, result.margin)
+        if not result.ok:
+            violations.append(result.instance)
+        return result
+
+    extra = check.draw(substream(seed, check.stream), seed, draws, run, **args)
     return SweepOutcome(
-        suite="gaphamming", checks=checks, violations=violations, stats=stats
+        suite=check.suite,
+        checks=checks,
+        violations=violations,
+        stats={"worst_margin": worst, **extra},
     )
 
 
-def replay_violation(record: dict) -> dict:
+def replay_violation(record: dict) -> CheckResult:
     """Re-run the check named in a serialized violation record."""
-    check = record.get("check")
-    if check == "tilted_contraction":
-        return verify_tilted_contraction(
-            record["rho"],
-            record["f"],
-            record["g"],
-            record["channel_u"],
-            record.get("channel_v"),
-        )
-    if check == "binary_input_contraction":
-        return binary_input_contraction(
-            record["p"], record["q"], record["channel"], record.get("pa", (0.5, 0.5))
-        )
-    if check == "interactive_chain":
-        spec = InteractiveSpec.from_jsonable(record)
-        report = verify_interactive_chain(spec, record["rho"])
-        return {"ok": report.ok, "report": report}
-    if check == "shift_reduction":
-        return verify_shift_reduction(
-            record["rho0"], record["rho1"], record["channels"], record.get("n", 1)
-        )
-    if check == "gap_hamming":
-        return gap_hamming_demo(record["n"], record["channels"], record["c"])
-    if check == "tensorization":
-        return verify_tensorization(
-            FiniteJoint(np.asarray(record["source1"])),
-            FiniteJoint(np.asarray(record["source2"])),
-            record["channels"],
-            sup1=record["sup1"],
-            sup2=record["sup2"],
-            slack=record["slack"],
-        )
-    if check == "ratio_ceiling":
-        spec = InteractiveSpec.from_jsonable(record["instance"])
-        ratio, _ = _ratio_of(spec)
-        ceiling = record["ceiling"]
-        return {"ok": ratio <= ceiling, "ratio": ratio, "ceiling": ceiling}
-    raise ValueError(f"unknown violation record kind: {check!r}")
+    kind = record.get("check")
+    if not isinstance(kind, str) or kind not in CHECKS:
+        raise ValueError(f"unknown violation record kind: {kind!r}")
+    return CHECKS[kind].verify(record)

@@ -16,6 +16,8 @@ to the sampler so Monte Carlo sizes in the hundreds of thousands stay cheap.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,6 +50,7 @@ __all__ = [
     "check_preconditions",
     "estimate_risk",
     "SCHEME_NAMES",
+    "SCHEMES",
 ]
 
 LN2 = math.log(2.0)
@@ -443,6 +446,15 @@ def block_layout(
     )
 
 
+def _fitted_layout(k: int, rho_tilde: float, n_block: int, rho_nominal: float,
+                   exist_factor: float, guard_bits: int) -> BlockLayout:
+    """The block layout, checked to fit a k-bit budget."""
+    layout = block_layout(rho_tilde, n_block, rho_nominal, exist_factor, guard_bits)
+    if layout.prefix_bits > k:
+        raise ValueError(f"scheme needs {layout.prefix_bits} bits, budget is {k}")
+    return layout
+
+
 def run_binary_block(
     k: int,
     rho_tilde: float,
@@ -465,11 +477,9 @@ def run_binary_block(
     _require_family(batch, "binary", "run_binary_block")
     if k < 1:
         raise ValueError(f"bit budget must be positive, got {k}")
-    layout = block_layout(rho_tilde, n_block, rho_nominal, exist_factor, guard_bits)
-    if layout.prefix_bits > k:
-        raise ValueError(
-            f"scheme needs {layout.prefix_bits} bits, budget is {k}"
-        )
+    layout = _fitted_layout(
+        k, rho_tilde, n_block, rho_nominal, exist_factor, guard_bits
+    )
     if len(batch) < layout.samples_needed:
         raise ValueError(
             f"need at least {layout.samples_needed} pairs, batch has {len(batch)}"
@@ -541,6 +551,13 @@ def _phase1_estimate(mean_product: float) -> float:
     return math.sin(0.5 * math.pi * mean_product)
 
 
+def _check_phase1(k: int, k1: int) -> None:
+    if not 1 <= k1 < k:
+        raise ValueError(
+            f"phase 1 budget must satisfy 1 <= k1 < k, got k1={k1}, k={k}"
+        )
+
+
 def run_two_way(
     k: int,
     k1: int | None,
@@ -559,12 +576,7 @@ def run_two_way(
     _require_family(batch, "gaussian", "run_two_way")
     if k1 is None:
         k1 = default_phase1_bits(k)
-    if k1 < 1:
-        raise ValueError(
-            f"phase 1 needs a positive (slowly growing) budget, got {k1}"
-        )
-    if k1 >= k:
-        raise ValueError(f"phase 1 budget {k1} must leave room in k={k}")
+    _check_phase1(k, k1)
     k2 = k - k1
     n2 = _check_pointer_budget(k2, len(batch) - k1, "run_two_way phase 2")
     sign_x = np.where(batch.x[:k1] >= 0, 1.0, -1.0)
@@ -640,11 +652,11 @@ def _max_trials(k: int, rho: float, trials: int, rng: np.random.Generator):
 def _local_trials(
     k: int,
     rho: float,
-    rho_nominal,
     trials: int,
     rng: np.random.Generator,
-    c_threshold: float = C_THRESHOLD,
-    c_bits: float = C_BITS,
+    rho_nominal,
+    c_threshold: float,
+    c_bits: float,
 ):
     """Local-scheme trials; rho_nominal may be a scalar or per-trial array."""
     nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
@@ -701,13 +713,13 @@ def _draw_from_weights(weights: np.ndarray, size: int,
 
 def _block_trials(
     rho: float,
+    trials: int,
+    rng: np.random.Generator,
     rho_tilde: float,
     n_block: int,
     rho_nominal: float,
-    trials: int,
-    rng: np.random.Generator,
-    exist_factor: float = EXIST_FACTOR,
-    guard_bits: int = GUARD_BITS,
+    exist_factor: float,
+    guard_bits: int,
 ):
     """Block-scheme trials in O(1) draws each, whatever the block count m.
 
@@ -814,12 +826,12 @@ def _block_trials(
 
 def _two_way_trials(
     k: int,
-    k1: int,
     rho: float,
     trials: int,
     rng: np.random.Generator,
-    c_threshold: float = C_THRESHOLD,
-    c_bits: float = C_BITS,
+    k1: int,
+    c_threshold: float,
+    c_bits: float,
 ):
     p_agree = 0.5 + math.asin(rho) / math.pi
     agrees = rng.binomial(k1, p_agree, size=trials)
@@ -830,7 +842,7 @@ def _two_way_trials(
         TWO_WAY_NOMINAL_CAP,
     )
     rho_hat, aux = _local_trials(
-        k - k1, rho, rho0, trials, rng, c_threshold, c_bits
+        k - k1, rho, trials, rng, rho0, c_threshold, c_bits
     )
     aux = dict(aux)
     aux["rho0_hat"] = rho0
@@ -841,17 +853,115 @@ def _two_way_trials(
 # risk estimation
 # ----------------------------------------------------------------------
 
-SCHEME_NAMES = ("naive", "max", "local", "binary_block", "two_way")
+def _pool(bits: int, literal: bool) -> int:
+    """Pairs a pointer scheme reads: 2^bits, guarded when run literally."""
+    if literal and bits > MAX_POINTER_BITS:
+        raise ValueError(
+            f"batch mode materializes 2^{bits} samples; the guard "
+            f"is {MAX_POINTER_BITS} bits"
+        )
+    return 2**bits
+
+
+def _local_pairs(k: int, p: dict, literal: bool) -> int:
+    if not -1.0 < p["rho_nominal"] < 1.0:
+        raise ValueError(
+            f"nominal correlation must lie in (-1, 1), got {p['rho_nominal']}"
+        )
+    return _pool(k, literal)
+
+
+def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
+    _check_phase1(k, p["k1"])
+    return p["k1"] + _pool(k - p["k1"], literal)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the risk harness needs to know about one scheme.
+
+    params maps each parameter the scheme takes to its default: a number,
+    a function of (k, rho), or None for a required parameter. The other
+    fields take a cell's budget k and its resolved params p:
+    samples_needed(k, p, literal) validates the cell and returns the pairs
+    one literal trial reads, run(k, batch, p) is the literal runner and
+    sample(k, rho, trials, rng, p) the fast sampler. The table's entries
+    look their runners and samplers up when called, so wrappers installed
+    on this module's functions see every call.
+    """
+
+    family: str
+    params: dict
+    samples_needed: Callable[[int, dict, bool], int]
+    run: Callable[[int, PairBatch, dict], EstimateResult]
+    sample: Callable[..., tuple]
+
+
+_POINTER_KNOBS = {"c_threshold": C_THRESHOLD, "c_bits": C_BITS}
+
+
+def _at_rho(k: int, rho: float) -> float:
+    return rho
+
+
+SCHEMES = {
+    "naive": Scheme(
+        family="binary",
+        params={},
+        samples_needed=lambda k, p, literal: k,
+        run=lambda k, batch, p: run_naive(k, batch),
+        sample=lambda k, rho, trials, rng, p: _naive_trials(k, rho, trials, rng),
+    ),
+    "max": Scheme(
+        family="gaussian",
+        params={},
+        samples_needed=lambda k, p, literal: _pool(k, literal),
+        run=lambda k, batch, p: run_max_scheme(k, batch),
+        sample=lambda k, rho, trials, rng, p: _max_trials(k, rho, trials, rng),
+    ),
+    "local": Scheme(
+        family="gaussian",
+        params={"rho_nominal": _at_rho, **_POINTER_KNOBS},
+        samples_needed=_local_pairs,
+        run=lambda k, batch, p: run_local_scheme(k, batch=batch, **p),
+        sample=lambda k, rho, trials, rng, p: _local_trials(k, rho, trials, rng, **p),
+    ),
+    "binary_block": Scheme(
+        family="binary",
+        params={
+            "rho_tilde": None,
+            "n_block": None,
+            "rho_nominal": _at_rho,
+            "exist_factor": EXIST_FACTOR,
+            "guard_bits": GUARD_BITS,
+        },
+        samples_needed=lambda k, p, literal: _fitted_layout(k, **p).samples_needed,
+        run=lambda k, batch, p: run_binary_block(k, batch=batch, **p),
+        sample=lambda k, rho, trials, rng, p: _block_trials(rho, trials, rng, **p),
+    ),
+    "two_way": Scheme(
+        family="gaussian",
+        params={"k1": lambda k, rho: default_phase1_bits(k), **_POINTER_KNOBS},
+        samples_needed=_two_way_pairs,
+        run=lambda k, batch, p: run_two_way(k, batch=batch, **p),
+        sample=lambda k, rho, trials, rng, p: _two_way_trials(k, rho, trials, rng, **p),
+    ),
+}
+SCHEME_NAMES = tuple(SCHEMES)
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which scheme to run and with what knobs.
 
-    params accepts, depending on the scheme: rho_nominal, c_threshold,
-    c_bits, rho_tilde, n_block, k1, exist_factor, guard_bits. Setting
-    use_batches runs the literal batch protocol per trial instead of the
-    sufficient-statistic sampler (same law, much slower).
+    params takes, by scheme: local rho_nominal (default rho), c_threshold,
+    c_bits; two_way k1 (default ceil(sqrt(k))), c_threshold, c_bits;
+    binary_block rho_tilde and n_block (both required), rho_nominal
+    (default rho), exist_factor, guard_bits. Constants default to the
+    module's C_THRESHOLD, C_BITS, EXIST_FACTOR and GUARD_BITS, and a value
+    of None means the default. Setting use_batches runs the literal batch
+    protocol per trial instead of the sufficient-statistic sampler (same
+    law, much slower).
     """
 
     scheme: str
@@ -868,162 +978,50 @@ class SchemeConfig:
             raise ValueError(f"bit budget must be positive, got {self.k}")
 
 
-def _config_family(config: SchemeConfig) -> str:
-    return "binary" if config.scheme in ("naive", "binary_block") else "gaussian"
-
-
-def _samples_needed(config: SchemeConfig, rho_true: float) -> int:
-    p = config.params
-    if config.scheme == "naive":
-        return config.k
-    if config.scheme == "max":
-        return 2**config.k
-    if config.scheme == "local":
-        return 2**config.k
-    if config.scheme == "two_way":
-        k1 = p["k1"] if p.get("k1") is not None else default_phase1_bits(config.k)
-        return k1 + 2 ** (config.k - k1)
-    layout = block_layout(
-        p["rho_tilde"],
-        p["n_block"],
-        p.get("rho_nominal", rho_true),
-        p.get("exist_factor", EXIST_FACTOR),
-        p.get("guard_bits", GUARD_BITS),
-    )
-    return layout.samples_needed
+def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
+    """The cell's scheme, its filled-in params and its pairs per literal trial."""
+    if not -1.0 <= rho_true <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho_true}")
+    scheme = SCHEMES[config.scheme]
+    for name, value in config.params.items():
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ValueError(
+                f"parameter {name!r} must be a finite number, got {value!r}"
+            )
+        if name not in scheme.params:
+            raise ValueError(
+                f"scheme {config.scheme!r} takes no parameter {name!r} "
+                f"(it takes: {', '.join(scheme.params) or 'none'})"
+            )
+    params = {}
+    for name, default in scheme.params.items():
+        value = config.params.get(name)
+        if value is None:
+            if default is None:
+                raise ValueError(
+                    f"scheme {config.scheme!r} needs parameter {name!r}"
+                )
+            value = default(config.k, rho_true) if callable(default) else default
+        params[name] = value
+    needed = scheme.samples_needed(config.k, params, config.use_batches)
+    return scheme, params, needed
 
 
 def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     """Validate one (scheme, k, rho) cell without drawing a single sample.
 
     Returns the pair count one batch-mode trial would consume. Raises
-    ValueError whenever the cell cannot run: nominal correlation outside
-    (-1, 1), block layout infeasible for the budget, phase-1 budget out of
-    range, or missing scheme parameters.
+    ValueError whenever the cell cannot run: a missing or unknown
+    parameter, a value that is not a finite number, nominal correlation
+    outside (-1, 1), block layout infeasible for the budget, phase-1
+    budget out of range, or a literal pointer pool past the
+    MAX_POINTER_BITS guard.
     """
-    if not -1.0 <= rho_true <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho_true}")
-    p = config.params
-    try:
-        if config.scheme == "local":
-            nominal = p.get("rho_nominal", rho_true)
-            if not -1.0 < nominal < 1.0:
-                raise ValueError(
-                    f"nominal correlation must lie in (-1, 1), got {nominal}"
-                )
-        pointer_k = config.k
-        if config.scheme == "two_way":
-            k1 = p["k1"] if p.get("k1") is not None else default_phase1_bits(config.k)
-            if not 1 <= k1 < config.k:
-                raise ValueError(
-                    f"phase 1 budget must satisfy 1 <= k1 < k, got k1={k1}, "
-                    f"k={config.k}"
-                )
-            pointer_k = config.k - k1
-        if (
-            config.use_batches
-            and config.scheme in ("max", "local", "two_way")
-            and pointer_k > MAX_POINTER_BITS
-        ):
-            raise ValueError(
-                f"batch mode materializes 2^{pointer_k} samples; the guard "
-                f"is {MAX_POINTER_BITS} bits"
-            )
-        needed = _samples_needed(config, rho_true)
-        if config.scheme == "binary_block":
-            layout = block_layout(
-                p["rho_tilde"],
-                p["n_block"],
-                p.get("rho_nominal", rho_true),
-                p.get("exist_factor", EXIST_FACTOR),
-                p.get("guard_bits", GUARD_BITS),
-            )
-            if layout.prefix_bits > config.k:
-                raise ValueError(
-                    f"scheme needs {layout.prefix_bits} bits, budget is {config.k}"
-                )
-    except KeyError as exc:
-        raise ValueError(
-            f"scheme {config.scheme!r} needs parameter {exc.args[0]!r}"
-        ) from exc
-    return needed
-
-
-def _run_batch_trial(config: SchemeConfig, batch: PairBatch, rho_true: float) -> EstimateResult:
-    p = config.params
-    if config.scheme == "naive":
-        return run_naive(config.k, batch)
-    if config.scheme == "max":
-        return run_max_scheme(config.k, batch)
-    if config.scheme == "local":
-        return run_local_scheme(
-            config.k,
-            p.get("rho_nominal", rho_true),
-            batch,
-            p.get("c_threshold", C_THRESHOLD),
-            p.get("c_bits", C_BITS),
-        )
-    if config.scheme == "two_way":
-        return run_two_way(
-            config.k,
-            p.get("k1"),
-            batch,
-            p.get("c_threshold", C_THRESHOLD),
-            p.get("c_bits", C_BITS),
-        )
-    return run_binary_block(
-        config.k,
-        p["rho_tilde"],
-        p["n_block"],
-        batch,
-        p.get("rho_nominal", rho_true),
-        p.get("exist_factor", EXIST_FACTOR),
-        p.get("guard_bits", GUARD_BITS),
-    )
-
-
-def _sample_trials(config: SchemeConfig, rho_true: float, trials: int,
-                   rng: np.random.Generator):
-    p = config.params
-    if config.scheme == "naive":
-        return _naive_trials(config.k, rho_true, trials, rng)
-    if config.scheme == "max":
-        return _max_trials(config.k, rho_true, trials, rng)
-    if config.scheme == "local":
-        return _local_trials(
-            config.k,
-            rho_true,
-            p.get("rho_nominal", rho_true),
-            trials,
-            rng,
-            p.get("c_threshold", C_THRESHOLD),
-            p.get("c_bits", C_BITS),
-        )
-    if config.scheme == "two_way":
-        k1 = p["k1"] if p.get("k1") is not None else default_phase1_bits(config.k)
-        if not 1 <= k1 < config.k:
-            raise ValueError(
-                f"phase 1 budget must satisfy 1 <= k1 < k, got k1={k1}, k={config.k}"
-            )
-        return _two_way_trials(
-            config.k,
-            k1,
-            rho_true,
-            trials,
-            rng,
-            p.get("c_threshold", C_THRESHOLD),
-            p.get("c_bits", C_BITS),
-        )
-    return _block_trials(
-        rho_true,
-        p["rho_tilde"],
-        p["n_block"],
-        p.get("rho_nominal", rho_true),
-        trials,
-        rng,
-        p.get("exist_factor", EXIST_FACTOR),
-        p.get("guard_bits", GUARD_BITS),
-    )
+    return _resolve(config, rho_true)[2]
 
 
 def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
@@ -1036,17 +1034,17 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    needed = check_preconditions(config, rho_true)
+    scheme, params, needed = _resolve(config, rho_true)
 
     if config.use_batches:
-        model = CorrelationModel(_config_family(config), rho_true)
+        model = CorrelationModel(scheme.family, rho_true)
         rho_hats = np.empty(trials)
         raws = np.empty(trials)
         flags: dict[str, np.ndarray] = {}
         for trial in range(trials):
             try:
                 batch = gen_pairs(model, needed, master_seed, trial)
-                result = _run_batch_trial(config, batch, rho_true)
+                result = scheme.run(config.k, batch, params)
             except ValueError as exc:
                 raise ValueError(f"trial {trial}: {exc}") from exc
             rho_hats[trial] = result.rho_hat
@@ -1060,7 +1058,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
         rng = substream(
             master_seed, f"risk/{config.scheme}/k={config.k}/rho={rho_true!r}"
         )
-        rho_hats, aux = _sample_trials(config, rho_true, trials, rng)
+        rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, params)
 
     errors = rho_hats - rho_true
     sq = errors**2

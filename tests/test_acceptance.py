@@ -33,12 +33,7 @@ from corrcomm import (
     search_max_ratio,
     shift_correlation,
     shift_params,
-    sweep_binary_contraction,
-    sweep_chain,
-    sweep_gap_hamming,
-    sweep_shift,
-    sweep_tensorization,
-    sweep_tilted,
+    sweep,
 )
 from corrcomm.rng import substream
 
@@ -200,7 +195,7 @@ def test_criterion_06_ratio_search_saturates_the_square():
 
 
 def test_criterion_07_tilted_sources_contract():
-    outcome = sweep_tilted(0.7, 10_000, SEED)
+    outcome = sweep("tilted_contraction", 10_000, SEED, rho=0.7)
     ok = outcome.ok and outcome.checks == 10_000
     record_criterion(
         7,
@@ -213,7 +208,7 @@ def test_criterion_07_tilted_sources_contract():
 
 
 def test_criterion_08_binary_input_contraction():
-    outcome = sweep_binary_contraction(10_000, SEED, b_max=4)
+    outcome = sweep("binary_input_contraction", 10_000, SEED, b_max=4)
     ok = outcome.ok and outcome.checks == 10_000
     record_criterion(
         8,
@@ -226,7 +221,9 @@ def test_criterion_08_binary_input_contraction():
 
 
 def test_criterion_09_interactive_chain():
-    outcome = sweep_chain((0.3, 0.6, 0.9), 67, SEED, n_max=2)
+    outcome = sweep(
+        "interactive_chain", 201, SEED, rhos=(0.3, 0.6, 0.9), n_max=2
+    )
     ok = (
         outcome.ok
         and outcome.checks >= 200
@@ -247,7 +244,7 @@ def test_criterion_09_interactive_chain():
 
 
 def test_criterion_10_product_sources_do_not_beat_coordinates():
-    outcome = sweep_tensorization(0.4, 0.8, 500, SEED)
+    outcome = sweep("tensorization", 500, SEED, rho1=0.4, rho2=0.8)
     ok = outcome.ok and outcome.checks == 500
     record_criterion(
         10,
@@ -260,7 +257,7 @@ def test_criterion_10_product_sources_do_not_beat_coordinates():
 
 
 def test_criterion_11_correlation_shift_cost():
-    outcome = sweep_shift(0.25, 0.5, 100, SEED)
+    outcome = sweep("shift_reduction", 100, SEED, rho0=0.25, rho1=0.5)
     mc_ok = True
     details = []
     n = 1_000_000
@@ -296,7 +293,7 @@ def test_criterion_11_correlation_shift_cost():
 
 
 def test_criterion_12_sign_testing_mixture_chain():
-    outcome = sweep_gap_hamming(8, 1.0, 100, SEED)
+    outcome = sweep("gap_hamming", 100, SEED, n=8, c=1.0)
     ok = outcome.ok and outcome.checks == 101
     record_criterion(
         12,

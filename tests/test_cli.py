@@ -197,8 +197,22 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
         ({"seed": True}, "seed"),
         ({"use_batches": "false"}, "use_batches"),
         ({"params": {"c_bits": "x"}}, "c_bits"),
+        ({"scheme": "local", "params": {"c_bit": 0.9, "rho_tilde": 3}}, "c_bit"),
+        ({"scheme": "local", "params": {"rho_tilde": 3}}, "rho_tilde"),
+        ({"rho_grid": [True, 0.5]}, "rho_grid"),
+        ({"rho_grid": ["0.5"]}, "rho_grid"),
     ],
-    ids=["float-k", "bool-k", "bool-seed", "string-use_batches", "string-param"],
+    ids=[
+        "float-k",
+        "bool-k",
+        "bool-seed",
+        "string-use_batches",
+        "string-param",
+        "typo-param",
+        "foreign-param",
+        "bool-rho",
+        "string-rho",
+    ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, overrides, field):
     # each of these used to run a different cell than asked, or crash
@@ -274,6 +288,10 @@ def test_verify_zero_draws_warns_and_passes(capsys):
     code, _, err = run(capsys, "verify", "--suite", "tilted", "--draws", "0")
     assert code == 0
     assert "vacuously" in err
+    # the ratio search has no restarts to climb from, and checks nothing
+    code, out, _ = run(capsys, "verify", "--suite", "sdpi", "--draws", "0")
+    assert code == 0
+    assert out.splitlines()[1] == "sdpi,0,0,inf"
 
 
 def test_verify_negative_draws_rejected(capsys):
@@ -342,7 +360,7 @@ def test_verify_replay_rows_carry_ceiling_margins(tmp_path, capsys):
     tensor = corrcomm.verify_tensorization(
         source, s2, spec.channels, sup1=0.0, sup2=0.0, slack=0.0
     )
-    records = [search.violations[0], tensor["instance"]]
+    records = [search.violations[0], tensor.instance]
     path = tmp_path / "records.json"
     path.write_text(json.dumps(records))
     code, out, _ = run(capsys, "verify", "--replay", str(path), "--format", "json")
@@ -359,9 +377,77 @@ def test_verify_replay_rows_carry_ceiling_margins(tmp_path, capsys):
         assert row["worst_margin"] < 0
 
 
+def test_verify_replay_margin_matches_the_selftest(tmp_path, capsys):
+    report = tmp_path / "selftest.json"
+    code, _, _ = run(
+        capsys, "verify", "--selftest", "--format", "json", "--out", str(report)
+    )
+    assert code == 1
+    selftest = json.loads(report.read_text())["rows"][0]
+    code, out, _ = run(capsys, "verify", "--replay", str(report), "--format", "json")
+    assert code == 1
+    replayed = json.loads(out)["rows"][0]
+    assert selftest["worst_margin"] < 0
+    assert replayed["worst_margin"] == selftest["worst_margin"]
+
+
+def test_verify_replay_rows_carry_passing_margins(tmp_path, capsys):
+    rng = corrcomm.substream(5, "cli-replay-passing")
+    shift_spec = corrcomm.random_spec(
+        corrcomm.binary_symmetric_product(0.0, 1), 2, 3, rng
+    )
+    gap_spec = corrcomm.random_spec(
+        corrcomm.binary_symmetric_product(0.0, 3), 2, 2, rng
+    )
+    channels = {
+        "shift": [c.tolist() for c in shift_spec.channels],
+        "gap": [c.tolist() for c in gap_spec.channels],
+        # a two-sided tilted record: its margin is the tighter of both sides
+        "u": rng.dirichlet([1.0, 1.0, 1.0], size=2).tolist(),
+        "v": rng.dirichlet([1.0, 1.0], size=2).tolist(),
+    }
+    tilt = {"rho": 0.7, "f": [0.3, 1.6], "g": [1.2, 0.4]}
+    records = [
+        {"check": "shift_reduction", "rho0": 0.25, "rho1": 0.5, "n": 1,
+         "channels": channels["shift"]},
+        {"check": "gap_hamming", "n": 3, "c": 1.0, "channels": channels["gap"]},
+        {"check": "tilted_contraction", **tilt, "channel_u": channels["u"],
+         "channel_v": channels["v"]},
+    ]
+    tilted = corrcomm.verify_tilted_contraction(
+        0.7, tilt["f"], tilt["g"], channels["u"], channels["v"]
+    )
+    expected = [
+        corrcomm.verify_shift_reduction(0.25, 0.5, channels["shift"]).margin,
+        corrcomm.gap_hamming_demo(3, channels["gap"], 1.0).margin,
+        tilted.margin,
+    ]
+    assert tilted.margin == min(tilted.values["margin_u"], tilted.values["margin_v"])
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    code, out, _ = run(capsys, "verify", "--replay", str(path), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["suite"] for row in rows] == [
+        "replay:shift_reduction",
+        "replay:gap_hamming",
+        "replay:tilted_contraction",
+    ]
+    for row, margin in zip(rows, expected):
+        assert row["violations"] == 0
+        assert row["worst_margin"] is not None  # JSON null stands for NaN
+        assert row["worst_margin"] == margin >= 0
+
+
 def test_verify_replay_bad_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"neither": "rows nor check"}')
+    code, _, _ = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    path.write_text("[1]")  # a record that is not an object
+    code, _, _ = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    path.write_text('[{"check": []}]')  # a kind that is not a string
     code, _, _ = run(capsys, "verify", "--replay", str(path))
     assert code == 2
     code, _, _ = run(capsys, "verify", "--replay", str(tmp_path / "absent.json"))

@@ -24,12 +24,7 @@ from corrcomm import (
     random_spec,
     replay_violation,
     search_max_ratio,
-    sweep_binary_contraction,
-    sweep_chain,
-    sweep_gap_hamming,
-    sweep_shift,
-    sweep_tensorization,
-    sweep_tilted,
+    sweep,
     verify_interactive_chain,
     verify_shift_reduction,
     verify_tensorization,
@@ -190,8 +185,8 @@ def test_search_low_ceiling_records_replayable_violations():
     record = result.violations[0]
     assert record["check"] == "ratio_ceiling"
     replay = replay_violation(record)
-    assert not replay["ok"]
-    assert replay["ratio"] == pytest.approx(record["ratio"], abs=1e-12)
+    assert not replay.ok
+    assert replay.values["ratio"] == pytest.approx(record["ratio"], abs=1e-12)
 
 
 def test_replay_rejects_unknown_records():
@@ -207,12 +202,14 @@ def test_tilted_identity_channel_margins():
     report = verify_tilted_contraction(
         0.7, [1.0, 1.0], [1.0, 1.0], IDENTITY, IDENTITY
     )
-    assert report["ok"]
+    assert report.ok
     mi_07 = mutual_info(FiniteJoint.binary_symmetric(0.7))
-    assert report["own_u"] == pytest.approx(1.0, abs=1e-12)
-    assert report["cross_u"] == pytest.approx(mi_07, abs=1e-12)
-    assert report["margin"] == pytest.approx(0.49 - mi_07, abs=1e-12)
-    assert report["margin_v"] == pytest.approx(report["margin"], abs=1e-12)
+    assert report.values["own_u"] == pytest.approx(1.0, abs=1e-12)
+    assert report.values["cross_u"] == pytest.approx(mi_07, abs=1e-12)
+    assert report.values["margin_u"] == pytest.approx(0.49 - mi_07, abs=1e-12)
+    assert report.values["margin_v"] == pytest.approx(
+        report.values["margin_u"], abs=1e-12
+    )
 
 
 def test_tilted_asymmetric_tilts_hold():
@@ -222,7 +219,7 @@ def test_tilted_asymmetric_tilts_hold():
         g = rng.random(2) * 3
         chan = rng.dirichlet(np.ones(3), size=2)
         report = verify_tilted_contraction(0.8, f, g, chan)
-        assert report["ok"], report
+        assert report.ok, report
 
 
 def test_tilted_validation():
@@ -241,27 +238,27 @@ def test_tilted_validation():
 def test_binary_input_equal_outputs():
     p = [0.3, 0.7]
     report = binary_input_contraction(p, p, IDENTITY)
-    assert report["ok"]
-    assert report["coefficient"] == pytest.approx(0.0, abs=1e-12)
-    assert report["i_ub"] == pytest.approx(0.0, abs=1e-12)
-    assert report["i_ua"] == pytest.approx(1.0, abs=1e-12)
+    assert report.ok
+    assert report.values["coefficient"] == pytest.approx(0.0, abs=1e-12)
+    assert report.values["i_ub"] == pytest.approx(0.0, abs=1e-12)
+    assert report.values["i_ua"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binary_input_disjoint_outputs():
     # disjoint supports identify A exactly, and the coefficient hits 1
     report = binary_input_contraction([1.0, 0.0], [0.0, 1.0], IDENTITY)
-    assert report["coefficient"] == pytest.approx(1.0, abs=1e-12)
-    assert report["i_ub"] == pytest.approx(report["i_ua"], abs=1e-12)
-    assert report["margin"] == pytest.approx(0.0, abs=1e-12)
-    assert report["ok"]
+    assert report.values["coefficient"] == pytest.approx(1.0, abs=1e-12)
+    assert report.values["i_ub"] == pytest.approx(report.values["i_ua"], abs=1e-12)
+    assert report.margin == pytest.approx(0.0, abs=1e-12)
+    assert report.ok
 
 
 def test_binary_input_skewed_prior():
     report = binary_input_contraction(
         [0.6, 0.4], [0.1, 0.9], IDENTITY, pa=(0.2, 0.8)
     )
-    assert report["ok"]
-    assert report["i_ua"] < 1.0  # skewed prior carries less than a bit
+    assert report.ok
+    assert report.values["i_ua"] < 1.0  # skewed prior carries less than a bit
 
 
 def test_binary_input_validation():
@@ -278,11 +275,12 @@ def test_binary_input_validation():
 def test_chain_one_way_identity_values():
     report = verify_interactive_chain(one_way_identity(0.6), 0.6)
     assert report.ok
-    assert report.one_way_gap == pytest.approx(0.0, abs=1e-12)
-    assert report.div_transcript_y == pytest.approx(MI_06, abs=1e-12)
-    assert report.interchanged == pytest.approx(MI_06, abs=1e-12)
-    assert report.injected == pytest.approx(1.0, abs=1e-12)
-    assert report.rho_sq_injected == pytest.approx(0.36, abs=1e-12)
+    values = report.values
+    assert values["one_way_gap"] == pytest.approx(0.0, abs=1e-12)
+    assert values["div_transcript_y"] == pytest.approx(MI_06, abs=1e-12)
+    assert values["interchanged"] == pytest.approx(MI_06, abs=1e-12)
+    assert values["injected"] == pytest.approx(1.0, abs=1e-12)
+    assert values["rho_sq_injected"] == pytest.approx(0.36, abs=1e-12)
     assert report.instance is None
 
 
@@ -292,8 +290,8 @@ def test_chain_lying_rho_is_caught_and_replays():
     assert not report.ok
     assert report.instance["check"] == "interactive_chain"
     replay = replay_violation(report.instance)
-    assert not replay["ok"]
-    assert replay["report"].interchanged == pytest.approx(MI_06, abs=1e-12)
+    assert not replay.ok
+    assert replay.values["interchanged"] == pytest.approx(MI_06, abs=1e-12)
 
 
 def test_chain_two_round_random_specs():
@@ -302,9 +300,10 @@ def test_chain_two_round_random_specs():
         spec = two_round_spec(rho, rng)
         report = verify_interactive_chain(spec, rho)
         assert report.ok
-        assert report.one_way_gap is None
-        assert max(report.div_transcript_x, report.div_transcript_y) <= (
-            report.interchanged + 1e-9
+        values = report.values
+        assert values["one_way_gap"] is None
+        assert max(values["div_transcript_x"], values["div_transcript_y"]) <= (
+            values["interchanged"] + 1e-9
         )
 
 
@@ -314,11 +313,12 @@ def test_chain_two_round_random_specs():
 
 def test_shift_reduction_one_round_bound():
     report = verify_shift_reduction(0.25, 0.5, (IDENTITY,))
-    assert report["ok"]
-    assert report["rho_input"] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert report["message_bits"] == 1.0
-    assert report["bound"] == pytest.approx(1.0 / 9.0, abs=1e-12)
-    assert max(report["div_x"], report["div_y"]) <= report["bound"] + 1e-10
+    assert report.ok
+    values = report.values
+    assert values["rho_input"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert values["message_bits"] == 1.0
+    assert values["bound"] == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert max(values["div_x"], values["div_y"]) <= values["bound"] + 1e-10
 
 
 def test_shift_reduction_two_rounds_and_negative_base():
@@ -326,9 +326,9 @@ def test_shift_reduction_two_rounds_and_negative_base():
     chan2[:, :, 0] = np.array([[0.9, 0.2], [0.4, 0.6]])
     chan2[:, :, 1] = 1.0 - chan2[:, :, 0]
     report = verify_shift_reduction(-0.3, 0.2, (IDENTITY, chan2))
-    assert report["ok"]
-    assert report["message_bits"] == 2.0
-    assert report["rho_input"] == pytest.approx(0.5 / 0.7, abs=1e-12)
+    assert report.ok
+    assert report.values["message_bits"] == 2.0
+    assert report.values["rho_input"] == pytest.approx(0.5 / 0.7, abs=1e-12)
 
 
 def test_shift_reduction_validation():
@@ -355,10 +355,10 @@ def test_majority_channel_table():
 def test_gap_hamming_one_way_transcript_is_blind():
     # a transcript computed from x alone cannot see the correlation sign
     report = gap_hamming_demo(4, (majority_channel(4),))
-    assert report["ok"]
-    assert report["i_u_pi"] == pytest.approx(0.0, abs=1e-12)
-    assert report["mixture_kl_bound"] >= -1e-12
-    assert report["rho0"] == pytest.approx(0.5, abs=1e-15)
+    assert report.ok
+    assert report.values["i_u_pi"] == pytest.approx(0.0, abs=1e-12)
+    assert report.values["mixture_kl_bound"] >= -1e-12
+    assert report.values["rho0"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_gap_hamming_two_rounds_carry_signal():
@@ -368,14 +368,15 @@ def test_gap_hamming_two_rounds_carry_signal():
     vote = majority_channel(n)
     chan2 = np.stack([vote, vote], axis=1)  # (y, u1, u2)
     report = gap_hamming_demo(n, (chan1, chan2), c=1.0)
-    assert report["ok"]
-    assert report["i_u_pi"] > 1e-4
-    assert report["i_u_pi"] <= report["mixture_kl_bound"] + 1e-12
-    assert report["mixture_kl_bound"] <= (
-        report["rho0"] ** 2 * report["injected_mixture"] + 1e-12
+    assert report.ok
+    values = report.values
+    assert values["i_u_pi"] > 1e-4
+    assert values["i_u_pi"] <= values["mixture_kl_bound"] + 1e-12
+    assert values["mixture_kl_bound"] <= (
+        values["rho0"] ** 2 * values["injected_mixture"] + 1e-12
     )
-    assert report["implied_k_lower"] == pytest.approx(
-        report["i_u_pi"] / report["rho0"] ** 2, abs=1e-12
+    assert values["implied_k_lower"] == pytest.approx(
+        values["i_u_pi"] / values["rho0"] ** 2, abs=1e-12
     )
 
 
@@ -394,12 +395,12 @@ def test_gap_hamming_validation():
 
 def test_sweep_suite_names_and_clean_runs():
     outcomes = [
-        sweep_tilted(0.7, 50, SEED),
-        sweep_binary_contraction(50, SEED),
-        sweep_chain((0.3, 0.9), 5, SEED),
-        sweep_tensorization(0.4, 0.8, 5, SEED),
-        sweep_shift(0.25, 0.5, 10, SEED),
-        sweep_gap_hamming(4, 1.0, 10, SEED),
+        sweep("tilted_contraction", 50, SEED, rho=0.7),
+        sweep("binary_input_contraction", 50, SEED),
+        sweep("interactive_chain", 10, SEED, rhos=(0.3, 0.9)),
+        sweep("tensorization", 5, SEED, rho1=0.4, rho2=0.8),
+        sweep("shift_reduction", 10, SEED, rho0=0.25, rho1=0.5),
+        sweep("gap_hamming", 10, SEED, n=4, c=1.0),
     ]
     names = [o.suite for o in outcomes]
     assert names == [
@@ -421,11 +422,44 @@ def test_sweep_suite_names_and_clean_runs():
 
 
 def test_sweeps_are_deterministic():
-    a = sweep_tilted(0.7, 30, SEED)
-    b = sweep_tilted(0.7, 30, SEED)
+    a = sweep("tilted_contraction", 30, SEED, rho=0.7)
+    b = sweep("tilted_contraction", 30, SEED, rho=0.7)
     assert a == b
-    c = sweep_tilted(0.7, 30, SEED + 1)
+    c = sweep("tilted_contraction", 30, SEED + 1, rho=0.7)
     assert a.stats["worst_margin"] != c.stats["worst_margin"]
+
+
+def test_check_table_calls_through_module_attributes(monkeypatch):
+    # wrappers installed on the module (tracers, test doubles) see every call
+    calls = []
+    original = corrcomm.contraction.verify_shift_reduction
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(corrcomm.contraction, "verify_shift_reduction", spy)
+    outcome = sweep("shift_reduction", 4, SEED, rho0=0.25, rho1=0.5)
+    assert len(calls) == outcome.checks == 4
+    record = {"check": "shift_reduction", "rho0": 0.25, "rho1": 0.5,
+              "channels": [IDENTITY.tolist()]}
+    assert replay_violation(record).ok
+    assert len(calls) == 5
+
+
+def test_sdpi_sweep_runs_through_search_max_ratio(monkeypatch):
+    # tracers count the sdpi evaluations on search_max_ratio's result
+    results = []
+    original = corrcomm.contraction.search_max_ratio
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(corrcomm.contraction, "search_max_ratio", spy)
+    outcome = sweep("ratio_ceiling", 5, SEED, rho=0.6)
+    assert [result.evaluations for result in results] == [outcome.checks]
+    assert outcome.stats["best_ratio"] == results[0].best_ratio
 
 
 def test_verify_tensorization_direct():
@@ -436,9 +470,9 @@ def test_verify_tensorization_direct():
     report = verify_tensorization(
         s1, s2, spec.channels, sup1=0.16, sup2=0.64, slack=0.02
     )
-    assert report["ok"]
-    assert report["ceiling"] == pytest.approx(0.66, abs=1e-12)
-    assert report["ratio"] <= report["ceiling"]
+    assert report.ok
+    assert report.values["ceiling"] == pytest.approx(0.66, abs=1e-12)
+    assert report.values["ratio"] <= report.values["ceiling"]
 
 
 def test_tensorization_replay_uses_the_recorded_ceiling(monkeypatch):
@@ -446,20 +480,22 @@ def test_tensorization_replay_uses_the_recorded_ceiling(monkeypatch):
     s2 = FiniteJoint.binary_symmetric(0.8)
     rng = substream(SEED, "tensor-replay")
     spec = random_spec(s1.product(s2), r_max=2, u_max=2, rng=rng)
-    ratio = verify_tensorization(s1, s2, spec.channels, sup1=1.0, sup2=1.0)["ratio"]
+    ratio = verify_tensorization(s1, s2, spec.channels, sup1=1.0, sup2=1.0).values[
+        "ratio"
+    ]
     assert ratio > 0.0
     # sups well below the true ones: the ceiling sits under the ratio
     report = verify_tensorization(
         s1, s2, spec.channels, sup1=ratio / 4, sup2=ratio / 2, slack=ratio / 4
     )
-    assert not report["ok"]
-    record = report["instance"]
+    assert not report.ok
+    record = report.instance
 
     def no_search(*args, **kwargs):
         raise AssertionError("replay must not re-search the sups")
 
     monkeypatch.setattr(corrcomm.contraction, "search_max_ratio", no_search)
     replay = replay_violation(record)
-    assert not replay["ok"]
-    assert replay["ceiling"] == record["ceiling"] == pytest.approx(0.75 * ratio)
-    assert replay["ratio"] == pytest.approx(record["ratio"], abs=1e-12)
+    assert not replay.ok
+    assert replay.values["ceiling"] == record["ceiling"] == pytest.approx(0.75 * ratio)
+    assert replay.values["ratio"] == pytest.approx(record["ratio"], abs=1e-12)

@@ -1,0 +1,79 @@
+"""Golden CLI outputs: fixed-seed bytes that must not move across commits.
+
+Each file under tests/golden/ holds the stdout of one invocation, recorded
+once and compared byte for byte: `simulate` CSV for one fast-sampler cell
+and one literal (`use_batches`) cell per scheme, and `verify --draws 7
+--seed 3 --format json` for each suite. A change that alters any of these
+streams must say so and re-record the file.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from corrcomm.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# name -> (scheme, k, rho, params, trials, use_batches)
+SIMULATE_CELLS = {
+    "naive-fast": ("naive", 16, 0.5, {}, 2000, False),
+    "max-fast": ("max", 10, 0.3, {}, 2000, False),
+    "local-fast": ("local", 12, 0.6, {"c_bits": 0.2}, 2000, False),
+    "two_way-fast": ("two_way", 12, 0.6, {}, 2000, False),
+    "binary_block-fast": (
+        "binary_block", 12, 0.6,
+        {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}, 2000, False,
+    ),
+    "naive-literal": ("naive", 16, 0.5, {}, 100, True),
+    "max-literal": ("max", 8, 0.6, {}, 100, True),
+    "local-literal": (
+        "local", 8, 0.6, {"rho_nominal": 0.5, "c_threshold": 0.2}, 100, True,
+    ),
+    "two_way-literal": ("two_way", 10, 0.6, {"k1": 3}, 100, True),
+    "binary_block-literal": (
+        "binary_block", 8, 0.6, {"rho_tilde": 0.5, "n_block": 16}, 100, True,
+    ),
+}
+
+VERIFY_SUITES = ("sdpi", "tilted", "tensor", "chain", "shift", "gaphamming")
+
+
+def simulate_argv(tmp_path: Path, name: str) -> list[str]:
+    scheme, k, rho, params, trials, batches = SIMULATE_CELLS[name]
+    config = {
+        "scheme": scheme,
+        "k_grid": [k],
+        "rho_grid": [rho],
+        "params": params,
+        "trials": trials,
+        "seed": 11,
+        "use_batches": batches,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return ["simulate", "--config", str(path)]
+
+
+def verify_argv(suite: str) -> list[str]:
+    return ["verify", "--suite", suite, "--draws", "7", "--seed", "3",
+            "--format", "json"]
+
+
+def _stdout(capsys, argv) -> str:
+    code = main(argv)
+    assert code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CELLS))
+def test_simulate_matches_golden(tmp_path, capsys, name):
+    out = _stdout(capsys, simulate_argv(tmp_path, name))
+    assert out == (GOLDEN / f"simulate-{name}.csv").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_matches_golden(capsys, suite):
+    out = _stdout(capsys, verify_argv(suite))
+    assert out == (GOLDEN / f"verify-{suite}.json").read_text(encoding="ascii")

@@ -525,6 +525,61 @@ def test_check_preconditions_rejects_bad_cells():
         )  # batch pointer guard
 
 
+def test_check_preconditions_resolves_params():
+    # unknown keys fail by name, whether misspelt or another scheme's
+    with pytest.raises(ValueError, match="c_bit"):
+        check_preconditions(SchemeConfig("local", 8, {"c_bit": 0.2}), 0.0)
+    with pytest.raises(ValueError, match="rho_nominal"):
+        check_preconditions(SchemeConfig("two_way", 8, {"rho_nominal": 0.5}), 0.0)
+    with pytest.raises(ValueError, match="c_bits"):
+        check_preconditions(SchemeConfig("local", 8, {"c_bits": True}), 0.0)
+    with pytest.raises(ValueError, match="c_threshold"):
+        check_preconditions(SchemeConfig("local", 8, {"c_threshold": math.inf}), 0.0)
+    # None means the default: k1 = ceil(sqrt(9)) = 3
+    assert check_preconditions(SchemeConfig("two_way", 9, {"k1": None}), 0.0) == 3 + 64
+    # the block scheme's nominal correlation defaults to the true one: at
+    # rho = 0.9 the 12-bit prefix fits k = 12, at rho = 0 it does not
+    partial = {"rho_tilde": 0.2, "n_block": 200}
+    needed = block_layout(0.2, 200, 0.9).samples_needed
+    assert check_preconditions(SchemeConfig("binary_block", 12, partial), 0.9) == needed
+    with pytest.raises(ValueError, match="bits"):
+        check_preconditions(SchemeConfig("binary_block", 12, partial), 0.0)
+
+
+@pytest.mark.parametrize(
+    "scheme, k, params, runner, sampler",
+    [
+        ("naive", 8, {}, "run_naive", "_naive_trials"),
+        ("max", 6, {}, "run_max_scheme", "_max_trials"),
+        ("local", 6, {}, "run_local_scheme", "_local_trials"),
+        ("two_way", 8, {}, "run_two_way", "_two_way_trials"),
+        (
+            "binary_block", 8, {"rho_tilde": 0.5, "n_block": 16},
+            "run_binary_block", "_block_trials",
+        ),
+    ],
+)
+def test_scheme_table_calls_through_module_attributes(
+    monkeypatch, scheme, k, params, runner, sampler
+):
+    # wrappers installed on the module (tracers, test doubles) see every call
+    import corrcomm.schemes
+
+    calls = []
+    for name in (runner, sampler):
+        original = getattr(corrcomm.schemes, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(corrcomm.schemes, name, spy)
+    estimate_risk(SchemeConfig(scheme, k, params, use_batches=True), 0.5, 100, SEED)
+    estimate_risk(SchemeConfig(scheme, k, params), 0.5, 100, SEED)
+    assert calls.count(runner) == 100
+    assert calls.count(sampler) == 1
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("quantum", 8)
