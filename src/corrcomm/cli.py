@@ -176,6 +176,11 @@ def _number(value) -> float:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
+    known = ("scheme", "k_grid", "rho_grid", "params", "trials", "seed", "format",
+             "out", "use_batches")
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; known keys are {known}")
     scheme = cfg.get("scheme")
     if scheme not in SCHEME_NAMES:
         raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {scheme!r}")
@@ -317,7 +322,13 @@ def _replay_rows(path: str) -> tuple[list, int]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read replay file: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
-        records = [r for row in data["rows"] for r in row.get("records", [])]
+        report = data["rows"]
+        if not isinstance(report, list) or not all(
+            isinstance(row, dict) and isinstance(row.get("records", []), list)
+            for row in report
+        ):
+            raise ConfigError("report rows must be a list of objects with records lists")
+        records = [r for row in report for r in row.get("records", [])]
     elif isinstance(data, dict) and "check" in data:
         records = [data]
     elif isinstance(data, list):

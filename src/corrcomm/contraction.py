@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .infotheory import FiniteJoint, cond_mutual_info, kl, mutual_info
+from .infotheory import FiniteJoint, _as_pmf, cond_mutual_info, kl, mutual_info
 from .rng import substream
 from .sources import shift_params
 
@@ -48,6 +48,7 @@ __all__ = [
 
 JOINT_ENTRY_GUARD = 10**7
 TOL = 1e-9
+_ONE_SHOT_TOL = 1e-10  # tilted and binary-input: two informations of one small joint
 TENSOR_SLACK = 0.02  # allowance over the estimated single-coordinate sups
 
 
@@ -104,7 +105,8 @@ class InteractiveSpec:
                 raise ValueError(f"round {i} has an empty message alphabet")
             if np.any(chan < 0):
                 raise ValueError(f"round {i} channel has negative entries")
-            if not np.allclose(chan.sum(axis=-1), 1.0, atol=1e-9):
+            # np.allclose(sums, 1.0, atol=1e-9) at a fifth of its cost
+            if not (np.abs(chan.sum(axis=-1) - 1.0) <= 1e-9 + 1e-5).all():
                 raise ValueError(f"round {i} channel rows must sum to 1")
             channels.append(chan)
             sizes.append(chan.shape[-1])
@@ -173,6 +175,23 @@ def build_joint(spec: InteractiveSpec, source: FiniteJoint | None = None) -> np.
     return joint
 
 
+def _sides(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(X,U), P(Y,U)) of a joint over (x, y, u_1, ..., u_r), U the transcript."""
+    return (
+        joint.sum(axis=1).reshape(joint.shape[0], -1),
+        joint.sum(axis=0).reshape(joint.shape[1], -1),
+    )
+
+
+def _chain_terms(joint: np.ndarray, source: FiniteJoint) -> tuple[float, float]:
+    """(I(X;Y) - I(X;Y|U), I(U;X,Y)) of a joint over (x, y, u_1, ..., u_r)."""
+    nx, ny = joint.shape[:2]
+    return (
+        mutual_info(source) - cond_mutual_info(joint.reshape(nx, ny, -1)),
+        mutual_info(joint.reshape(nx * ny, -1)),
+    )
+
+
 # ----------------------------------------------------------------------
 # round-by-round information decomposition
 # ----------------------------------------------------------------------
@@ -227,18 +246,10 @@ def compute_info_split(spec: InteractiveSpec, source: FiniteJoint | None = None)
             injected += about_y
             interchanged += about_x
 
-    nx, ny = joint.shape[0], joint.shape[1]
-    u_total = int(np.prod(joint.shape[2:], dtype=np.int64))
-    src = spec.source if source is None else source
-    mi_xy = mutual_info(src)
-    mi_xy_given_u = cond_mutual_info(joint.reshape(nx, ny, u_total))
     ratio = interchanged / injected if injected > 0 else 0.0
     return InfoSplit(
-        interchanged=interchanged,
-        injected=injected,
-        ratio=ratio,
-        interchanged_chain=mi_xy - mi_xy_given_u,
-        injected_chain=mutual_info(joint.reshape(nx * ny, u_total)),
+        interchanged, injected, ratio,
+        *_chain_terms(joint, spec.source if source is None else source),
     )
 
 
@@ -302,7 +313,6 @@ def search_max_ratio(
     u_max: int = 3,
     restarts: int = 200,
     seed: int = 0,
-    ascent_from: int = 3,
     ascent_steps: int = 300,
     ceiling: float | None = None,
     _run: Callable[[dict], CheckResult] | None = None,
@@ -310,7 +320,7 @@ def search_max_ratio(
     """Randomized multi-restart hill climb on the cross/own information ratio.
 
     Draws `restarts` random specs, then coordinate-ascends from the best
-    few, favoring moves that weaken channels toward input independence
+    three, favoring moves that weaken channels toward input independence
     (the regime where the ratio approaches its supremum). When `ceiling`
     is given, every evaluated spec is checked against it and violators are
     recorded with the serialized instance. The sdpi sweep passes its own
@@ -339,7 +349,7 @@ def search_max_ratio(
     pool.sort(key=lambda item: item[0], reverse=True)
 
     best_ratio, best_split, best_spec = pool[0] if pool else (0.0, None, None)
-    for start_ratio, start_split, start_spec in pool[: max(1, ascent_from)]:
+    for start_ratio, start_split, start_spec in pool[:3]:
         cur_ratio, cur_split, cur_spec = start_ratio, start_split, start_spec
         channels = [c.copy() for c in cur_spec.channels]
         for _ in range(ascent_steps):
@@ -385,12 +395,7 @@ def verify_ratio_ceiling(spec: InteractiveSpec, ceiling: float) -> CheckResult:
 # ----------------------------------------------------------------------
 
 def verify_tilted_contraction(
-    rho: float,
-    f,
-    g,
-    channel_u,
-    channel_v=None,
-    tol: float = 1e-10,
+    rho: float, f, g, channel_u, channel_v=None
 ) -> CheckResult:
     """Contraction survives product tilts of the symmetric binary pair.
 
@@ -412,33 +417,22 @@ def verify_tilted_contraction(
         raise ValueError("tilt removes all probability mass")
     tilted /= mass
 
-    def side(channel, from_x: bool) -> tuple[float, float]:
-        chan = np.asarray(channel, dtype=float)
-        n_in = 2
-        if chan.ndim != 2 or chan.shape[0] != n_in:
-            raise ValueError(f"channel must have shape (2, m), got {chan.shape}")
-        if np.any(chan < 0) or not np.allclose(chan.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("channel rows must be pmfs")
-        if from_x:
-            joint3 = tilted[:, :, None] * chan[:, None, :]  # (x, y, u)
-            own = mutual_info(joint3.sum(axis=1))  # I(U;X)
-            cross = mutual_info(joint3.sum(axis=0))  # I(U;Y)
-        else:
-            joint3 = tilted[:, :, None] * chan[None, :, :]  # (x, y, v)
-            own = mutual_info(joint3.sum(axis=0))  # I(V;Y)
-            cross = mutual_info(joint3.sum(axis=1))  # I(V;X)
-        return cross, own
+    def side(source: np.ndarray, channel) -> tuple[float, float]:
+        # (cross, own) information of a message drawn from source's x
+        spec = InteractiveSpec(FiniteJoint(source), (channel,))
+        p_own, p_cross = _sides(build_joint(spec))
+        return mutual_info(p_cross), mutual_info(p_own)
 
-    cross_u, own_u = side(channel_u, from_x=True)
+    cross_u, own_u = side(tilted, channel_u)
     margin = rho * rho * own_u - cross_u
     values = {"margin_u": margin, "cross_u": cross_u, "own_u": own_u}
     if channel_v is not None:
-        cross_v, own_v = side(channel_v, from_x=False)
+        cross_v, own_v = side(tilted.T, channel_v)
         margin_v = rho * rho * own_v - cross_v
         values.update(margin_v=margin_v, cross_v=cross_v, own_v=own_v)
         margin = min(margin, margin_v)
     return _result(
-        "tilted_contraction", margin >= -tol, margin, values,
+        "tilted_contraction", margin >= -_ONE_SHOT_TOL, margin, values,
         lambda: {
             "rho": rho,
             "f": f.tolist(),
@@ -449,35 +443,29 @@ def verify_tilted_contraction(
     )
 
 
-def binary_input_contraction(
-    p, q, channel, pa=(0.5, 0.5), tol: float = 1e-10
-) -> CheckResult:
+def binary_input_contraction(p, q, channel, pa=(0.5, 0.5)) -> CheckResult:
     """Hellinger-affinity contraction for a binary-input output channel.
 
-    With A binary, B | A=0 ~ p, B | A=1 ~ q, and U drawn from A, checks
-    I(U;B) <= I(U;A) (1 - (sum_v sqrt(p(v) q(v)))^2).
+    With A ~ pa binary, B | A=0 ~ p, B | A=1 ~ q, and U drawn from A,
+    checks I(U;B) <= I(U;A) (1 - (sum_v sqrt(p(v) q(v)))^2).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q, pa = (_as_pmf(v, name) for v, name in ((p, "p"), (q, "q"), (pa, "pa")))
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError("output pmfs must be 1-D with matching alphabets")
-    pa = np.asarray(pa, dtype=float)
-    chan = np.asarray(channel, dtype=float)
-    if chan.ndim != 2 or chan.shape[0] != 2:
-        raise ValueError(f"channel must have shape (2, m), got {chan.shape}")
+    if pa.shape != (2,):
+        raise ValueError(f"input pmf pa must have 2 entries, got shape {pa.shape}")
     affinity = float(np.sqrt(p * q).sum())
     coeff = 1.0 - affinity * affinity
-    # joint over (a, u, b)
-    cond_b = np.stack([p, q])  # (a, b)
-    joint = pa[:, None, None] * chan[:, :, None] * cond_b[:, None, :]
-    i_ua = mutual_info(joint.sum(axis=2))
-    i_ub = mutual_info(joint.sum(axis=0).T)  # (u, b) -> pass (b, u) irrelevant
+    # A is the x side and B the y side of a one-round spec that reads A
+    spec = InteractiveSpec(FiniteJoint(pa[:, None] * np.stack([p, q])), (channel,))
+    p_au, p_bu = _sides(build_joint(spec))
+    i_ua, i_ub = mutual_info(p_au), mutual_info(p_bu)
     margin = coeff * i_ua - i_ub
     values = {"i_ua": i_ua, "i_ub": i_ub, "coefficient": coeff}
     return _result(
-        "binary_input_contraction", margin >= -tol, margin, values,
-        lambda: {"p": p.tolist(), "q": q.tolist(), "channel": chan.tolist(),
-                 "pa": pa.tolist()},
+        "binary_input_contraction", margin >= -_ONE_SHOT_TOL, margin, values,
+        lambda: {"p": p.tolist(), "q": q.tolist(),
+                 "channel": spec.channels[0].tolist(), "pa": pa.tolist()},
     )
 
 
@@ -512,13 +500,11 @@ def verify_tensorization(
     )
 
 
-def verify_interactive_chain(
-    spec: InteractiveSpec, rho: float, tol: float = TOL
-) -> CheckResult:
+def verify_interactive_chain(spec: InteractiveSpec, rho: float) -> CheckResult:
     """Transcript divergences vs the interchanged and injected information.
 
     The reference law reruns the same channels on the independent source
-    with matching marginals. Checks, within tol:
+    with matching marginals. Checks, within TOL:
     max(D(P_UX || ref), D(P_UY || ref)) <= I(X;Y) - I(X;Y|U^r)
     <= rho^2 I(U^r;X,Y), and for one-way specs the y-side divergence
     equals the interchanged information exactly. Values are in bits; the
@@ -527,28 +513,19 @@ def verify_interactive_chain(
     src = spec.source
     ref_source = FiniteJoint.from_product(src.marginal_x(), src.marginal_y())
     joint = build_joint(spec)
-    ref = build_joint(spec, source=ref_source)
-    nx, ny = src.nx, src.ny
-    u_total = int(np.prod(joint.shape[2:], dtype=np.int64))
-
-    with_x = joint.sum(axis=1).reshape(nx * u_total)
-    with_x_ref = ref.sum(axis=1).reshape(nx * u_total)
-    with_y = joint.sum(axis=0).reshape(ny * u_total)
-    with_y_ref = ref.sum(axis=0).reshape(ny * u_total)
+    with_x, with_y = _sides(joint)
+    with_x_ref, with_y_ref = _sides(build_joint(spec, source=ref_source))
     d_x = kl(with_x, with_x_ref)
     d_y = kl(with_y, with_y_ref)
 
-    interchanged = mutual_info(src) - cond_mutual_info(
-        joint.reshape(nx, ny, u_total)
-    )
-    injected = mutual_info(joint.reshape(nx * ny, u_total))
+    interchanged, injected = _chain_terms(joint, src)
     scaled = rho * rho * injected
 
     one_way_gap = abs(d_y - interchanged) if spec.rounds == 1 else None
     ok = (
-        max(d_x, d_y) <= interchanged + tol
-        and interchanged <= scaled + tol
-        and (one_way_gap is None or one_way_gap <= tol)
+        max(d_x, d_y) <= interchanged + TOL
+        and interchanged <= scaled + TOL
+        and (one_way_gap is None or one_way_gap <= TOL)
     )
     values = {
         "div_transcript_x": d_x,
@@ -568,114 +545,59 @@ def verify_interactive_chain(
 # correlation-shift reduction
 # ----------------------------------------------------------------------
 
-def _product3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Independent product of two (w, x, y) tables, composite axes."""
-    out = np.einsum("abc,def->adbecf", a, b)
-    return out.reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]
-    )
-
-
-def _shifted_source_table(rho_in: float, alpha: float, s: float) -> np.ndarray:
-    """Joint of (W0=(B,Z), X', Y') for one +-1 coordinate.
+def _shifted_source(rho_in: float, alpha: float, s: float) -> FiniteJoint:
+    """Joint of ((X', W0), Y') for one +-1 coordinate, W0 = (B, Z).
 
     B ~ Bernoulli(alpha) selects a shared uniform sign Z for both parties
     (with Y' taking s Z); otherwise the original pair passes through.
+    Symbol 0 is +1 and symbol 1 is -1; the x symbol is 4 x' + 2 b + z, so
+    W0 rides on the x side and standard channel lifting applies.
     """
-    base = FiniteJoint.binary_symmetric(rho_in).probs  # indices 0 -> +1? map below
-    # index convention: symbol 0 is +1, symbol 1 is -1
-    table = np.zeros((4, 2, 2))  # (b*2+z_idx, x', y')
-    for b in (0, 1):
-        pb = alpha if b == 1 else 1.0 - alpha
-        for z_idx, z in enumerate((1.0, -1.0)):
-            pz = 0.5
-            for x_idx, x in enumerate((1.0, -1.0)):
-                for y_idx, y in enumerate((1.0, -1.0)):
-                    pxy = base[x_idx, y_idx]
-                    if b == 1:
-                        xs, ys = z, s * z
-                    else:
-                        xs, ys = x, y
-                    xi = 0 if xs > 0 else 1
-                    yi = 0 if ys > 0 else 1
-                    table[b * 2 + z_idx, xi, yi] += pb * pz * pxy
-    return table
+    base = FiniteJoint.binary_symmetric(rho_in).probs
+    table = np.zeros((2, 2, 2, 2))  # (x', b, z, y')
+    table[:, 0] = ((1.0 - alpha) * 0.5 * base)[:, None, :]
+    sz = 0 if s > 0 else 1  # symbol of Y' = s Z when Z = +1
+    table[0, 1, 0, sz] = table[1, 1, 1, 1 - sz] = (alpha * 0.5 * base).sum()
+    return FiniteJoint(table.reshape(8, 2))
 
 
-def verify_shift_reduction(
-    rho0: float,
-    rho1: float,
-    spec_channels,
-    n: int = 1,
-    tol: float = TOL,
-) -> CheckResult:
+def verify_shift_reduction(rho0: float, rho1: float, spec_channels) -> CheckResult:
     """A correlation shift costs at most ((rho1-rho0)/(1-|rho0|))^2 per bit.
 
-    The same channels run on the shifted pair under two hypotheses: input
-    correlation (rho1-rho0)/(1-|rho0|) (so the shifted pair has correlation
-    rho1) versus input correlation 0 (shifted correlation rho0). With the
-    shared shift randomness W0 = (B, Z) counted as part of the transcript,
-    both transcript-sample divergences are bounded by the squared shift
-    ratio times the protocol's message bits.
+    The same channels run on one shifted +-1 pair under two hypotheses:
+    input correlation (rho1-rho0)/(1-|rho0|) (so the shifted pair has
+    correlation rho1) versus input correlation 0 (shifted correlation
+    rho0). With the shared shift randomness W0 = (B, Z) counted as part of
+    the transcript, both transcript-sample divergences are bounded by the
+    squared shift ratio times the protocol's message bits.
     """
     params = shift_params("binary", rho0, rho1)
     rho_in = params.input_rho
-    if n < 1:
-        raise ValueError(f"coordinate count must be positive, got {n}")
+    # odd rounds read x' only: each x' row serves its four W0 symbols
+    spec = InteractiveSpec(
+        _shifted_source(rho_in, params.alpha, params.s),
+        tuple(np.repeat(c, 4, axis=0) if i % 2 == 0 else c
+              for i, c in enumerate(spec_channels)),
+    )
 
-    def composite(rho_val: float) -> FiniteJoint:
-        table = _shifted_source_table(rho_val, params.alpha, params.s)
-        full = table
-        for _ in range(n - 1):
-            full = _product3(full, table)
-        # fold W0 into the x side so standard channel lifting applies
-        w, nx, ny = full.shape
-        folded = full.transpose(1, 0, 2).reshape(nx * w, ny)
-        return FiniteJoint(folded)
+    def transcript_samples(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # laws of (X', W0, U) and (W0, Y', U)
+        return _sides(joint)[0], joint.reshape(2, 4, -1).sum(axis=0)
 
-    def lift_channels(w_size: int, x_size: int):
-        lifted = []
-        for i, chan in enumerate(spec_channels, start=1):
-            chan = np.asarray(chan, dtype=float)
-            if i % 2 == 1:
-                if chan.shape[0] != x_size:
-                    raise ValueError(
-                        f"round {i} channel expects input size {chan.shape[0]}, "
-                        f"shifted alphabet has {x_size}"
-                    )
-                # channel reads x' only; composite x index is (x', w0)
-                # with x' slowest, so each x' row repeats w_size times
-                lifted.append(np.repeat(chan, w_size, axis=0))
-            else:
-                lifted.append(chan)
-        return tuple(lifted)
-
-    w_size = 4**n
-    x_size = 2**n
-    chans = lift_channels(w_size, x_size)
-
-    def transcript_margins(rho_val: float):
-        src = composite(rho_val)
-        spec = InteractiveSpec(source=src, channels=chans)
-        joint = build_joint(spec)  # ((x', w0), y', u...)
-        u_total = int(np.prod(joint.shape[2:], dtype=np.int64))
-        unflat = joint.reshape(x_size, w_size, 2**n, u_total)
-        with_x = unflat.sum(axis=2).reshape(-1)  # (x', w0, u)
-        with_y = unflat.sum(axis=0).reshape(-1)  # (w0, y', u)
-        return with_x, with_y
-
-    x1, y1 = transcript_margins(rho_in)
-    x0, y0 = transcript_margins(0.0)
+    x1, y1 = transcript_samples(build_joint(spec))
+    x0, y0 = transcript_samples(
+        build_joint(spec, _shifted_source(0.0, params.alpha, params.s))
+    )
     d_x = kl(x1, x0)
     d_y = kl(y1, y0)
-    bits = float(sum(math.log2(np.asarray(c).shape[-1]) for c in spec_channels))
-    bound = params.input_rho**2 * bits
+    bits = spec.message_bits
+    bound = rho_in**2 * bits
     worst = max(d_x, d_y)
     values = {"div_x": d_x, "div_y": d_y, "bound": bound, "rho_input": rho_in,
               "message_bits": bits}
     return _result(
-        "shift_reduction", worst <= bound + tol, bound - worst, values,
-        lambda: {"rho0": rho0, "rho1": rho1, "n": n,
+        "shift_reduction", worst <= bound + TOL, bound - worst, values,
+        lambda: {"rho0": rho0, "rho1": rho1,
                  "channels": [np.asarray(c).tolist() for c in spec_channels]},
     )
 
@@ -695,9 +617,7 @@ def majority_channel(n: int) -> np.ndarray:
     return table
 
 
-def gap_hamming_demo(
-    n: int, spec_channels, c: float = 1.0, tol: float = TOL
-) -> CheckResult:
+def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     """Sign-of-correlation testing needs order n bits of transcript.
 
     The hidden bit U flips the correlation of an n-coordinate +-1 source
@@ -706,48 +626,40 @@ def gap_hamming_demo(
     (1/2) sum_sign D(P^sign_{X,U^r} || P^0_{X,U^r}), and bounds that by
     rho0^2 I(transcript; X,Y) under the mixture. implied_k_lower =
     I(U;transcript) / rho0^2 is the budget needed to make the transcript
-    useful, i.e. Theta(n) when I(U;transcript) is order 1.
+    useful, i.e. Theta(n) when I(U;transcript) is order 1. The 4^n-entry
+    source must fit under JOINT_ENTRY_GUARD, so n is at most 11.
     """
-    if not 1 <= n <= 20:
-        raise ValueError(f"coordinate count must lie in [1, 20], got {n}")
+    n_max = int(math.log(JOINT_ENTRY_GUARD, 4))
+    if not 1 <= n <= n_max:
+        raise ValueError(
+            f"coordinate count must lie in [1, {n_max}] (the source holds 4^n "
+            f"entries, guard is {JOINT_ENTRY_GUARD}), got {n}"
+        )
     rho0 = c / math.sqrt(n)
     if not 0 < rho0 <= 1:
         raise ValueError(f"per-coordinate correlation {rho0} outside (0, 1]")
 
-    def full_joint(rho_val: float) -> np.ndarray:
-        source = binary_symmetric_product(rho_val, n)
-        spec = InteractiveSpec(source=source, channels=tuple(spec_channels))
-        return build_joint(spec)
+    spec = InteractiveSpec(binary_symmetric_product(rho0, n), tuple(spec_channels))
+    joint_plus = build_joint(spec)
+    joint_minus = build_joint(spec, binary_symmetric_product(-rho0, n))
+    with_x_null = _sides(build_joint(spec, binary_symmetric_product(0.0, n)))[0]
 
-    joint_plus = full_joint(rho0)
-    joint_minus = full_joint(-rho0)
-    joint_null = full_joint(0.0)
-
-    nx = joint_plus.shape[0]
-    u_total = int(np.prod(joint_plus.shape[2:], dtype=np.int64))
-
-    def with_x(j: np.ndarray) -> np.ndarray:
-        return j.sum(axis=1).reshape(nx * u_total)
-
-    def transcript_only(j: np.ndarray) -> np.ndarray:
-        return j.sum(axis=(0, 1)).reshape(u_total)
-
-    mixture_kl_bound = 0.5 * kl(with_x(joint_plus), with_x(joint_null)) + 0.5 * kl(
-        with_x(joint_minus), with_x(joint_null)
+    mixture_kl_bound = 0.5 * kl(_sides(joint_plus)[0], with_x_null) + 0.5 * kl(
+        _sides(joint_minus)[0], with_x_null
     )
 
     # I(U; transcript) with U the uniform hypothesis bit
     table = 0.5 * np.stack(
-        [transcript_only(joint_plus), transcript_only(joint_minus)]
+        [joint_plus.sum(axis=(0, 1)).ravel(), joint_minus.sum(axis=(0, 1)).ravel()]
     )
     i_u_pi = mutual_info(table)
 
     mixture = 0.5 * (joint_plus + joint_minus)
-    injected_mix = mutual_info(mixture.reshape(-1, u_total))
+    injected_mix = mutual_info(mixture.reshape(4**n, -1))
 
     ok = (
-        i_u_pi <= mixture_kl_bound + tol
-        and mixture_kl_bound <= rho0**2 * injected_mix + tol
+        i_u_pi <= mixture_kl_bound + TOL
+        and mixture_kl_bound <= rho0**2 * injected_mix + TOL
     )
     values = {
         "rho0": rho0,
@@ -794,26 +706,26 @@ def _draw_ratio_ceiling(rng, seed, draws, run, rho):
     return {"best_ratio": result.best_ratio}
 
 
-def _draw_tilted(rng, seed, draws, run, rho, u_max=3):
+def _draw_tilted(rng, seed, draws, run, rho):
     for _ in range(draws):
         f, g = rng.random(2) * 2.0, rng.random(2) * 2.0
-        m_u, m_v = int(rng.integers(2, u_max + 1)), int(rng.integers(2, u_max + 1))
+        m_u, m_v = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         run({"rho": rho, "f": f, "g": g,
              "channel_u": rng.dirichlet(np.ones(m_u), size=2),
              "channel_v": rng.dirichlet(np.ones(m_v), size=2)})
     return {}
 
 
-def _draw_binary_input(rng, seed, draws, run, b_max=4, u_max=3):
+def _draw_binary_input(rng, seed, draws, run):
     for _ in range(draws):
-        b_size = int(rng.integers(2, b_max + 1))
+        b_size = int(rng.integers(2, 5))
         p, q = rng.dirichlet(np.ones(b_size)), rng.dirichlet(np.ones(b_size))
-        u_size = int(rng.integers(2, u_max + 1))
+        u_size = int(rng.integers(2, 4))
         run({"p": p, "q": q, "channel": rng.dirichlet(np.ones(u_size), size=2)})
     return {}
 
 
-def _draw_tensorization(rng, seed, draws, run, rho1, rho2, r_max=2, u_max=2):
+def _draw_tensorization(rng, seed, draws, run, rho1, rho2):
     source1 = FiniteJoint.binary_symmetric(rho1)
     source2 = FiniteJoint.binary_symmetric(rho2)
     sup1 = search_max_ratio(source1, restarts=400, seed=seed).best_ratio
@@ -821,46 +733,43 @@ def _draw_tensorization(rng, seed, draws, run, rho1, rho2, r_max=2, u_max=2):
     product = source1.product(source2)
     for _ in range(draws):
         run({"source1": source1, "source2": source2,
-             "channels": random_spec(product, r_max, u_max, rng).channels,
+             "channels": random_spec(product, 2, 2, rng).channels,
              "sup1": sup1, "sup2": sup2, "slack": TENSOR_SLACK})
     return {"sup1": sup1, "sup2": sup2}
 
 
-def _draw_chain(rng, seed, draws, run, rhos, n_max=2, r_max=3, u_max=3):
+def _draw_chain(rng, seed, draws, run, rhos):
     # draws is split evenly over rhos, rounding up, at least one each
     one_way_worst = 0.0
     for rho in rhos:
         for _ in range(max(1, -(-draws // len(rhos)))):
-            n = int(rng.integers(1, n_max + 1))
-            spec = random_spec(binary_symmetric_product(rho, n), r_max, u_max, rng)
+            n = int(rng.integers(1, 3))
+            spec = random_spec(binary_symmetric_product(rho, n), 3, 3, rng)
             gap = run({"rho": rho, "spec": spec}).values["one_way_gap"]
             if gap is not None:
                 one_way_worst = max(one_way_worst, gap)
     return {"one_way_worst_gap": one_way_worst}
 
 
-def _draw_shift(rng, seed, draws, run, rho0, rho1, r_max=3, u_max=3, n=1):
-    # channel shapes live on the shifted alphabets
-    shape_source = binary_symmetric_product(0.0, n)
+def _draw_shift(rng, seed, draws, run, rho0, rho1):
+    # channel shapes live on the +-1 alphabets
+    shape_source = FiniteJoint.binary_symmetric(0.0)
     for _ in range(draws):
-        spec = random_spec(shape_source, r_max, u_max, rng)
-        run({"rho0": rho0, "rho1": rho1, "n": n, "channels": spec.channels})
+        spec = random_spec(shape_source, 3, 3, rng)
+        run({"rho0": rho0, "rho1": rho1, "channels": spec.channels})
     return {}
 
 
-def _draw_gap_hamming(rng, seed, draws, run, n, c, include_majority=True):
-    stats = {}
-    if include_majority:
-        values = run({"n": n, "c": c, "channels": (majority_channel(n),)}).values
-        keys = ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
-        stats["majority"] = {key: values[key] for key in keys}
+def _draw_gap_hamming(rng, seed, draws, run, n, c):
+    majority = run({"n": n, "c": c, "channels": (majority_channel(n),)}).values
     source_shape = binary_symmetric_product(0.0, n)
     for _ in range(draws):
         # allow two rounds: a transcript that never touches y carries zero
         # information about the correlation sign, so r=1 alone is vacuous
         spec = random_spec(source_shape, r_max=2, u_max=2, rng=rng)
         run({"n": n, "c": c, "channels": spec.channels})
-    return stats
+    keys = ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
+    return {"majority": {key: majority[key] for key in keys}}
 
 
 def _live(value, cls, build):
@@ -929,9 +838,7 @@ CHECKS = {
     ),
     "shift_reduction": Check(
         "shift", "sweep_shift", _draw_shift,
-        lambda r: verify_shift_reduction(
-            r["rho0"], r["rho1"], r["channels"], r.get("n", 1)
-        ),
+        lambda r: verify_shift_reduction(r["rho0"], r["rho1"], r["channels"]),
         100, {"rho0": 0.25, "rho1": 0.5},
     ),
     "gap_hamming": Check(

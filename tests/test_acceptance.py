@@ -208,7 +208,7 @@ def test_criterion_07_tilted_sources_contract():
 
 
 def test_criterion_08_binary_input_contraction():
-    outcome = sweep("binary_input_contraction", 10_000, SEED, b_max=4)
+    outcome = sweep("binary_input_contraction", 10_000, SEED)
     ok = outcome.ok and outcome.checks == 10_000
     record_criterion(
         8,
@@ -221,9 +221,7 @@ def test_criterion_08_binary_input_contraction():
 
 
 def test_criterion_09_interactive_chain():
-    outcome = sweep(
-        "interactive_chain", 201, SEED, rhos=(0.3, 0.6, 0.9), n_max=2
-    )
+    outcome = sweep("interactive_chain", 201, SEED, rhos=(0.3, 0.6, 0.9))
     ok = (
         outcome.ok
         and outcome.checks >= 200

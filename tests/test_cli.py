@@ -201,6 +201,7 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
         ({"scheme": "local", "params": {"rho_tilde": 3}}, "rho_tilde"),
         ({"rho_grid": [True, 0.5]}, "rho_grid"),
         ({"rho_grid": ["0.5"]}, "rho_grid"),
+        ({"use_batch": True, "sed": 5}, "sed"),
     ],
     ids=[
         "float-k",
@@ -212,6 +213,7 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
         "foreign-param",
         "bool-rho",
         "string-rho",
+        "unknown-keys",
     ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, overrides, field):
@@ -448,6 +450,12 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--replay", str(path))
     assert code == 2
     path.write_text('[{"check": []}]')  # a kind that is not a string
+    code, _, _ = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    path.write_text('{"rows": [1]}')  # a report row that is not an object
+    code, _, _ = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    path.write_text('{"rows": [{"records": 5}]}')  # records that are not a list
     code, _, _ = run(capsys, "verify", "--replay", str(path))
     assert code == 2
     code, _, _ = run(capsys, "verify", "--replay", str(tmp_path / "absent.json"))

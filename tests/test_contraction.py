@@ -266,6 +266,11 @@ def test_binary_input_validation():
         binary_input_contraction([0.5, 0.5], [0.5, 0.3, 0.2], IDENTITY)
     with pytest.raises(ValueError):
         binary_input_contraction([0.5, 0.5], [0.5, 0.5], np.eye(3))
+    # rows that are not pmfs, though the product with pa sums to one
+    with pytest.raises(ValueError, match="p sums to"):
+        binary_input_contraction([0.6, 0.6], [0.4, 0.4], IDENTITY)
+    with pytest.raises(ValueError, match="pa sums to"):
+        binary_input_contraction([0.5, 0.5], [0.5, 0.5], IDENTITY, pa=(0.7, 0.7))
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +338,6 @@ def test_shift_reduction_two_rounds_and_negative_base():
 
 def test_shift_reduction_validation():
     with pytest.raises(ValueError):
-        verify_shift_reduction(0.25, 0.5, (IDENTITY,), n=0)
-    with pytest.raises(ValueError):
         verify_shift_reduction(0.25, 0.5, (np.eye(4),))  # wrong input size
 
 
@@ -385,6 +388,9 @@ def test_gap_hamming_validation():
         gap_hamming_demo(0, (IDENTITY,))
     with pytest.raises(ValueError):
         gap_hamming_demo(21, (IDENTITY,))
+    # the 4^12-entry source would pass the joint guard only after allocation
+    with pytest.raises(ValueError, match="coordinate count"):
+        gap_hamming_demo(12, (IDENTITY,))
     with pytest.raises(ValueError):
         gap_hamming_demo(4, (majority_channel(4),), c=3.0)  # rho0 = 1.5
 

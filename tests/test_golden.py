@@ -4,15 +4,18 @@ Each file under tests/golden/ holds the stdout of one invocation, recorded
 once and compared byte for byte: `simulate` CSV for one fast-sampler cell
 and one literal (`use_batches`) cell per scheme, and `verify --draws 7
 --seed 3 --format json` for each suite. A change that alters any of these
-streams must say so and re-record the file.
+streams must say so and re-record the file. Lab numbers that no CLI stream
+prints are pinned below as float.hex values.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corrcomm.cli import main
+from corrcomm.contraction import sweep, verify_shift_reduction
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -77,3 +80,18 @@ def test_simulate_matches_golden(tmp_path, capsys, name):
 def test_verify_matches_golden(capsys, suite):
     out = _stdout(capsys, verify_argv(suite))
     assert out == (GOLDEN / f"verify-{suite}.json").read_text(encoding="ascii")
+
+
+def test_lab_numbers_off_the_cli():
+    # the binary_contraction suite has no CLI defaults, and the shift rows
+    # carry no divergences
+    outcome = sweep("binary_input_contraction", 200, 0)
+    assert outcome.stats["worst_margin"].hex() == "0x1.2151f37182200p-32"
+    values = verify_shift_reduction(0.25, 0.5, (np.eye(2),)).values
+    assert {key: value.hex() for key, value in values.items()} == {
+        "div_x": "0x0.0p+0",
+        "div_y": "0x1.f5fd8a9063e2cp-5",
+        "bound": "0x1.c71c71c71c71cp-4",
+        "rho_input": "0x1.5555555555555p-2",
+        "message_bits": "0x1.0000000000000p+0",
+    }
