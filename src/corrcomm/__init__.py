@@ -14,147 +14,25 @@ The package provides:
 * a command-line harness (``corrcomm``) for sweeps and verification suites.
 """
 
-from .contraction import (
-    CheckResult,
-    InfoSplit,
-    InteractiveSpec,
-    SearchResult,
-    SweepOutcome,
-    binary_input_contraction,
-    binary_symmetric_product,
-    build_joint,
-    compute_info_split,
-    gap_hamming_demo,
-    majority_channel,
-    random_spec,
-    replay_violation,
-    search_max_ratio,
-    sweep,
-    verify_interactive_chain,
-    verify_ratio_ceiling,
-    verify_shift_reduction,
-    verify_tensorization,
-    verify_tilted_contraction,
-)
-from .infotheory import (
-    BoundSet,
-    CosinePrior,
-    FiniteJoint,
-    ParamFamily,
-    bayes_cr_bound,
-    binary_entropy,
-    binary_pair_family,
-    cond_mutual_info,
-    cosine_prior,
-    entropy,
-    fisher_fd,
-    kl,
-    mi_radius_gap,
-    mutual_info,
-    risk_bounds,
-)
-from .rng import check_seed, substream
-from .schemes import (
-    BlockLayout,
-    EstimateResult,
-    Message,
-    RiskReport,
-    SchemeConfig,
-    Transcript,
-    block_layout,
-    check_preconditions,
-    default_phase1_bits,
-    estimate_risk,
-    expected_max_normal,
-    max_scheme_mse_exact,
-    naive_mse_exact,
-    run_binary_block,
-    run_local_scheme,
-    run_max_scheme,
-    run_naive,
-    run_two_way,
-    var_max_normal,
-)
-from .sources import (
-    CorrelationModel,
-    PairBatch,
-    ShiftParams,
-    binary_to_gaussian,
-    gen_pairs,
-    shift_correlation,
-    shift_params,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # information measures and benchmarks
-    "FiniteJoint",
-    "ParamFamily",
-    "CosinePrior",
-    "BoundSet",
-    "binary_entropy",
-    "entropy",
-    "kl",
-    "mutual_info",
-    "cond_mutual_info",
-    "mi_radius_gap",
-    "binary_pair_family",
-    "fisher_fd",
-    "cosine_prior",
-    "bayes_cr_bound",
-    "risk_bounds",
-    # sources and devices
-    "CorrelationModel",
-    "PairBatch",
-    "ShiftParams",
-    "gen_pairs",
-    "shift_params",
-    "shift_correlation",
-    "binary_to_gaussian",
-    # schemes and risk estimation
-    "Message",
-    "Transcript",
-    "EstimateResult",
-    "RiskReport",
-    "SchemeConfig",
-    "BlockLayout",
-    "run_naive",
-    "run_max_scheme",
-    "run_local_scheme",
-    "run_binary_block",
-    "run_two_way",
-    "block_layout",
-    "default_phase1_bits",
-    "check_preconditions",
-    "estimate_risk",
-    "expected_max_normal",
-    "var_max_normal",
-    "naive_mse_exact",
-    "max_scheme_mse_exact",
-    # contraction lab
-    "InteractiveSpec",
-    "InfoSplit",
-    "CheckResult",
-    "SearchResult",
-    "SweepOutcome",
-    "binary_symmetric_product",
-    "build_joint",
-    "compute_info_split",
-    "random_spec",
-    "search_max_ratio",
-    "verify_ratio_ceiling",
-    "verify_tilted_contraction",
-    "binary_input_contraction",
-    "verify_tensorization",
-    "verify_interactive_chain",
-    "verify_shift_reduction",
-    "gap_hamming_demo",
-    "majority_channel",
-    "replay_violation",
-    "sweep",
-    # reproducibility
-    "check_seed",
-    "substream",
-]
+# Each public name lives in its module's __all__; the modules are searched in
+# this order and imported on first use, so the lab never loads scipy.
+_MODULES = ("rng", "infotheory", "sources", "contraction", "schemes")
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        return ["__version__", *(n for m in _MODULES for n in _module(m).__all__)]
+    if not name.startswith("_"):  # no module exports a private name
+        for module in map(_module, _MODULES):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

@@ -34,14 +34,9 @@ from .contraction import (
 )
 from .infotheory import risk_bounds
 from .rng import check_seed
-from .schemes import (
-    SCHEME_NAMES,
-    SchemeConfig,
-    check_preconditions,
-    estimate_risk,
-    expected_max_normal,
-    var_max_normal,
-)
+
+# `schemes` (and with it scipy) is imported inside the two commands that run
+# the schemes, so `bounds` and `verify` start without it.
 
 SIMULATE_COLUMNS = (
     "scheme",
@@ -175,6 +170,8 @@ def _number(value) -> float:
 
 
 def cmd_simulate(args) -> int:
+    from .schemes import SCHEME_NAMES, SchemeConfig, check_preconditions, estimate_risk
+
     cfg = _load_config(args.config)
     known = ("scheme", "k_grid", "rho_grid", "params", "trials", "seed", "format",
              "out", "use_batches")
@@ -342,7 +339,7 @@ def _replay_rows(path: str) -> tuple[list, int]:
             raise ConfigError(f"violation record must be a JSON object, got {record!r}")
         try:
             result = replay_violation(record)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad violation record: {exc}") from exc
         ok = bool(result.ok)
         failures += 0 if ok else 1
@@ -401,6 +398,8 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_maxnormal(args) -> int:
+    from .schemes import expected_max_normal, var_max_normal
+
     ns = _split_grid(args.n, "n", int)
     rows = []
     for n in sorted(set(ns)):
@@ -493,10 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -55,6 +55,9 @@ __all__ = [
 
 LN2 = math.log(2.0)
 MAX_POINTER_BITS = 26  # batch runners materialize 2^k samples; keep that sane
+# The fast max-normal draw clips its upper tail at 1e-300, which moves about
+# 2^k * 1e-300 of the draws (1e-11 at k = 960, 1% at k = 990) off the law.
+MAX_FAST_POINTER_BITS = 960
 
 # Local-scheme constants: the marking threshold sits at a (1 - C_THRESHOLD)
 # multiple of the asymptotic maximum location, and the index prefix carries
@@ -260,15 +263,25 @@ def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     )
 
 
-def _check_pointer_budget(k: int, batch_len: int, scheme: str) -> int:
+def _pool(bits: int, literal: bool) -> int:
+    """Pairs a pointer scheme reads: 2^bits, within the guard of its path."""
+    if literal and bits > MAX_POINTER_BITS:
+        raise ValueError(
+            f"a literal run materializes 2^{bits} samples; the guard "
+            f"is {MAX_POINTER_BITS} bits"
+        )
+    if bits > MAX_FAST_POINTER_BITS:
+        raise ValueError(
+            f"the fast sampler keeps the max-normal law only up to "
+            f"2^{MAX_FAST_POINTER_BITS} pointers, got 2^{bits}"
+        )
+    return 2**bits
+
+
+def _check_pointer_budget(k: int, batch_len: int) -> int:
     if k < 1:
         raise ValueError(f"bit budget must be positive, got {k}")
-    if k > MAX_POINTER_BITS:
-        raise ValueError(
-            f"{scheme} materializes 2^k samples; k={k} exceeds the "
-            f"{MAX_POINTER_BITS}-bit guard"
-        )
-    n = 2**k
+    n = _pool(k, literal=True)
     if batch_len < n:
         raise ValueError(f"need at least {n} pairs, batch has {batch_len}")
     return n
@@ -283,7 +296,7 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     value is kept in aux["raw"].
     """
     _require_family(batch, "gaussian", "run_max_scheme")
-    n = _check_pointer_budget(k, len(batch), "run_max_scheme")
+    n = _check_pointer_budget(k, len(batch))
     winner = int(np.argmax(batch.x[:n]))
     raw = float(batch.y[winner] / expected_max_normal(n))
     transcript = Transcript(
@@ -327,7 +340,7 @@ def run_local_scheme(
     _require_family(batch, "gaussian", "run_local_scheme")
     if not -1.0 < rho_nominal < 1.0:
         raise ValueError(f"nominal correlation must lie in (-1, 1), got {rho_nominal}")
-    n = _check_pointer_budget(k, len(batch), "run_local_scheme")
+    n = _check_pointer_budget(k, len(batch))
     x = batch.x[:n]
     y = batch.y[:n]
     winner = int(np.argmax(x))
@@ -578,7 +591,7 @@ def run_two_way(
         k1 = default_phase1_bits(k)
     _check_phase1(k, k1)
     k2 = k - k1
-    n2 = _check_pointer_budget(k2, len(batch) - k1, "run_two_way phase 2")
+    n2 = _check_pointer_budget(k2, len(batch) - k1)
     sign_x = np.where(batch.x[:k1] >= 0, 1.0, -1.0)
     sign_y = np.where(batch.y[:k1] >= 0, 1.0, -1.0)
     mean_product = float(np.mean(sign_x * sign_y))
@@ -853,16 +866,6 @@ def _two_way_trials(
 # risk estimation
 # ----------------------------------------------------------------------
 
-def _pool(bits: int, literal: bool) -> int:
-    """Pairs a pointer scheme reads: 2^bits, guarded when run literally."""
-    if literal and bits > MAX_POINTER_BITS:
-        raise ValueError(
-            f"batch mode materializes 2^{bits} samples; the guard "
-            f"is {MAX_POINTER_BITS} bits"
-        )
-    return 2**bits
-
-
 def _local_pairs(k: int, p: dict, literal: bool) -> int:
     if not -1.0 < p["rho_nominal"] < 1.0:
         raise ValueError(
@@ -978,20 +981,23 @@ class SchemeConfig:
             raise ValueError(f"bit budget must be positive, got {self.k}")
 
 
+_COUNT_PARAMS = ("n_block", "k1", "guard_bits")
+
+
 def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
     """The cell's scheme, its filled-in params and its pairs per literal trial."""
     if not -1.0 <= rho_true <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho_true}")
     scheme = SCHEMES[config.scheme]
     for name, value in config.params.items():
+        integral = name in _COUNT_PARAMS
         if value is not None and (
             isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
+            or not isinstance(value, numbers.Integral if integral else numbers.Real)
             or not math.isfinite(value)
         ):
-            raise ValueError(
-                f"parameter {name!r} must be a finite number, got {value!r}"
-            )
+            kind = "an integer" if integral else "a finite number"
+            raise ValueError(f"parameter {name!r} must be {kind}, got {value!r}")
         if name not in scheme.params:
             raise ValueError(
                 f"scheme {config.scheme!r} takes no parameter {name!r} "
@@ -1006,7 +1012,8 @@ def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
                     f"scheme {config.scheme!r} needs parameter {name!r}"
                 )
             value = default(config.k, rho_true) if callable(default) else default
-        params[name] = value
+        # a numpy count would wrap in 2**(k - k1)
+        params[name] = int(value) if name in _COUNT_PARAMS else value
     needed = scheme.samples_needed(config.k, params, config.use_batches)
     return scheme, params, needed
 
@@ -1016,10 +1023,11 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
 
     Returns the pair count one batch-mode trial would consume. Raises
     ValueError whenever the cell cannot run: a missing or unknown
-    parameter, a value that is not a finite number, nominal correlation
+    parameter, a value that is not a finite number (or not an integer, for
+    n_block, k1 and guard_bits), nominal correlation
     outside (-1, 1), block layout infeasible for the budget, phase-1
-    budget out of range, or a literal pointer pool past the
-    MAX_POINTER_BITS guard.
+    budget out of range, or a pointer pool past the MAX_POINTER_BITS guard
+    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler).
     """
     return _resolve(config, rho_true)[2]
 

@@ -8,6 +8,7 @@ companion test checks the script target declared in pyproject.toml by
 running it through the current interpreter.
 """
 
+import importlib
 import json
 import shutil
 import subprocess
@@ -84,6 +85,8 @@ def test_bounds_rejects_bad_grids(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bounds", "--k", "4.5", "--rho", "0")
     assert code == 2
+    code, _, _ = run(capsys, "bounds", "--k", str(10**400), "--rho", "0.5")
+    assert code == 2
 
 
 def test_bounds_out_file(tmp_path, capsys):
@@ -117,6 +120,9 @@ def test_maxnormal_json_turns_nan_into_null(capsys):
 def test_maxnormal_rejects_bad_pool(capsys):
     code, _, _ = run(capsys, "maxnormal", "--n", "0")
     assert code == 2
+    code, _, err = run(capsys, "maxnormal", "--n", str(2**1024))  # past float range
+    assert code == 2
+    assert "error" in json.loads(err.strip().splitlines()[-1])
 
 
 # ----------------------------------------------------------------------
@@ -180,6 +186,9 @@ def test_simulate_grid_is_sorted_and_unique(tmp_path, capsys):
         {"seed": -1},
         {"format": "xml"},
         {"params": 7},
+        {"k_grid": [10**20]},  # past float range
+        # past 2^960 pointers the fast max-normal draw leaves its law
+        {"scheme": "max", "k_grid": [1000], "rho_grid": [0.5]},
     ],
 )
 def test_simulate_config_errors(tmp_path, capsys, overrides):
@@ -187,6 +196,9 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
     code, _, err = run(capsys, "simulate", "--config", cfg)
     assert code == 2
     assert "error" in json.loads(err.strip().splitlines()[-1])
+
+
+BLOCK = {"scheme": "binary_block", "k_grid": [64], "rho_grid": [0.5]}
 
 
 @pytest.mark.parametrize(
@@ -202,6 +214,13 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
         ({"rho_grid": [True, 0.5]}, "rho_grid"),
         ({"rho_grid": ["0.5"]}, "rho_grid"),
         ({"use_batch": True, "sed": 5}, "sed"),
+        (dict(BLOCK, params={"rho_tilde": 0.5, "n_block": 32.0}), "n_block"),
+        (dict(BLOCK, params={"rho_tilde": 0.5, "n_block": 16.0}, use_batches=True),
+         "n_block"),
+        ({"scheme": "two_way", "k_grid": [10], "params": {"k1": 3.0},
+          "use_batches": True}, "k1"),
+        (dict(BLOCK, params={"rho_tilde": 0.5, "n_block": 32, "guard_bits": 0.5}),
+         "guard_bits"),
     ],
     ids=[
         "float-k",
@@ -214,6 +233,10 @@ def test_simulate_config_errors(tmp_path, capsys, overrides):
         "bool-rho",
         "string-rho",
         "unknown-keys",
+        "float-n_block",
+        "float-n_block-literal",
+        "float-k1-literal",
+        "fractional-guard_bits",
     ],
 )
 def test_simulate_rejects_mistyped_values(tmp_path, capsys, overrides, field):
@@ -458,6 +481,20 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     path.write_text('{"rows": [{"records": 5}]}')  # records that are not a list
     code, _, _ = run(capsys, "verify", "--replay", str(path))
     assert code == 2
+    # scalar fields of the wrong type
+    path.write_text(json.dumps([
+        {"check": "gap_hamming", "n": 2.5, "c": 1.0,
+         "channels": [[[1, 0], [0, 1], [1, 0], [0, 1]]]}
+    ]))
+    code, _, err = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
+    assert "bad violation record" in json.loads(err.strip().splitlines()[-1])["error"]
+    path.write_text(json.dumps([
+        {"check": "shift_reduction", "rho0": "0.25", "rho1": 0.5,
+         "channels": [[[1, 0], [0, 1]]]}
+    ]))
+    code, _, _ = run(capsys, "verify", "--replay", str(path))
+    assert code == 2
     code, _, _ = run(capsys, "verify", "--replay", str(tmp_path / "absent.json"))
     assert code == 2
 
@@ -558,3 +595,50 @@ def test_package_never_imports_scipy_stats():
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+CONVERSE_COMMANDS = """
+import sys
+from corrcomm.cli import main
+
+assert main(["bounds", "--k", "8", "--rho", "0.5"]) == 0
+assert main(["verify", "--suite", "tilted", "--draws", "5"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_bounds_and_verify_never_import_scipy():
+    # the converse half needs no scipy; only simulate and maxnormal load it
+    proc = subprocess.run(
+        [sys.executable, "-c", CONVERSE_COMMANDS],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# package surface
+# ----------------------------------------------------------------------
+
+LAYERS = ("rng", "infotheory", "sources", "contraction", "schemes")
+
+
+def test_package_serves_every_module_name():
+    exported = ["__version__"]
+    for layer in LAYERS:
+        module = importlib.import_module(f"corrcomm.{layer}")
+        for name in module.__all__:
+            assert getattr(corrcomm, name) is getattr(module, name), name
+        exported += module.__all__
+    assert sorted(corrcomm.__all__) == sorted(exported)
+    assert len(set(exported)) == len(exported)  # no name shadows another
+
+
+def test_package_rejects_unknown_names():
+    with pytest.raises(ImportError):
+        from corrcomm import nope  # noqa: F401
+    with pytest.raises(AttributeError):
+        corrcomm.nope

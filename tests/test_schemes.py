@@ -500,6 +500,11 @@ def test_check_preconditions_sample_counts():
     assert (
         check_preconditions(SchemeConfig("two_way", 8, {"k1": 3}), 0.0) == 3 + 32
     )
+    # the largest pools the fast sampler takes
+    assert check_preconditions(SchemeConfig("max", 960), 0.0) == 2**960
+    assert check_preconditions(
+        SchemeConfig("two_way", 963, {"k1": np.int64(3)}), 0.0
+    ) == 3 + 2**960
 
 
 def test_check_preconditions_rejects_bad_cells():
@@ -523,6 +528,11 @@ def test_check_preconditions_rejects_bad_cells():
         check_preconditions(
             SchemeConfig("max", 30, use_batches=True), 0.0
         )  # batch pointer guard
+    # past 2^960 pointers the fast max-normal draw leaves its law
+    with pytest.raises(ValueError, match="2\\^960"):
+        check_preconditions(SchemeConfig("max", 961), 0.0)
+    with pytest.raises(ValueError, match="2\\^960"):
+        check_preconditions(SchemeConfig("two_way", 964, {"k1": 3}), 0.0)
 
 
 def test_check_preconditions_resolves_params():
@@ -535,6 +545,16 @@ def test_check_preconditions_resolves_params():
         check_preconditions(SchemeConfig("local", 8, {"c_bits": True}), 0.0)
     with pytest.raises(ValueError, match="c_threshold"):
         check_preconditions(SchemeConfig("local", 8, {"c_threshold": math.inf}), 0.0)
+    # counts must be integers
+    block = {"rho_tilde": 0.5, "n_block": 32}
+    for scheme, params in [
+        ("binary_block", {**block, "n_block": 32.0}),
+        ("binary_block", {**block, "guard_bits": 0.5}),
+        ("binary_block", {**block, "guard_bits": True}),
+        ("two_way", {"k1": 3.0}),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_preconditions(SchemeConfig(scheme, 64, params), 0.5)
     # None means the default: k1 = ceil(sqrt(9)) = 3
     assert check_preconditions(SchemeConfig("two_way", 9, {"k1": None}), 0.0) == 3 + 64
     # the block scheme's nominal correlation defaults to the true one: at
