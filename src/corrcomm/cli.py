@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,12 +33,14 @@ from .contraction import (
     sweep,
     verify_interactive_chain,
 )
-from .infotheory import risk_bounds
+from .infotheory import BoundSet, risk_bounds
 from .rng import check_seed
 
 # `schemes` (and with it scipy) is imported inside the two commands that run
 # the schemes, so `bounds` and `verify` start without it.
 
+# k, rho, then the five risk levels of BoundSet.as_dict, in field order
+BOUNDS_COLUMNS = tuple(f.name for f in fields(BoundSet))
 SIMULATE_COLUMNS = (
     "scheme",
     "k",
@@ -46,20 +49,7 @@ SIMULATE_COLUMNS = (
     "bias",
     "variance",
     "ci95",
-    "global_upper",
-    "local_upper",
-    "local_lower",
-    "naive_risk",
-    "max_scheme_risk",
-)
-BOUNDS_COLUMNS = (
-    "k",
-    "rho",
-    "global_upper",
-    "local_upper",
-    "local_lower",
-    "naive_risk",
-    "max_scheme_risk",
+    *BOUNDS_COLUMNS[2:],
 )
 VERIFY_COLUMNS = ("suite", "checks", "violations", "worst_margin")
 MAXNORMAL_COLUMNS = ("n", "mean", "variance", "asymptote", "ratio")
@@ -86,13 +76,6 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -110,15 +93,18 @@ def _jsonable(value):
     return value
 
 
-def _json_report(rows, seed) -> str:
-    doc = {
-        "meta": {"seed": seed, "version": __version__, "schema": 1},
-        "rows": _jsonable(rows),
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
+def _write(columns, rows, seed, fmt: str | None, out: str | None) -> None:
+    """Write rows as CSV (the default) or the JSON report, to stdout or out."""
+    if fmt == "json":
+        doc = {
+            "meta": {"seed": seed, "version": __version__, "schema": 1},
+            "rows": _jsonable(rows),
+        }
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -190,10 +176,7 @@ def cmd_simulate(args) -> int:
     if not isinstance(trials, int) or trials < 100:
         raise ConfigError(f"trials must be an integer >= 100, got {trials!r}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    try:
-        check_seed(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    check_seed(seed)
     fmt = args.format or cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
@@ -216,24 +199,20 @@ def cmd_simulate(args) -> int:
     rows = []
     for sc, k, rho in cells:
         report = estimate_risk(sc, rho, trials, seed)
-        bounds = risk_bounds(k, rho)
-        row = {
-            "scheme": scheme,
-            "k": k,
-            "rho": rho,
-            "mse": report.mse,
-            "bias": report.bias,
-            "variance": report.variance,
-            "ci95": report.ci95_halfwidth,
-        }
-        row.update(bounds.as_dict())
-        rows.append(row)
+        rows.append(
+            {
+                "scheme": scheme,
+                "k": k,
+                "rho": rho,
+                "mse": report.mse,
+                "bias": report.bias,
+                "variance": report.variance,
+                "ci95": report.ci95_halfwidth,
+                **risk_bounds(k, rho).as_dict(),
+            }
+        )
         _note(f"simulate: k={k} rho={_fmt(rho)} mse={report.mse:.6g}")
-
-    if fmt == "csv":
-        _emit(_csv(SIMULATE_COLUMNS, rows), out)
-    else:
-        _emit(_json_report(rows, seed), out)
+    _write(SIMULATE_COLUMNS, rows, seed, fmt, out)
     return 0
 
 
@@ -242,32 +221,18 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 def _split_grid(text: str, name: str, cast) -> list:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ConfigError(f"empty grid: {name}")
-    try:
-        return [cast(t) for t in items]
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {name}: {exc}") from exc
+    return _as_grid([t.strip() for t in text.split(",") if t.strip()], name, cast)
 
 
 def cmd_bounds(args) -> int:
     ks = _split_grid(args.k, "k", int)
     rhos = _split_grid(args.rho, "rho", float)
-    rows = []
-    for k in sorted(set(ks)):
-        for rho in sorted(set(rhos)):
-            try:
-                b = risk_bounds(k, rho)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            row = {"k": k, "rho": rho}
-            row.update(b.as_dict())
-            rows.append(row)
-    if (args.format or "csv") == "json":
-        _emit(_json_report(rows, None), args.out)
-    else:
-        _emit(_csv(BOUNDS_COLUMNS, rows), args.out)
+    rows = [
+        {"k": k, "rho": rho, **risk_bounds(k, rho).as_dict()}
+        for k in sorted(set(ks))
+        for rho in sorted(set(rhos))
+    ]
+    _write(BOUNDS_COLUMNS, rows, None, args.format, args.out)
     return 0
 
 
@@ -284,35 +249,19 @@ def _run_suite(name: str, draws: int | None, seed: int, rho: float | None) -> Sw
     return sweep(kind, check.draws if draws is None else draws, seed, **args)
 
 
-def _outcome_row(outcome: SweepOutcome) -> dict:
+def _row(suite: str, checks: int, records: list, margin: float, stats: dict) -> dict:
+    """One verify row: a suite's check count, its violation records and margin."""
     return {
-        "suite": outcome.suite,
-        "checks": outcome.checks,
-        "violations": len(outcome.violations),
-        "worst_margin": outcome.stats["worst_margin"],
-        "stats": outcome.stats,
-        "records": outcome.violations,
+        "suite": suite,
+        "checks": checks,
+        "violations": len(records),
+        "worst_margin": margin,
+        "stats": stats,
+        "records": records,
     }
 
 
-def _selftest_outcome() -> SweepOutcome:
-    # Deliberately corrupted instance: claim correlation 0.1 for a source
-    # whose true correlation is 0.5 and reveal X outright. The chain bound
-    # must flag it; a harness that stays silent here is broken.
-    spec = InteractiveSpec(
-        source=FiniteJoint.binary_symmetric(0.5),
-        channels=(np.eye(2),),
-    )
-    result = verify_interactive_chain(spec, rho=0.1)
-    return SweepOutcome(
-        suite="selftest",
-        checks=1,
-        violations=[] if result.ok else [result.instance],
-        stats={"worst_margin": result.margin},
-    )
-
-
-def _replay_rows(path: str) -> tuple[list, int]:
+def _replay_rows(path: str) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -333,7 +282,6 @@ def _replay_rows(path: str) -> tuple[list, int]:
     else:
         raise ConfigError("replay file carries no violation records")
     rows = []
-    failures = 0
     for record in records:
         if not isinstance(record, dict):
             raise ConfigError(f"violation record must be a JSON object, got {record!r}")
@@ -341,34 +289,29 @@ def _replay_rows(path: str) -> tuple[list, int]:
             result = replay_violation(record)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad violation record: {exc}") from exc
-        ok = bool(result.ok)
-        failures += 0 if ok else 1
-        rows.append(
-            {
-                "suite": f"replay:{record.get('check', '?')}",
-                "checks": 1,
-                "violations": 0 if ok else 1,
-                "worst_margin": result.margin,
-                "stats": {},
-                "records": [] if ok else [record],
-            }
-        )
-    return rows, failures
+        suite = f"replay:{record.get('check', '?')}"
+        rows.append(_row(suite, 1, [] if result.ok else [record], result.margin, {}))
+    return rows
 
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    try:
-        check_seed(seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    check_seed(seed)
 
     if args.replay:
-        rows, failures = _replay_rows(args.replay)
+        rows = _replay_rows(args.replay)
     elif args.selftest:
-        outcome = _selftest_outcome()
-        rows = [_outcome_row(outcome)]
-        failures = len(outcome.violations)
+        # Deliberately corrupted instance: claim correlation 0.1 for a source
+        # whose true correlation is 0.5 and reveal X outright. The chain bound
+        # must flag it; a harness that stays silent here is broken.
+        spec = InteractiveSpec(
+            source=FiniteJoint.binary_symmetric(0.5),
+            channels=(np.eye(2),),
+        )
+        result = verify_interactive_chain(spec, rho=0.1)
+        records = [] if result.ok else [result.instance]
+        stats = {"worst_margin": result.margin}
+        rows = [_row("selftest", 1, records, result.margin, stats)]
     else:
         if args.draws is not None and args.draws < 0:
             raise ConfigError(f"draws must be nonnegative, got {args.draws}")
@@ -376,21 +319,17 @@ def cmd_verify(args) -> int:
             _note("warning: 0 draws requested; suites pass vacuously")
         names = SUITES if args.suite == "all" else (args.suite,)
         rows = []
-        failures = 0
         for name in names:
-            outcome = _run_suite(name, args.draws, seed, args.rho)
-            rows.append(_outcome_row(outcome))
-            failures += len(outcome.violations)
-            _note(
-                f"verify: suite={outcome.suite} checks={outcome.checks} "
-                f"violations={len(outcome.violations)}"
+            o = _run_suite(name, args.draws, seed, args.rho)
+            rows.append(
+                _row(o.suite, o.checks, o.violations, o.stats["worst_margin"], o.stats)
             )
-
-    if (args.format or "csv") == "json":
-        _emit(_json_report(rows, seed), args.out)
-    else:
-        _emit(_csv(VERIFY_COLUMNS, rows), args.out)
-    return 1 if failures else 0
+            _note(
+                f"verify: suite={o.suite} checks={o.checks} "
+                f"violations={len(o.violations)}"
+            )
+    _write(VERIFY_COLUMNS, rows, seed, args.format, args.out)
+    return 1 if any(row["violations"] for row in rows) else 0
 
 
 # ----------------------------------------------------------------------
@@ -403,8 +342,6 @@ def cmd_maxnormal(args) -> int:
     ns = _split_grid(args.n, "n", int)
     rows = []
     for n in sorted(set(ns)):
-        if n < 1:
-            raise ConfigError(f"pool size must be >= 1, got {n}")
         mean = expected_max_normal(n)
         asym = math.sqrt(2.0 * math.log(n)) if n > 1 else 0.0
         rows.append(
@@ -416,10 +353,7 @@ def cmd_maxnormal(args) -> int:
                 "ratio": mean / asym if asym > 0 else math.nan,
             }
         )
-    if (args.format or "csv") == "json":
-        _emit(_json_report(rows, None), args.out)
-    else:
-        _emit(_csv(MAXNORMAL_COLUMNS, rows), args.out)
+    _write(MAXNORMAL_COLUMNS, rows, None, args.format, args.out)
     return 0
 
 

@@ -8,7 +8,7 @@ the second gives zero mass; infinity is never approximated by a large float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -318,13 +318,8 @@ class BoundSet:
     max_scheme_risk: float
 
     def as_dict(self) -> dict:
-        return {
-            "global_upper": self.global_upper,
-            "local_upper": self.local_upper,
-            "local_lower": self.local_lower,
-            "naive_risk": self.naive_risk,
-            "max_scheme_risk": self.max_scheme_risk,
-        }
+        """The five risk levels by name, in field order (k and rho left out)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
 
 
 def risk_bounds(k: int, rho: float) -> BoundSet:

@@ -57,7 +57,12 @@ LN2 = math.log(2.0)
 MAX_POINTER_BITS = 26  # batch runners materialize 2^k samples; keep that sane
 # The fast max-normal draw clips its upper tail at 1e-300, which moves about
 # 2^k * 1e-300 of the draws (1e-11 at k = 960, 1% at k = 990) off the law.
+# The max-normal quadrature takes pools up to the same bound; near 2^1024 it
+# loses its accuracy.
 MAX_FAST_POINTER_BITS = 960
+# The fast local sampler draws the marked count among the winner's bucket
+# mates as a binomial over 2^(k - m) - 1 indices, exact up to this suffix.
+MAX_SUFFIX_BITS = 62
 
 # Local-scheme constants: the marking threshold sits at a (1 - C_THRESHOLD)
 # multiple of the asymptotic maximum location, and the index prefix carries
@@ -112,6 +117,11 @@ def _max_normal_moment(n: int, power: int) -> float:
 def _check_pool_size(n) -> int:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"pool size must be a positive integer, got {n!r}")
+    if n > 2**MAX_FAST_POINTER_BITS:
+        raise ValueError(
+            f"pool size must be at most 2^{MAX_FAST_POINTER_BITS}, "
+            f"got about 2^{math.log2(n):.6g}"
+        )
     return int(n)
 
 
@@ -671,10 +681,12 @@ def _local_trials(
     c_threshold: float,
     c_bits: float,
 ):
-    """Local-scheme trials; rho_nominal may be a scalar or per-trial array."""
+    """Local-scheme trials; rho_nominal may be a scalar or per-trial array.
+
+    The caller has checked every nominal: inside (-1, 1), and with an index
+    suffix k - m of at most MAX_SUFFIX_BITS (see _check_suffix).
+    """
     nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
-    if np.any(np.abs(nominal) >= 1.0):
-        raise ValueError("nominal correlation must lie in (-1, 1)")
     n_pool = 2**k
     mean_max = expected_max_normal(n_pool)
     x_w = _sample_max_normal(n_pool, trials, rng)
@@ -690,10 +702,6 @@ def _local_trials(
         if m == k:
             raw[sel] = y_w[sel] / mean_max
             continue
-        if k - m > 62:
-            raise ValueError(
-                f"suffix width {k - m} exceeds exact integer sampling range"
-            )
         threshold = _local_threshold(k, float(value), c_threshold)
         marked_w = y_w[sel] > threshold
         others = (1 << (k - m)) - 1
@@ -866,17 +874,32 @@ def _two_way_trials(
 # risk estimation
 # ----------------------------------------------------------------------
 
+def _check_suffix(k: int, rho_nominal: float, c_bits: float) -> None:
+    suffix = k - _local_prefix_bits(k, rho_nominal, c_bits)
+    if suffix > MAX_SUFFIX_BITS:
+        raise ValueError(
+            f"suffix width {suffix} at nominal correlation {rho_nominal} "
+            f"exceeds exact integer sampling range ({MAX_SUFFIX_BITS} bits)"
+        )
+
+
 def _local_pairs(k: int, p: dict, literal: bool) -> int:
     if not -1.0 < p["rho_nominal"] < 1.0:
         raise ValueError(
             f"nominal correlation must lie in (-1, 1), got {p['rho_nominal']}"
         )
-    return _pool(k, literal)
+    pairs = _pool(k, literal)
+    _check_suffix(k, p["rho_nominal"], p["c_bits"])
+    return pairs
 
 
 def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
     _check_phase1(k, p["k1"])
-    return p["k1"] + _pool(k - p["k1"], literal)
+    pairs = p["k1"] + _pool(k - p["k1"], literal)
+    # Phase 1 reaches the capped nominal whenever every sign agrees, and the
+    # suffix is widest there.
+    _check_suffix(k - p["k1"], TWO_WAY_NOMINAL_CAP, p["c_bits"])
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -1026,8 +1049,10 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     parameter, a value that is not a finite number (or not an integer, for
     n_block, k1 and guard_bits), nominal correlation
     outside (-1, 1), block layout infeasible for the budget, phase-1
-    budget out of range, or a pointer pool past the MAX_POINTER_BITS guard
-    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler).
+    budget out of range, a pointer pool past the MAX_POINTER_BITS guard
+    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler), or a
+    local or two_way index suffix wider than MAX_SUFFIX_BITS (two_way at
+    its capped nominal, TWO_WAY_NOMINAL_CAP).
     """
     return _resolve(config, rho_true)[2]
 

@@ -123,6 +123,12 @@ def test_maxnormal_rejects_bad_pool(capsys):
     code, _, err = run(capsys, "maxnormal", "--n", str(2**1024))  # past float range
     assert code == 2
     assert "error" in json.loads(err.strip().splitlines()[-1])
+    # past 2^960 the quadrature loses accuracy before it overflows
+    for n in (2**1020, 2**1023):
+        code, out, err = run(capsys, "maxnormal", "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert "2^960" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +272,16 @@ def test_simulate_rejects_cells_before_any_trial(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--config", cfg)
     assert code == 2
     assert "rho_tilde" in err
+
+
+def test_simulate_rejects_wide_suffix_before_any_trial(tmp_path, capsys):
+    # at the capped nominal 0.95 the k = 80 cell's suffix is 63 bits
+    cfg = write_config(tmp_path, scheme="two_way", k_grid=[16, 80], rho_grid=[0.95])
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert "suffix width" in err
+    assert "simulate: k=16" not in err
 
 
 def test_simulate_missing_config_file(capsys):

@@ -2,10 +2,12 @@
 
 Each file under tests/golden/ holds the stdout of one invocation, recorded
 once and compared byte for byte: `simulate` CSV for one fast-sampler cell
-and one literal (`use_batches`) cell per scheme, and `verify --draws 7
---seed 3 --format json` for each suite. A change that alters any of these
-streams must say so and re-record the file. Lab numbers that no CLI stream
-prints are pinned below as float.hex values.
+and one literal (`use_batches`) cell per scheme, `verify --draws 7 --seed 3
+--format json` for each suite, and the JSON reports of `bounds`,
+`maxnormal`, `verify --selftest` and a replay of that selftest report. A
+change that alters any of these streams must say so and re-record the
+file. Lab numbers that no CLI stream prints are pinned below as float.hex
+values.
 """
 
 import json
@@ -41,6 +43,17 @@ SIMULATE_CELLS = {
 }
 
 VERIFY_SUITES = ("sdpi", "tilted", "tensor", "chain", "shift", "gaphamming")
+
+# name -> (argv, exit code): JSON reports that the files above do not cover
+JSON_REPORTS = {
+    "bounds": (["bounds", "--k", "4,16", "--rho", "0,0.5", "--format", "json"], 0),
+    "maxnormal": (["maxnormal", "--n", "1,2,1024", "--format", "json"], 0),
+    "verify-selftest": (["verify", "--selftest", "--format", "json"], 1),
+    "verify-replay": (
+        ["verify", "--replay", str(GOLDEN / "verify-selftest.json"), "--format", "json"],
+        1,
+    ),
+}
 
 
 def simulate_argv(tmp_path: Path, name: str) -> list[str]:
@@ -80,6 +93,14 @@ def test_simulate_matches_golden(tmp_path, capsys, name):
 def test_verify_matches_golden(capsys, suite):
     out = _stdout(capsys, verify_argv(suite))
     assert out == (GOLDEN / f"verify-{suite}.json").read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("name", sorted(JSON_REPORTS))
+def test_json_report_matches_golden(capsys, name):
+    argv, code = JSON_REPORTS[name]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="ascii")
 
 
 def test_lab_numbers_off_the_cli():

@@ -73,6 +73,11 @@ def test_max_normal_validation():
         expected_max_normal(0)
     with pytest.raises(ValueError):
         expected_max_normal(2.5)
+    # pools stop at the fast samplers' 2^960, where the variance still
+    # tracks pi^2 / (12 ln n)
+    with pytest.raises(ValueError, match="2\\^960"):
+        expected_max_normal(2**961)
+    assert var_max_normal(2**960) > 0
 
 
 @pytest.mark.parametrize(
@@ -500,11 +505,12 @@ def test_check_preconditions_sample_counts():
     assert (
         check_preconditions(SchemeConfig("two_way", 8, {"k1": 3}), 0.0) == 3 + 32
     )
-    # the largest pools the fast sampler takes
+    # the largest pool the fast sampler takes, and a numpy k1 that would
+    # wrap in 2**(k - k1); at the capped nominal the suffix is 62 bits
     assert check_preconditions(SchemeConfig("max", 960), 0.0) == 2**960
     assert check_preconditions(
-        SchemeConfig("two_way", 963, {"k1": np.int64(3)}), 0.0
-    ) == 3 + 2**960
+        SchemeConfig("two_way", 73, {"k1": np.int64(3)}), 0.0
+    ) == 3 + 2**70
 
 
 def test_check_preconditions_rejects_bad_cells():
@@ -533,6 +539,14 @@ def test_check_preconditions_rejects_bad_cells():
         check_preconditions(SchemeConfig("max", 961), 0.0)
     with pytest.raises(ValueError, match="2\\^960"):
         check_preconditions(SchemeConfig("two_way", 964, {"k1": 3}), 0.0)
+    # the fast local sampler's suffix k - m must fit in 62 bits: local at its
+    # nominal, two_way at the capped nominal its phase 1 reaches
+    with pytest.raises(ValueError, match="suffix width 68"):
+        check_preconditions(SchemeConfig("local", 500), 0.5)
+    with pytest.raises(ValueError, match="suffix width 63"):
+        check_preconditions(SchemeConfig("two_way", 80), 0.95)
+    with pytest.raises(ValueError, match="suffix width 852"):
+        check_preconditions(SchemeConfig("two_way", 963, {"k1": np.int64(3)}), 0.0)
 
 
 def test_check_preconditions_resolves_params():
