@@ -56,6 +56,8 @@ MAXNORMAL_COLUMNS = ("n", "mean", "variance", "asymptote", "ratio")
 
 # suite name -> check kind, for every check with CLI defaults, in table order
 SUITES = {c.suite: kind for kind, c in CHECKS.items() if c.draws is not None}
+# the suites whose source correlation --rho sets
+RHO_SUITES = tuple(name for name, kind in SUITES.items() if "rho" in CHECKS[kind].args)
 
 
 class ConfigError(Exception):
@@ -318,6 +320,10 @@ def cmd_verify(args) -> int:
         if args.draws == 0:
             _note("warning: 0 draws requested; suites pass vacuously")
         names = SUITES if args.suite == "all" else (args.suite,)
+        if args.rho is not None and args.suite != "all" and args.suite not in RHO_SUITES:
+            raise ConfigError(
+                f"--rho applies to the {'/'.join(RHO_SUITES)} suites, not {args.suite}"
+            )
         rows = []
         for name in names:
             o = _run_suite(name, args.draws, seed, args.rho)

@@ -7,18 +7,33 @@ closed form from the materialized joint table. Every verifier returns a
 CheckResult carrying its margin; a failed check embeds the violating
 instance in a JSON-ready record that replay_violation re-runs. CHECKS
 holds, per record kind, how a sweep draws instances of the check and how
-any instance or record is verified.
+a list of instances or records is verified.
+
+The information quantities run on stacks: same-shape joints ride along a
+leading batch axis through one numpy call per reduction, so a sweep or a
+search hands over whole lists of instances. Every public verifier is the
+stacked path at batch size one, and a table's numbers do not depend on the
+batch it rides in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import FiniteJoint, _as_pmf, cond_mutual_info, kl, mutual_info
+from .infotheory import (
+    FiniteJoint,
+    _check_joints,
+    _check_pmfs,
+    _cond_mutual_info_rows,
+    _mutual_info_rows,
+    kl,
+    mutual_info,
+)
 from .rng import substream
 from .sources import shift_params
 
@@ -90,27 +105,17 @@ class InteractiveSpec:
     channels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        channels = []
-        sizes = []
-        for i, chan in enumerate(self.channels, start=1):
-            chan = np.asarray(chan, dtype=float)
-            expect_input = self.source.nx if i % 2 == 1 else self.source.ny
-            want = (expect_input, *sizes)
-            if chan.shape[:-1] != want:
-                raise ValueError(
-                    f"round {i} channel shape {chan.shape} incompatible with "
-                    f"input size {expect_input} and history sizes {sizes}"
-                )
-            if chan.shape[-1] < 1:
-                raise ValueError(f"round {i} has an empty message alphabet")
-            if np.any(chan < 0):
-                raise ValueError(f"round {i} channel has negative entries")
-            # np.allclose(sums, 1.0, atol=1e-9) at a fifth of its cost
-            if not (np.abs(chan.sum(axis=-1) - 1.0) <= 1e-9 + 1e-5).all():
-                raise ValueError(f"round {i} channel rows must sum to 1")
-            channels.append(chan)
-            sizes.append(chan.shape[-1])
-        object.__setattr__(self, "channels", tuple(channels))
+        channels = tuple(np.asarray(chan, dtype=float) for chan in self.channels)
+        _check_rounds(self.source.nx, self.source.ny, [chan[None] for chan in channels])
+        object.__setattr__(self, "channels", channels)
+
+    @classmethod
+    def _unchecked(cls, source: FiniteJoint, channels: tuple) -> "InteractiveSpec":
+        """A spec whose channels the stacked batch that evaluates it checks."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "source", source)
+        object.__setattr__(spec, "channels", channels)
+        return spec
 
     @property
     def rounds(self) -> int:
@@ -139,6 +144,31 @@ class InteractiveSpec:
         )
 
 
+def _check_rounds(nx: int, ny: int, channels) -> None:
+    """InteractiveSpec's checks on stacked channels, one stack per round.
+
+    Round i's stack has shape (B, input_size, |U_1|, ..., |U_i|) for B
+    specs on a source with nx x ny alphabets.
+    """
+    sizes = []
+    for i, chan in enumerate(channels, start=1):
+        expect_input = nx if i % 2 == 1 else ny
+        want = (expect_input, *sizes)
+        if chan.shape[1:-1] != want:
+            raise ValueError(
+                f"round {i} channel shape {chan.shape[1:]} incompatible with "
+                f"input size {expect_input} and history sizes {sizes}"
+            )
+        if chan.shape[-1] < 1:
+            raise ValueError(f"round {i} has an empty message alphabet")
+        if np.any(chan < 0):
+            raise ValueError(f"round {i} channel has negative entries")
+        # np.allclose(sums, 1.0, atol=1e-9) at a fifth of its cost
+        if not (np.abs(chan.sum(axis=-1) - 1.0) <= 1e-9 + 1e-5).all():
+            raise ValueError(f"round {i} channel rows must sum to 1")
+        sizes.append(chan.shape[-1])
+
+
 def binary_symmetric_product(rho: float, n: int) -> FiniteJoint:
     """n independent copies of the +-1 symmetric pair, composite alphabets."""
     if n < 1:
@@ -158,37 +188,50 @@ def build_joint(spec: InteractiveSpec, source: FiniteJoint | None = None) -> np.
     src = spec.source if source is None else source
     if (src.nx, src.ny) != (spec.source.nx, spec.source.ny):
         raise ValueError("source override must keep the alphabet sizes")
-    entries = src.nx * src.ny
-    for s in spec.message_sizes:
-        entries *= s
+    return _joints(src.probs[None], [chan[None] for chan in spec.channels])[0]
+
+
+def _joints(sources: np.ndarray, channels) -> np.ndarray:
+    """Stacked joints over (b, x, y, u_1, ..., u_r), each guarded at 10^7 entries.
+
+    sources is (B, nx, ny) and round i's channel stack (B, input_size,
+    |U_1|, ..., |U_i|); a stack of one channel serves every source.
+    """
+    entries = sources.shape[1] * sources.shape[2]
+    for chan in channels:
+        entries *= chan.shape[-1]
     if entries > JOINT_ENTRY_GUARD:
         raise ValueError(
             f"joint would hold {entries} entries, guard is {JOINT_ENTRY_GUARD}"
         )
-    joint = src.probs.copy()
-    for i, chan in enumerate(spec.channels, start=1):
+    joint = sources.copy()
+    for i, chan in enumerate(channels, start=1):
         if i % 2 == 1:
-            lifted = chan[:, None, ...]  # broadcast over y
+            lifted = chan[:, :, None, ...]  # broadcast over y
         else:
-            lifted = chan[None, :, ...]  # broadcast over x
+            lifted = chan[:, None, ...]  # broadcast over x
         joint = joint[..., None] * lifted
     return joint
 
 
-def _sides(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P(X,U), P(Y,U)) of a joint over (x, y, u_1, ..., u_r), U the transcript."""
+def _sides(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of (P(X,U), P(Y,U)) of joints over (b, x, y, u_1, ..., u_r)."""
+    rows, nx, ny = joints.shape[:3]
     return (
-        joint.sum(axis=1).reshape(joint.shape[0], -1),
-        joint.sum(axis=0).reshape(joint.shape[1], -1),
+        joints.sum(axis=2).reshape(rows, nx, -1),
+        joints.sum(axis=1).reshape(rows, ny, -1),
     )
 
 
-def _chain_terms(joint: np.ndarray, source: FiniteJoint) -> tuple[float, float]:
-    """(I(X;Y) - I(X;Y|U), I(U;X,Y)) of a joint over (x, y, u_1, ..., u_r)."""
-    nx, ny = joint.shape[:2]
+def _chain_terms(joints: np.ndarray, source_mi) -> tuple[np.ndarray, np.ndarray]:
+    """(I(X;Y) - I(X;Y|U), I(U;X,Y)) of stacked joints, U the transcript.
+
+    source_mi is I(X;Y) of each row's source.
+    """
+    rows, nx, ny = joints.shape[:3]
     return (
-        mutual_info(source) - cond_mutual_info(joint.reshape(nx, ny, -1)),
-        mutual_info(joint.reshape(nx * ny, -1)),
+        source_mi - _cond_mutual_info_rows(joints.reshape(rows, nx, ny, -1)),
+        _mutual_info_rows(joints.reshape(rows, nx * ny, -1)),
     )
 
 
@@ -216,41 +259,70 @@ class InfoSplit:
     injected_chain: float
 
 
-def _round_cmi(joint: np.ndarray, round_idx: int, observe_x: bool) -> float:
-    """I(U_i ; X or Y | U^{i-1}) from the full joint table."""
-    r = joint.ndim - 2
+def _round_cmi(joints: np.ndarray, round_idx: int, observe_x: bool) -> np.ndarray:
+    """I(U_i ; X or Y | U^{i-1}) of each of the stacked joints."""
+    r = joints.ndim - 3
     i = round_idx  # 1-based
-    drop_var = 1 if observe_x else 0
-    marg = joint.sum(axis=tuple([drop_var] + list(range(2 + i, 2 + r))))
-    # axes now: (kept var, u_1..u_i); flatten history, order (var, u_i, hist)
-    var_size = marg.shape[0]
-    u_i = marg.shape[-1]
-    hist = int(np.prod(marg.shape[1:-1], dtype=np.int64)) if i > 1 else 1
-    arr = marg.reshape(var_size, hist, u_i).transpose(0, 2, 1)
-    return cond_mutual_info(arr)
+    drop_var = 2 if observe_x else 1
+    marg = joints.sum(axis=(drop_var, *range(3 + i, 3 + r)))
+    # axes now: (b, kept var, u_1..u_i); flatten history, order (var, u_i, hist)
+    rows, var_size, u_i = marg.shape[0], marg.shape[1], marg.shape[-1]
+    hist = math.prod(marg.shape[2:-1])
+    arr = marg.reshape(rows, var_size, hist, u_i).transpose(0, 1, 3, 2)
+    return _cond_mutual_info_rows(arr)
 
 
 def compute_info_split(spec: InteractiveSpec, source: FiniteJoint | None = None) -> InfoSplit:
     """Round-information sums plus their transcript-identity cross-checks."""
-    joint = build_joint(spec, source)
-    interchanged = 0.0
-    injected = 0.0
-    for i in range(1, spec.rounds + 1):
-        speaker_is_alice = i % 2 == 1
-        about_x = _round_cmi(joint, i, observe_x=True)
-        about_y = _round_cmi(joint, i, observe_x=False)
-        if speaker_is_alice:
-            injected += about_x
-            interchanged += about_y
-        else:
-            injected += about_y
-            interchanged += about_x
+    src = spec.source if source is None else source
+    if (src.nx, src.ny) != (spec.source.nx, spec.source.ny):
+        raise ValueError("source override must keep the alphabet sizes")
+    return _info_splits([src], [spec.channels])[0]
 
-    ratio = interchanged / injected if injected > 0 else 0.0
-    return InfoSplit(
-        interchanged, injected, ratio,
-        *_chain_terms(joint, spec.source if source is None else source),
-    )
+
+def _info_splits(sources: list, channels: list) -> list[InfoSplit]:
+    """compute_info_split of each (source, channel tuple) pair, stacked by shape.
+
+    Pairs with the same source and message shapes form one stack: its
+    channels are checked once, its joints built and checked once, and
+    each round's informations come from one call. I(X;Y) is computed once
+    per distinct source object.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for b, (src, chans) in enumerate(zip(sources, channels)):
+        key = (src.probs.shape, *(chan.shape for chan in chans))
+        groups.setdefault(key, []).append(b)
+    source_mi: dict[int, float] = {}
+    splits: list = [None] * len(sources)
+    for members in groups.values():
+        group_sources = [sources[b] for b in members]
+        stacks = [np.stack(round_chans)
+                  for round_chans in zip(*(channels[b] for b in members))]
+        _check_rounds(group_sources[0].nx, group_sources[0].ny, stacks)
+        joints = _joints(np.stack([src.probs for src in group_sources]), stacks)
+        _check_joints(joints)
+        for src in group_sources:
+            if id(src) not in source_mi:
+                source_mi[id(src)] = mutual_info(src)
+        interchanged = np.zeros(len(members))
+        injected = np.zeros(len(members))
+        for i in range(1, len(stacks) + 1):
+            about_x = _round_cmi(joints, i, observe_x=True)
+            about_y = _round_cmi(joints, i, observe_x=False)
+            if i % 2 == 1:  # Alice speaks
+                injected += about_x
+                interchanged += about_y
+            else:
+                injected += about_y
+                interchanged += about_x
+        chain = _chain_terms(joints, np.array([source_mi[id(s)] for s in group_sources]))
+        for b, cross, own, cross_chain, own_chain in zip(
+            members, interchanged.tolist(), injected.tolist(),
+            chain[0].tolist(), chain[1].tolist(),
+        ):
+            ratio = cross / own if own > 0 else 0.0
+            splits[b] = InfoSplit(cross, own, ratio, cross_chain, own_chain)
+    return splits
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +348,8 @@ def random_spec(
         rows = rng.dirichlet(np.ones(u_i), size=shape)
         channels.append(rows)
         sizes.append(u_i)
-    return InteractiveSpec(source=source, channels=tuple(channels))
+    # Dirichlet rows are pmfs by construction; stacked evaluations check them
+    return InteractiveSpec._unchecked(source, tuple(channels))
 
 
 @dataclass(frozen=True)
@@ -293,18 +366,58 @@ class SearchResult:
 # specs below this many own-bits as ratio 0 during search.
 SEARCH_INFO_FLOOR = 1e-7
 
+# Hill-climb moves evaluated as one stacked batch. The climb's draws do
+# not depend on which moves it accepts, so it draws them all up front and
+# evaluates each window from the current state, keeping the results up to
+# and including the first accepted move.
+ASCENT_WINDOW = 16
 
-def _ratio_of(spec: InteractiveSpec) -> tuple[float, InfoSplit]:
-    split = compute_info_split(spec)
-    if split.injected < SEARCH_INFO_FLOOR:
-        return 0.0, split
-    return split.ratio, split
+
+def _search_ratio(split: InfoSplit) -> float:
+    return 0.0 if split.injected < SEARCH_INFO_FLOOR else split.ratio
 
 
 def _weaken_channel(chan: np.ndarray, t: float) -> np.ndarray:
     # Mix toward the input-independent channel; contrast scales by (1 - t).
-    avg = chan.mean(axis=0, keepdims=True)
+    avg = chan.sum(axis=0, keepdims=True) / chan.shape[0]  # chan.mean's floats, faster
     return (1.0 - t) * chan + t * avg
+
+
+def _draw_move(rng: np.random.Generator, shapes: list) -> tuple:
+    """One climb move on channels of these shapes: (idx, t, row, corner).
+
+    row is None for a move that weakens channel idx by t; otherwise the
+    move mixes that row of the channel, flattened to rows of its last
+    axis, toward corner by t.
+    """
+    idx = int(rng.integers(len(shapes)))
+    if rng.random() < 0.6:
+        return idx, 0.5 * rng.random(), None, None
+    row = int(rng.integers(math.prod(shapes[idx][:-1])))
+    corner = rng.dirichlet(np.ones(shapes[idx][-1]))
+    t = 0.3 * rng.random()
+    return idx, t, row, corner
+
+
+def _moved(channels: tuple, move: tuple) -> tuple:
+    """channels with one move applied (a new array for the moved channel)."""
+    idx, t, row, corner = move
+    if row is None:
+        chan = _weaken_channel(channels[idx], t)
+    else:
+        chan = channels[idx].copy()
+        flat = chan.reshape(-1, chan.shape[-1])
+        flat[row] = (1.0 - t) * flat[row] + t * corner
+    return (*channels[:idx], chan, *channels[idx + 1:])
+
+
+def _through_first(results: list, stop) -> list:
+    """results up to and including the first that stop accepts (all if none)."""
+    if stop is not None:
+        for i, result in enumerate(results):
+            if stop(result):
+                return results[: i + 1]
+    return results
 
 
 def search_max_ratio(
@@ -315,7 +428,7 @@ def search_max_ratio(
     seed: int = 0,
     ascent_steps: int = 300,
     ceiling: float | None = None,
-    _run: Callable[[dict], CheckResult] | None = None,
+    _run: Callable[..., list[CheckResult]] | None = None,
 ) -> SearchResult:
     """Randomized multi-restart hill climb on the cross/own information ratio.
 
@@ -323,51 +436,51 @@ def search_max_ratio(
     three, favoring moves that weaken channels toward input independence
     (the regime where the ratio approaches its supremum). When `ceiling`
     is given, every evaluated spec is checked against it and violators are
-    recorded with the serialized instance. The sdpi sweep passes its own
-    `_run` to check each evaluated spec.
+    recorded with the serialized instance. The restarts are evaluated as
+    one batch and each climb's moves in windows of ASCENT_WINDOW; every
+    count and result equals that of a climb taking one move at a time.
+    The sdpi sweep passes its own `_run(instances, stop)` to check each
+    batch of evaluated specs; it keeps the results up to and including the
+    first that stop accepts.
     """
     rng = substream(seed, "search_max_ratio")
     evaluations = 0
     max_seen = 0.0
     violations: list[dict] = []
     limit = math.inf if ceiling is None else ceiling
-    run = _run or CHECKS["ratio_ceiling"].verify
+    run = _run or (
+        lambda instances, stop: _through_first(CHECKS["ratio_ceiling"].verify(instances), stop)
+    )
 
-    def evaluate(spec: InteractiveSpec) -> tuple[float, InfoSplit]:
+    def evaluate(specs: list, stop=None) -> list[CheckResult]:
         nonlocal evaluations, max_seen
-        result = run({"ceiling": limit, "instance": spec})
-        evaluations += 1
-        max_seen = max(max_seen, result.values["ratio"])
-        if not result.ok:
-            violations.append(result.instance)
-        return result.values["ratio"], result.values["split"]
+        results = run([{"ceiling": limit, "instance": spec} for spec in specs], stop)
+        evaluations += len(results)
+        for result in results:
+            max_seen = max(max_seen, result.values["ratio"])
+            if not result.ok:
+                violations.append(result.instance)
+        return results
 
-    pool: list[tuple[float, InfoSplit, InteractiveSpec]] = []
-    for _ in range(restarts):
-        spec = random_spec(source, r_max, u_max, rng)
-        pool.append((*evaluate(spec), spec))
+    specs = [random_spec(source, r_max, u_max, rng) for _ in range(restarts)]
+    pool = [(result.values["ratio"], result.values["split"], spec)
+            for result, spec in zip(evaluate(specs), specs)]
     pool.sort(key=lambda item: item[0], reverse=True)
 
     best_ratio, best_split, best_spec = pool[0] if pool else (0.0, None, None)
     for start_ratio, start_split, start_spec in pool[:3]:
         cur_ratio, cur_split, cur_spec = start_ratio, start_split, start_spec
-        channels = [c.copy() for c in cur_spec.channels]
-        for _ in range(ascent_steps):
-            idx = int(rng.integers(len(channels)))
-            cand = [c.copy() for c in channels]
-            if rng.random() < 0.6:
-                cand[idx] = _weaken_channel(cand[idx], 0.5 * rng.random())
-            else:
-                flat = cand[idx].reshape(-1, cand[idx].shape[-1])
-                row = int(rng.integers(flat.shape[0]))
-                corner = rng.dirichlet(np.ones(flat.shape[1]))
-                t = 0.3 * rng.random()
-                flat[row] = (1.0 - t) * flat[row] + t * corner
-            cand_spec = replace(cur_spec, channels=tuple(cand))
-            ratio, split = evaluate(cand_spec)
-            if ratio > cur_ratio:
-                cur_ratio, cur_split, cur_spec = ratio, split, cand_spec
-                channels = cand
+        shapes = [chan.shape for chan in cur_spec.channels]
+        moves = [_draw_move(rng, shapes) for _ in range(ascent_steps)]
+        step = 0
+        while step < ascent_steps:
+            cands = [InteractiveSpec._unchecked(cur_spec.source, _moved(cur_spec.channels, move))
+                     for move in moves[step:step + ASCENT_WINDOW]]
+            results = evaluate(cands, lambda r, floor=cur_ratio: r.values["ratio"] > floor)
+            step += len(results)
+            last = results[-1].values
+            if last["ratio"] > cur_ratio:
+                cur_ratio, cur_split, cur_spec = last["ratio"], last["split"], cands[len(results) - 1]
         if cur_ratio > best_ratio:
             best_ratio, best_split, best_spec = cur_ratio, cur_split, cur_spec
     return SearchResult(
@@ -382,7 +495,20 @@ def search_max_ratio(
 
 def verify_ratio_ceiling(spec: InteractiveSpec, ceiling: float) -> CheckResult:
     """The spec's cross/own information ratio stays at or below ceiling."""
-    ratio, split = _ratio_of(spec)
+    return _ratio_ceilings([{"instance": spec, "ceiling": ceiling}])[0]
+
+
+def _ratio_ceilings(records: list) -> list[CheckResult]:
+    """verify_ratio_ceiling of each record's instance and ceiling, stacked."""
+    specs = [_live(r["instance"], InteractiveSpec, InteractiveSpec.from_jsonable)
+             for r in records]
+    splits = _info_splits([spec.source for spec in specs], [spec.channels for spec in specs])
+    return [_ratio_result(spec, split, r["ceiling"])
+            for spec, split, r in zip(specs, splits, records)]
+
+
+def _ratio_result(spec: InteractiveSpec, split: InfoSplit, ceiling: float) -> CheckResult:
+    ratio = _search_ratio(split)
     return _result(
         "ratio_ceiling", ratio <= ceiling, ceiling - ratio,
         {"ratio": ratio, "ceiling": ceiling, "split": split},
@@ -394,6 +520,33 @@ def verify_ratio_ceiling(spec: InteractiveSpec, ceiling: float) -> CheckResult:
 # one-shot verifiers
 # ----------------------------------------------------------------------
 
+def _own_and_cross(sources: np.ndarray, channels: list) -> tuple[list, list]:
+    """(I(U;X), I(U;Y)) for one-round specs: U drawn from x via channels[b].
+
+    sources is a stack (B, nx, ny); the specs are stacked by channel shape
+    and checked once per stack, like InteractiveSpec and FiniteJoint.
+    """
+    if not channels:
+        return [], []
+    _check_joints(sources)
+    groups: dict[tuple, list[int]] = {}
+    for b, chan in enumerate(channels):
+        groups.setdefault(chan.shape, []).append(b)
+    own = [0.0] * len(channels)
+    cross = [0.0] * len(channels)
+    for members in groups.values():
+        stack = np.stack([channels[b] for b in members])
+        _check_rounds(sources.shape[1], sources.shape[2], [stack])
+        joints = _joints(sources[members], [stack])
+        _check_joints(joints)
+        p_own, p_cross = _sides(joints)
+        for b, i_own, i_cross in zip(
+            members, _mutual_info_rows(p_own).tolist(), _mutual_info_rows(p_cross).tolist()
+        ):
+            own[b], cross[b] = i_own, i_cross
+    return own, cross
+
+
 def verify_tilted_contraction(
     rho: float, f, g, channel_u, channel_v=None
 ) -> CheckResult:
@@ -404,30 +557,56 @@ def verify_tilted_contraction(
     channel_u the check is I(U;Y) <= rho^2 I(U;X); when channel_v (drawn
     from y) is given, the mirrored check I(X;V) <= rho^2 I(Y;V) runs too.
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (2,) or g.shape != (2,):
+    return _tilted_batch(
+        [{"rho": rho, "f": f, "g": g, "channel_u": channel_u, "channel_v": channel_v}]
+    )[0]
+
+
+def _tilted_batch(records: list) -> list[CheckResult]:
+    """verify_tilted_contraction of each record, stacked."""
+    if not records:
+        return []
+    f = [np.asarray(r["f"], dtype=float) for r in records]
+    g = [np.asarray(r["g"], dtype=float) for r in records]
+    if any(w.shape != (2,) for w in (*f, *g)):
         raise ValueError("tilt weights must be length-2 vectors")
+    f, g = np.reshape(f, (-1, 2)), np.reshape(g, (-1, 2))
     if np.any(f < 0) or np.any(g < 0):
         raise ValueError("tilt weights must be nonnegative")
-    base = FiniteJoint.binary_symmetric(rho).probs
-    tilted = f[:, None] * g[None, :] * base
-    mass = tilted.sum()
-    if mass <= 0:
+    bases: dict[float, np.ndarray] = {}
+    for r in records:
+        if r["rho"] not in bases:
+            bases[r["rho"]] = FiniteJoint.binary_symmetric(r["rho"]).probs
+    tilted = f[:, :, None] * g[:, None, :] * np.reshape(
+        [bases[r["rho"]] for r in records], (-1, 2, 2)
+    )
+    mass = tilted.reshape(len(records), -1).sum(axis=1)
+    if np.any(mass <= 0):
         raise ValueError("tilt removes all probability mass")
-    tilted /= mass
+    tilted /= mass[:, None, None]
 
-    def side(source: np.ndarray, channel) -> tuple[float, float]:
-        # (cross, own) information of a message drawn from source's x
-        spec = InteractiveSpec(FiniteJoint(source), (channel,))
-        p_own, p_cross = _sides(build_joint(spec))
-        return mutual_info(p_cross), mutual_info(p_own)
+    # (cross, own) information of a message drawn from the source's x
+    own_u, cross_u = _own_and_cross(
+        tilted, [np.asarray(r["channel_u"], dtype=float) for r in records]
+    )
+    with_v = [b for b, r in enumerate(records) if r.get("channel_v") is not None]
+    own_v, cross_v = _own_and_cross(
+        tilted[with_v].transpose(0, 2, 1),
+        [np.asarray(records[b]["channel_v"], dtype=float) for b in with_v],
+    )
+    sides_v = dict(zip(with_v, zip(cross_v, own_v)))
+    return [
+        _tilted_result(r, f[b], g[b], cross_u[b], own_u[b], sides_v.get(b))
+        for b, r in enumerate(records)
+    ]
 
-    cross_u, own_u = side(tilted, channel_u)
+
+def _tilted_result(record, f, g, cross_u, own_u, side_v) -> CheckResult:
+    rho, channel_u, channel_v = record["rho"], record["channel_u"], record.get("channel_v")
     margin = rho * rho * own_u - cross_u
     values = {"margin_u": margin, "cross_u": cross_u, "own_u": own_u}
-    if channel_v is not None:
-        cross_v, own_v = side(tilted.T, channel_v)
+    if side_v is not None:
+        cross_v, own_v = side_v
         margin_v = rho * rho * own_v - cross_v
         values.update(margin_v=margin_v, cross_v=cross_v, own_v=own_v)
         margin = min(margin, margin_v)
@@ -449,23 +628,46 @@ def binary_input_contraction(p, q, channel, pa=(0.5, 0.5)) -> CheckResult:
     With A ~ pa binary, B | A=0 ~ p, B | A=1 ~ q, and U drawn from A,
     checks I(U;B) <= I(U;A) (1 - (sum_v sqrt(p(v) q(v)))^2).
     """
-    p, q, pa = (_as_pmf(v, name) for v, name in ((p, "p"), (q, "q"), (pa, "pa")))
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("output pmfs must be 1-D with matching alphabets")
-    if pa.shape != (2,):
-        raise ValueError(f"input pmf pa must have 2 entries, got shape {pa.shape}")
-    affinity = float(np.sqrt(p * q).sum())
-    coeff = 1.0 - affinity * affinity
-    # A is the x side and B the y side of a one-round spec that reads A
-    spec = InteractiveSpec(FiniteJoint(pa[:, None] * np.stack([p, q])), (channel,))
-    p_au, p_bu = _sides(build_joint(spec))
-    i_ua, i_ub = mutual_info(p_au), mutual_info(p_bu)
+    return _binary_input_batch([{"p": p, "q": q, "channel": channel, "pa": pa}])[0]
+
+
+def _binary_input_batch(records: list) -> list[CheckResult]:
+    """binary_input_contraction of each record, stacked by alphabet sizes."""
+    pmfs = [
+        tuple(np.asarray(v, dtype=float) for v in (r["p"], r["q"], r.get("pa", (0.5, 0.5))))
+        for r in records
+    ]
+    groups: dict[tuple, list[int]] = {}
+    for b, vectors in enumerate(pmfs):
+        groups.setdefault(tuple(v.shape for v in vectors), []).append(b)
+    results: list = [None] * len(records)
+    for (p_shape, q_shape, pa_shape), members in groups.items():
+        p, q, pa = (np.stack([pmfs[b][k] for b in members]) for k in range(3))
+        for stack, name in ((p, "p"), (q, "q"), (pa, "pa")):
+            _check_pmfs(stack, name)
+        if p_shape != q_shape or len(p_shape) != 1:
+            raise ValueError("output pmfs must be 1-D with matching alphabets")
+        if pa_shape != (2,):
+            raise ValueError(f"input pmf pa must have 2 entries, got shape {pa_shape}")
+        affinity = np.sqrt(p * q).sum(axis=1)
+        coeffs = 1.0 - affinity * affinity
+        # A is the x side and B the y side of a one-round spec that reads A
+        channels = [np.asarray(records[b]["channel"], dtype=float) for b in members]
+        i_ua, i_ub = _own_and_cross(pa[:, :, None] * np.stack([p, q], axis=1), channels)
+        for row, (b, coeff) in enumerate(zip(members, coeffs.tolist())):
+            results[b] = _binary_input_result(
+                p[row], q[row], pa[row], channels[row], coeff, i_ua[row], i_ub[row]
+            )
+    return results
+
+
+def _binary_input_result(p, q, pa, channel, coeff, i_ua, i_ub) -> CheckResult:
     margin = coeff * i_ua - i_ub
     values = {"i_ua": i_ua, "i_ub": i_ub, "coefficient": coeff}
     return _result(
         "binary_input_contraction", margin >= -_ONE_SHOT_TOL, margin, values,
         lambda: {"p": p.tolist(), "q": q.tolist(),
-                 "channel": spec.channels[0].tolist(), "pa": pa.tolist()},
+                 "channel": channel.tolist(), "pa": pa.tolist()},
     )
 
 
@@ -483,17 +685,37 @@ def verify_tensorization(
     against max(sup_j) + slack, where each sup_j is the supremum of the
     ratio on coordinate j alone, as search_max_ratio estimates it.
     """
-    product = source1.product(source2)
-    spec = InteractiveSpec(source=product, channels=tuple(spec_channels))
-    ratio, split = _ratio_of(spec)
+    return _tensor_batch([{"source1": source1, "source2": source2, "channels": spec_channels,
+                           "sup1": sup1, "sup2": sup2, "slack": slack}])[0]
+
+
+def _tensor_batch(records: list) -> list[CheckResult]:
+    """verify_tensorization of each record, stacked; one product per source pair."""
+    products: dict[tuple, FiniteJoint] = {}
+    sources = []
+    for r in records:
+        key = (id(r["source1"]), id(r["source2"]))
+        if key not in products:
+            products[key] = _live(r["source1"], FiniteJoint, FiniteJoint).product(
+                _live(r["source2"], FiniteJoint, FiniteJoint)
+            )
+        sources.append(products[key])
+    channels = [tuple(np.asarray(c, dtype=float) for c in r["channels"]) for r in records]
+    splits = _info_splits(sources, channels)
+    return [_tensor_result(r, split) for r, split in zip(records, splits)]
+
+
+def _tensor_result(record, split: InfoSplit) -> CheckResult:
+    ratio = _search_ratio(split)
+    sup1, sup2, slack = record["sup1"], record["sup2"], record["slack"]
     ceiling = max(sup1, sup2) + slack
     values = {"ratio": ratio, "ceiling": ceiling, "sup1": sup1, "sup2": sup2}
     return _result(
         "tensorization", ratio <= ceiling, ceiling - ratio, {**values, "split": split},
         lambda: {
-            "source1": source1.probs.tolist(),
-            "source2": source2.probs.tolist(),
-            "channels": [np.asarray(c).tolist() for c in spec_channels],
+            "source1": _live(record["source1"], FiniteJoint, FiniteJoint).probs.tolist(),
+            "source2": _live(record["source2"], FiniteJoint, FiniteJoint).probs.tolist(),
+            "channels": [np.asarray(c).tolist() for c in record["channels"]],
             **values,
             "slack": slack,
         },
@@ -512,13 +734,17 @@ def verify_interactive_chain(spec: InteractiveSpec, rho: float) -> CheckResult:
     """
     src = spec.source
     ref_source = FiniteJoint.from_product(src.marginal_x(), src.marginal_y())
-    joint = build_joint(spec)
-    with_x, with_y = _sides(joint)
-    with_x_ref, with_y_ref = _sides(build_joint(spec, source=ref_source))
+    # the spec's joint and the reference joint, as one stack
+    joints = _joints(np.stack([src.probs, ref_source.probs]),
+                     [chan[None] for chan in spec.channels])
+    (with_x, with_x_ref), (with_y, with_y_ref) = _sides(joints)
     d_x = kl(with_x, with_x_ref)
     d_y = kl(with_y, with_y_ref)
 
-    interchanged, injected = _chain_terms(joint, src)
+    _check_joints(joints[:1])
+    interchanged, injected = (
+        float(term[0]) for term in _chain_terms(joints[:1], mutual_info(src))
+    )
     scaled = rho * rho * injected
 
     one_way_gap = abs(d_y - interchanged) if spec.rounds == 1 else None
@@ -580,14 +806,14 @@ def verify_shift_reduction(rho0: float, rho1: float, spec_channels) -> CheckResu
               for i, c in enumerate(spec_channels)),
     )
 
-    def transcript_samples(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # laws of (X', W0, U) and (W0, Y', U)
-        return _sides(joint)[0], joint.reshape(2, 4, -1).sum(axis=0)
-
-    x1, y1 = transcript_samples(build_joint(spec))
-    x0, y0 = transcript_samples(
-        build_joint(spec, _shifted_source(0.0, params.alpha, params.s))
+    # the joints under both hypotheses, as one stack
+    joints = _joints(
+        np.stack([spec.source.probs, _shifted_source(0.0, params.alpha, params.s).probs]),
+        [chan[None] for chan in spec.channels],
     )
+    # laws of (X', W0, U) and (W0, Y', U)
+    x1, x0 = _sides(joints)[0]
+    y1, y0 = joints.reshape(2, 2, 4, -1).sum(axis=1)
     d_x = kl(x1, x0)
     d_y = kl(y1, y0)
     bits = spec.message_bits
@@ -617,6 +843,12 @@ def majority_channel(n: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _hypothesis_sources(n: int, rho0: float) -> tuple[FiniteJoint, FiniteJoint, FiniteJoint]:
+    """gap_hamming_demo's sources at +rho0, -rho0 and 0, built once per (n, rho0)."""
+    return tuple(binary_symmetric_product(rho, n) for rho in (rho0, -rho0, 0.0))
+
+
 def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     """Sign-of-correlation testing needs order n bits of transcript.
 
@@ -639,13 +871,17 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     if not 0 < rho0 <= 1:
         raise ValueError(f"per-coordinate correlation {rho0} outside (0, 1]")
 
-    spec = InteractiveSpec(binary_symmetric_product(rho0, n), tuple(spec_channels))
+    source_plus, source_minus, source_null = _hypothesis_sources(n, rho0)
+    spec = InteractiveSpec(source_plus, tuple(spec_channels))
     joint_plus = build_joint(spec)
-    joint_minus = build_joint(spec, binary_symmetric_product(-rho0, n))
-    with_x_null = _sides(build_joint(spec, binary_symmetric_product(0.0, n)))[0]
+    joint_minus = build_joint(spec, source_minus)
 
-    mixture_kl_bound = 0.5 * kl(_sides(joint_plus)[0], with_x_null) + 0.5 * kl(
-        _sides(joint_minus)[0], with_x_null
+    def with_x(joint: np.ndarray) -> np.ndarray:
+        return _sides(joint[None])[0][0]
+
+    with_x_null = with_x(build_joint(spec, source_null))
+    mixture_kl_bound = 0.5 * kl(with_x(joint_plus), with_x_null) + 0.5 * kl(
+        with_x(joint_minus), with_x_null
     )
 
     # I(U; transcript) with U the uniform hypothesis bit
@@ -694,10 +930,23 @@ class SweepOutcome:
         return not self.violations
 
 
-# Instance generators: draw(rng, seed, draws, run, **args) hands each drawn
-# instance (a mapping with the fields of the check's violation record) to
-# run, which verifies it and returns its CheckResult, and returns the
-# sweep's stats beyond worst_margin.
+# Instance generators: draw(rng, seed, draws, run, **args) hands lists of
+# drawn instances (each a mapping with the fields of the check's violation
+# record) to run, which verifies each list as one batch and returns the
+# CheckResults in order; draw returns the sweep's stats beyond
+# worst_margin. Verifying draws nothing, so drawing a batch ahead of its
+# checks keeps every stream and result of a draw-check-draw loop.
+
+# Instances drawn ahead and verified as one batch: enough to amortize the
+# stacked calls, few enough that a sweep's memory does not grow with draws.
+SWEEP_BATCH = 256
+
+
+def _in_batches(draws: int, run, draw_one: Callable[[], dict]) -> None:
+    """run every SWEEP_BATCH instances that draw_one() draws, in draw order."""
+    for start in range(0, draws, SWEEP_BATCH):
+        run([draw_one() for _ in range(min(SWEEP_BATCH, draws - start))])
+
 
 def _draw_ratio_ceiling(rng, seed, draws, run, rho):
     # search_max_ratio derives this same stream from seed; rng goes unused
@@ -707,21 +956,25 @@ def _draw_ratio_ceiling(rng, seed, draws, run, rho):
 
 
 def _draw_tilted(rng, seed, draws, run, rho):
-    for _ in range(draws):
+    def draw_one():
         f, g = rng.random(2) * 2.0, rng.random(2) * 2.0
         m_u, m_v = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        run({"rho": rho, "f": f, "g": g,
-             "channel_u": rng.dirichlet(np.ones(m_u), size=2),
-             "channel_v": rng.dirichlet(np.ones(m_v), size=2)})
+        return {"rho": rho, "f": f, "g": g,
+                "channel_u": rng.dirichlet(np.ones(m_u), size=2),
+                "channel_v": rng.dirichlet(np.ones(m_v), size=2)}
+
+    _in_batches(draws, run, draw_one)
     return {}
 
 
 def _draw_binary_input(rng, seed, draws, run):
-    for _ in range(draws):
+    def draw_one():
         b_size = int(rng.integers(2, 5))
         p, q = rng.dirichlet(np.ones(b_size)), rng.dirichlet(np.ones(b_size))
         u_size = int(rng.integers(2, 4))
-        run({"p": p, "q": q, "channel": rng.dirichlet(np.ones(u_size), size=2)})
+        return {"p": p, "q": q, "channel": rng.dirichlet(np.ones(u_size), size=2)}
+
+    _in_batches(draws, run, draw_one)
     return {}
 
 
@@ -731,12 +984,15 @@ def _draw_tensorization(rng, seed, draws, run, rho1, rho2):
     sup1 = search_max_ratio(source1, restarts=400, seed=seed).best_ratio
     sup2 = search_max_ratio(source2, restarts=400, seed=seed + 1).best_ratio
     product = source1.product(source2)
-    for _ in range(draws):
-        run({"source1": source1, "source2": source2,
-             "channels": random_spec(product, 2, 2, rng).channels,
-             "sup1": sup1, "sup2": sup2, "slack": TENSOR_SLACK})
+    _in_batches(draws, run, lambda: {
+        "source1": source1, "source2": source2,
+        "channels": random_spec(product, 2, 2, rng).channels,
+        "sup1": sup1, "sup2": sup2, "slack": TENSOR_SLACK,
+    })
     return {"sup1": sup1, "sup2": sup2}
 
+
+# The chain, shift and gap-hamming checks verify one instance at a time.
 
 def _draw_chain(rng, seed, draws, run, rhos):
     # draws is split evenly over rhos, rounding up, at least one each
@@ -745,7 +1001,7 @@ def _draw_chain(rng, seed, draws, run, rhos):
         for _ in range(max(1, -(-draws // len(rhos)))):
             n = int(rng.integers(1, 3))
             spec = random_spec(binary_symmetric_product(rho, n), 3, 3, rng)
-            gap = run({"rho": rho, "spec": spec}).values["one_way_gap"]
+            gap = run([{"rho": rho, "spec": spec}])[0].values["one_way_gap"]
             if gap is not None:
                 one_way_worst = max(one_way_worst, gap)
     return {"one_way_worst_gap": one_way_worst}
@@ -756,18 +1012,18 @@ def _draw_shift(rng, seed, draws, run, rho0, rho1):
     shape_source = FiniteJoint.binary_symmetric(0.0)
     for _ in range(draws):
         spec = random_spec(shape_source, 3, 3, rng)
-        run({"rho0": rho0, "rho1": rho1, "channels": spec.channels})
+        run([{"rho0": rho0, "rho1": rho1, "channels": spec.channels}])
     return {}
 
 
 def _draw_gap_hamming(rng, seed, draws, run, n, c):
-    majority = run({"n": n, "c": c, "channels": (majority_channel(n),)}).values
+    majority = run([{"n": n, "c": c, "channels": (majority_channel(n),)}])[0].values
     source_shape = binary_symmetric_product(0.0, n)
     for _ in range(draws):
         # allow two rounds: a transcript that never touches y carries zero
         # information about the correlation sign, so r=1 alone is vacuous
         spec = random_spec(source_shape, r_max=2, u_max=2, rng=rng)
-        run({"n": n, "c": c, "channels": spec.channels})
+        run([{"n": n, "c": c, "channels": spec.channels}])
     keys = ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
     return {"majority": {key: majority[key] for key in keys}}
 
@@ -782,17 +1038,17 @@ class Check:
     """One kind of check, named by its violation records' "check" field.
 
     A sweep over it draws from substream (seed, stream) with the instance
-    generator draw and reports under suite; verify(record) checks a drawn
-    instance or re-runs a violation record. draws and args are the CLI's
-    defaults; draws None keeps the suite off the CLI. verify looks its
-    verifier up when called, so wrappers installed on this module see
-    every call.
+    generator draw and reports under suite; verify(records) checks a list
+    of drawn instances or violation records and returns their results in
+    order. draws and args are the CLI's defaults; draws None keeps the
+    suite off the CLI. verify looks its verifier up when called, so
+    wrappers installed on this module see every call.
     """
 
     suite: str
     stream: str
     draw: Callable[..., dict]
-    verify: Callable[[dict], CheckResult]
+    verify: Callable[[list], list[CheckResult]]
     draws: int | None = None
     args: dict = field(default_factory=dict)
 
@@ -800,50 +1056,44 @@ class Check:
 CHECKS = {
     "ratio_ceiling": Check(
         "sdpi", "search_max_ratio", _draw_ratio_ceiling,
-        lambda r: verify_ratio_ceiling(
-            _live(r["instance"], InteractiveSpec, InteractiveSpec.from_jsonable),
-            r["ceiling"],
-        ),
+        lambda records: _ratio_ceilings(records),
         2000, {"rho": 0.6},
     ),
     "tilted_contraction": Check(
         "tilted", "sweep_tilted", _draw_tilted,
-        lambda r: verify_tilted_contraction(
-            r["rho"], r["f"], r["g"], r["channel_u"], r.get("channel_v")
-        ),
+        lambda records: _tilted_batch(records),
         10000, {"rho": 0.7},
     ),
     "binary_input_contraction": Check(
         "binary_contraction", "sweep_binary_contraction", _draw_binary_input,
-        lambda r: binary_input_contraction(
-            r["p"], r["q"], r["channel"], r.get("pa", (0.5, 0.5))
-        ),
+        lambda records: _binary_input_batch(records),
     ),
     "tensorization": Check(
         "tensor", "sweep_tensorization", _draw_tensorization,
-        lambda r: verify_tensorization(
-            _live(r["source1"], FiniteJoint, FiniteJoint),
-            _live(r["source2"], FiniteJoint, FiniteJoint), r["channels"],
-            sup1=r["sup1"], sup2=r["sup2"], slack=r["slack"],
-        ),
+        lambda records: _tensor_batch(records),
         500, {"rho1": 0.4, "rho2": 0.8},
     ),
     "interactive_chain": Check(
         "chain", "sweep_chain", _draw_chain,
-        lambda r: verify_interactive_chain(
-            _live(r.get("spec", r), InteractiveSpec, InteractiveSpec.from_jsonable),
-            r["rho"],
-        ),
+        lambda records: [
+            verify_interactive_chain(
+                _live(r.get("spec", r), InteractiveSpec, InteractiveSpec.from_jsonable),
+                r["rho"],
+            )
+            for r in records
+        ],
         201, {"rhos": (0.3, 0.6, 0.9)},
     ),
     "shift_reduction": Check(
         "shift", "sweep_shift", _draw_shift,
-        lambda r: verify_shift_reduction(r["rho0"], r["rho1"], r["channels"]),
+        lambda records: [
+            verify_shift_reduction(r["rho0"], r["rho1"], r["channels"]) for r in records
+        ],
         100, {"rho0": 0.25, "rho1": 0.5},
     ),
     "gap_hamming": Check(
         "gaphamming", "sweep_gap_hamming", _draw_gap_hamming,
-        lambda r: gap_hamming_demo(r["n"], r["channels"], r["c"]),
+        lambda records: [gap_hamming_demo(r["n"], r["channels"], r["c"]) for r in records],
         100, {"n": 8, "c": 1.0},
     ),
 }
@@ -860,14 +1110,17 @@ def sweep(kind: str, draws: int, seed: int, **args) -> SweepOutcome:
     checks = 0
     worst = math.inf
 
-    def run(instance) -> CheckResult:
+    def run(instances: list, stop=None) -> list[CheckResult]:
+        # verify as one batch; count the results through the first that
+        # stop accepts (search_max_ratio's speculative climb)
         nonlocal checks, worst
-        result = check.verify(instance)
-        checks += 1
-        worst = min(worst, result.margin)
-        if not result.ok:
-            violations.append(result.instance)
-        return result
+        results = _through_first(check.verify(instances), stop)
+        checks += len(results)
+        for result in results:
+            worst = min(worst, result.margin)
+            if not result.ok:
+                violations.append(result.instance)
+        return results
 
     extra = check.draw(substream(seed, check.stream), seed, draws, run, **args)
     return SweepOutcome(
@@ -883,4 +1136,4 @@ def replay_violation(record: dict) -> CheckResult:
     kind = record.get("check")
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ValueError(f"unknown violation record kind: {kind!r}")
-    return CHECKS[kind].verify(record)
+    return CHECKS[kind].verify([record])[0]

@@ -38,14 +38,29 @@ LN2 = math.log(2.0)
 
 def _as_pmf(p, name: str = "pmf", atol: float = 1e-9) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} has negative entries")
-    total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"{name} sums to {total!r}, expected 1 within {atol}")
+    _check_pmfs(arr[None], name, atol)
     return arr
+
+
+def _check_pmfs(stack: np.ndarray, name: str, atol: float = 1e-9) -> None:
+    """Checks on a stack of B same-shape pmfs (B, ...), all at once.
+
+    Each must be nonempty with no negative entry and sum to 1 within atol.
+    """
+    if math.prod(stack.shape[1:]) == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if np.any(stack < 0):
+        raise ValueError(f"{name} has negative entries")
+    totals = stack.reshape(len(stack), -1).sum(axis=1)
+    bad = np.abs(totals - 1.0) > atol
+    if bad.any():
+        total = float(totals[bad][0])
+        raise ValueError(f"{name} sums to {total!r}, expected 1 within {atol}")
+
+
+def _check_joints(stack: np.ndarray) -> None:
+    """FiniteJoint's checks on a stack of joint tables (B, ...)."""
+    _check_pmfs(stack, "joint table", PMF_ATOL)
 
 
 @dataclass(frozen=True)
@@ -58,13 +73,7 @@ class FiniteJoint:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"joint table must be 2-D, got shape {arr.shape}")
-        if np.any(arr < 0):
-            raise ValueError("joint table has negative entries")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PMF_ATOL:
-            raise ValueError(
-                f"joint table sums to {total!r}, expected 1 within {PMF_ATOL}"
-            )
+        _check_joints(arr[None])
         object.__setattr__(self, "probs", arr)
 
     @property
@@ -128,11 +137,7 @@ def kl(p, q) -> float:
     qarr = _as_pmf(q, "q")
     if parr.shape != qarr.shape:
         raise ValueError(f"shape mismatch: {parr.shape} vs {qarr.shape}")
-    support = parr > 0
-    if np.any(qarr[support] == 0):
-        return math.inf
-    ps = parr[support]
-    return float((ps * np.log2(ps / qarr[support])).sum())
+    return float(_kl_rows(parr[None], qarr[None])[0])
 
 
 def _joint_table(j) -> np.ndarray:
@@ -143,8 +148,7 @@ def _joint_table(j) -> np.ndarray:
 
 def mutual_info(j) -> float:
     """I(X;Y) in bits of a 2-D joint table (FiniteJoint or array)."""
-    p = _joint_table(j)
-    return kl(p.ravel(), np.outer(p.sum(axis=1), p.sum(axis=0)).ravel())
+    return float(_mutual_info_rows(_joint_table(j)[None])[0])
 
 
 def cond_mutual_info(j3) -> float:
@@ -157,14 +161,58 @@ def cond_mutual_info(j3) -> float:
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint table sums to {total!r}, expected 1")
+    return float(_cond_mutual_info_rows(arr[None])[0])
+
+
+# Batched kernels: each takes a stack of B tables along a leading axis,
+# trusts its caller to have checked them, and returns B values in bits.
+# A table's value does not depend on the batch it rides in: the terms are
+# laid out, and each row summed, in the order a lone table uses.
+
+def _log_ratio_sums(p: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per row b of (B, N) arrays, sum over p_b > 0 of p log2(num / den).
+
+    When p and den are positive throughout, one call sums every row.
+    Otherwise each row sums its own support, compacted as a lone table's
+    is, and is +inf where den vanishes on that support.
+    """
+    support = p > 0
+    if support.all() and den.all():
+        return (p * np.log2(num / den)).sum(axis=1)
+    out = np.empty(len(p))
+    for b in range(len(p)):
+        keep = support[b]
+        if np.any(den[b][keep] == 0):
+            out[b] = math.inf
+        else:
+            ps = p[b][keep]
+            out[b] = (ps * np.log2(num[b][keep] / den[b][keep])).sum()
+    return out
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D(p_b || q_b) for stacks of same-shape pmfs (B, ...)."""
+    p = p.reshape(len(p), -1)
+    return _log_ratio_sums(p, p, q.reshape(len(q), -1))
+
+
+def _mutual_info_rows(p: np.ndarray) -> np.ndarray:
+    """I(X;Y) for a stack of 2-D joint tables (B, nx, ny)."""
+    q = p.sum(axis=2)[:, :, None] * p.sum(axis=1)[:, None, :]
+    return _kl_rows(p, q)
+
+
+def _cond_mutual_info_rows(arr: np.ndarray) -> np.ndarray:
+    """I(X;Y|Z) for a stack of 3-way tables (B, x, y, z)."""
     # sum over support of p(x,y,z) log [ p(x,y,z) p(z) / (p(x,z) p(y,z)) ]
-    pz = arr.sum(axis=(0, 1), keepdims=True)
-    pxz = arr.sum(axis=1, keepdims=True)
-    pyz = arr.sum(axis=0, keepdims=True)
-    mask = arr > 0
-    den = np.broadcast_to(pxz * pyz, arr.shape)[mask]
-    ratio = (arr * pz)[mask] / den
-    return float((arr[mask] * np.log2(ratio)).sum())
+    pz = arr.sum(axis=(1, 2), keepdims=True)
+    pxz = arr.sum(axis=2, keepdims=True)
+    pyz = arr.sum(axis=1, keepdims=True)
+    rows = len(arr)
+    den = np.broadcast_to(pxz * pyz, arr.shape)
+    return _log_ratio_sums(
+        arr.reshape(rows, -1), (arr * pz).reshape(rows, -1), den.reshape(rows, -1)
+    )
 
 
 def mi_radius_gap(j, qy) -> float:

@@ -340,6 +340,29 @@ def test_verify_negative_draws_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["shift", "chain", "tensor", "gaphamming"])
+def test_verify_rho_rejected_by_suites_without_one(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--rho", "0.9", "--draws", "2")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"--rho applies to the sdpi/tilted suites, not {suite}"
+    }
+
+
+def test_verify_rho_sets_sdpi_and_tilted_only(capsys):
+    def rows(*argv):
+        code, out, _ = run(capsys, "verify", "--draws", "2", "--format", "json", *argv)
+        assert code == 0
+        return {row["suite"]: row for row in json.loads(out)["rows"]}
+
+    for suite in ("sdpi", "tilted"):
+        assert rows("--suite", suite, "--rho", "0.3") != rows("--suite", suite)
+    # with all, the other suites keep their own defaults
+    moved, plain = rows("--rho", "0.3"), rows()
+    assert [s for s in plain if moved[s] != plain[s]] == ["sdpi", "tilted"]
+
+
 def test_verify_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "unknowable"])

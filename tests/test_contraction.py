@@ -5,6 +5,7 @@ can never produce a violation; the replay path is exercised through
 artificially low ceilings and deliberately mislabeled correlations.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,16 @@ import pytest
 
 import corrcomm.contraction
 from corrcomm import (
+    CHECKS,
     FiniteJoint,
+    InfoSplit,
     InteractiveSpec,
     binary_input_contraction,
     binary_symmetric_product,
     build_joint,
     compute_info_split,
     gap_hamming_demo,
+    kl,
     majority_channel,
     mutual_info,
     random_spec,
@@ -26,10 +30,12 @@ from corrcomm import (
     search_max_ratio,
     sweep,
     verify_interactive_chain,
+    verify_ratio_ceiling,
     verify_shift_reduction,
     verify_tensorization,
     verify_tilted_contraction,
 )
+from corrcomm.infotheory import _kl_rows
 from corrcomm.rng import substream
 
 SEED = 1123
@@ -505,3 +511,131 @@ def test_tensorization_replay_uses_the_recorded_ceiling(monkeypatch):
     assert not replay.ok
     assert replay.values["ceiling"] == record["ceiling"] == pytest.approx(0.75 * ratio)
     assert replay.values["ratio"] == pytest.approx(record["ratio"], abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# stacked evaluation: a batch gives each instance its scalar numbers
+# ----------------------------------------------------------------------
+
+# the public verifier that checks one instance of each batched kind
+SCALAR = {
+    "ratio_ceiling": lambda r: verify_ratio_ceiling(r["instance"], r["ceiling"]),
+    "tilted_contraction": lambda r: verify_tilted_contraction(
+        r["rho"], r["f"], r["g"], r["channel_u"], r.get("channel_v")
+    ),
+    "binary_input_contraction": lambda r: binary_input_contraction(
+        r["p"], r["q"], r["channel"], r.get("pa", (0.5, 0.5))
+    ),
+    "tensorization": lambda r: verify_tensorization(
+        r["source1"], r["source2"], r["channels"], r["sup1"], r["sup2"], r["slack"]
+    ),
+}
+
+
+def as_hex(value):
+    """value with every float inside it (InfoSplit fields too) as float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, InfoSplit):
+        return as_hex(dataclasses.astuple(value))
+    if isinstance(value, dict):
+        return {key: as_hex(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_hex(item) for item in value]
+    return value
+
+
+def fingerprint(result):
+    return result.ok, as_hex(result.margin), as_hex(result.values)
+
+
+def swept(kind, draws, seed, **args):
+    """(instance, result) for every instance a sweep's batches evaluated.
+
+    The sdpi search's speculative windows are all recorded, kept or not.
+    """
+    check = CHECKS[kind]
+    pairs = []
+
+    def run(instances, stop=None):
+        results = check.verify(instances)
+        pairs.extend(zip(instances, results))
+        kept = next((i + 1 for i, r in enumerate(results) if stop and stop(r)), len(results))
+        return results[:kept]
+
+    check.draw(substream(seed, check.stream), seed, draws, run, **args)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "kind, draws, args",
+    [
+        ("ratio_ceiling", 120, {"rho": 0.6}),
+        ("tilted_contraction", 300, {"rho": 0.7}),
+        ("binary_input_contraction", 300, {}),
+        ("tensorization", 60, {"rho1": 0.4, "rho2": 0.8}),
+    ],
+)
+def test_batches_match_the_scalar_verifiers_bit_for_bit(kind, draws, args):
+    pairs = swept(kind, draws, SEED, **args)
+    assert len(pairs) >= draws
+    for instance, result in pairs:
+        assert fingerprint(result) == fingerprint(SCALAR[kind](instance))
+    if kind == "ratio_ceiling":
+        # every (rounds, message sizes) group of random_spec(., 3, 3)
+        groups = {pair[0]["instance"].message_sizes for pair in pairs}
+        assert len(groups) == 2 + 4 + 8
+
+
+def test_batches_with_degenerate_tables_match_the_scalar_path():
+    rng = substream(SEED, "degenerate-batch")
+    bsc = FiniteJoint.binary_symmetric(0.6)
+    zero_entry = np.array([[1.0, 0.0], [0.3, 0.7]])
+    cube = binary_symmetric_product(0.5, 3)
+    specs = [
+        InteractiveSpec(bsc, (IDENTITY,)),
+        InteractiveSpec(bsc, (zero_entry,)),
+        InteractiveSpec(bsc, (IDENTITY, np.stack([IDENTITY, IDENTITY]))),
+        InteractiveSpec(cube, (majority_channel(3),)),
+    ]
+    # positive specs of the same shapes share their stacks
+    for spec in list(specs):
+        specs.append(InteractiveSpec(
+            spec.source,
+            tuple(rng.dirichlet(np.ones(c.shape[-1]), size=c.shape[:-1])
+                  for c in spec.channels),
+        ))
+    records = [{"instance": spec, "ceiling": 0.3} for spec in specs]
+    batch = CHECKS["ratio_ceiling"].verify(records)
+    for record, result in zip(records, batch):
+        assert fingerprint(result) == fingerprint(SCALAR["ratio_ceiling"](record))
+
+    tilts = [
+        {"rho": 0.7, "f": [1.0, 0.0], "g": [0.5, 1.5],
+         "channel_u": IDENTITY, "channel_v": zero_entry},
+        {"rho": 0.7, "f": [0.4, 1.1], "g": [0.5, 1.5],
+         "channel_u": rng.dirichlet(np.ones(2), size=2), "channel_v": None},
+        {"rho": -0.2, "f": [0.4, 1.1], "g": [0.0, 1.5],
+         "channel_u": zero_entry, "channel_v": rng.dirichlet(np.ones(2), size=2)},
+    ]
+    inputs = [
+        {"p": [1.0, 0.0, 0.0], "q": [0.0, 0.5, 0.5], "channel": IDENTITY},
+        {"p": [0.2, 0.3, 0.5], "q": [0.5, 0.5, 0.0], "channel": zero_entry,
+         "pa": (0.1, 0.9)},
+        {"p": rng.dirichlet(np.ones(3)), "q": rng.dirichlet(np.ones(3)),
+         "channel": IDENTITY},
+    ]
+    for kind, records in (("tilted_contraction", tilts), ("binary_input_contraction", inputs)):
+        for record, result in zip(records, CHECKS[kind].verify(records)):
+            assert fingerprint(result) == fingerprint(SCALAR[kind](record))
+
+
+def test_kl_rows_mix_finite_and_infinite_divergences():
+    rng = substream(SEED, "kl-rows")
+    p = [rng.dirichlet(np.ones(4)), np.array([0.5, 0.5, 0.0, 0.0]),
+         np.array([0.25, 0.25, 0.5, 0.0]), rng.dirichlet(np.ones(4))]
+    q = [rng.dirichlet(np.ones(4)), np.array([0.5, 0.0, 0.25, 0.25]),
+         np.array([0.5, 0.25, 0.25, 0.0]), rng.dirichlet(np.ones(4))]
+    rows = _kl_rows(np.stack(p), np.stack(q)).tolist()
+    assert rows[1] == math.inf
+    assert [value.hex() for value in rows] == [kl(a, b).hex() for a, b in zip(p, q)]

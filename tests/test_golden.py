@@ -3,13 +3,15 @@
 Each file under tests/golden/ holds the stdout of one invocation, recorded
 once and compared byte for byte: `simulate` CSV for one fast-sampler cell
 and one literal (`use_batches`) cell per scheme, `verify --draws 7 --seed 3
---format json` for each suite, and the JSON reports of `bounds`,
+--format json` for each suite, `verify --suite all --seed 0 --format
+json` at the CLI's default draws, and the JSON reports of `bounds`,
 `maxnormal`, `verify --selftest` and a replay of that selftest report. A
 change that alters any of these streams must say so and re-record the
 file. Lab numbers that no CLI stream prints are pinned below as float.hex
 values.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 from corrcomm.cli import main
-from corrcomm.contraction import sweep, verify_shift_reduction
+from corrcomm.contraction import search_max_ratio, sweep, verify_shift_reduction
+from corrcomm.infotheory import FiniteJoint
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -53,6 +56,9 @@ JSON_REPORTS = {
         ["verify", "--replay", str(GOLDEN / "verify-selftest.json"), "--format", "json"],
         1,
     ),
+    # every suite at its default draws: the sdpi search's restarts reach
+    # each (rounds, message sizes) group of random_spec
+    "verify-all-default": (["verify", "--suite", "all", "--seed", "0", "--format", "json"], 0),
 }
 
 
@@ -116,3 +122,33 @@ def test_lab_numbers_off_the_cli():
         "rho_input": "0x1.5555555555555p-2",
         "message_bits": "0x1.0000000000000p+0",
     }
+
+
+# (rho, keyword arguments) -> (evaluations, best_ratio, max_ratio_seen,
+# violation count, sha256 of the violations' ratios as space-joined float.hex)
+SEARCH_PINS = [
+    (
+        (0.6, {"restarts": 50, "seed": 5, "ceiling": 0.2}),
+        (950, "0x1.70a3d6c05e0bfp-2", "0x1.70a3d6c05e0bfp-2", 482,
+         "85eb5bdc148bdc825a7f758bc6ba9346d935d16577bee9389e35ddce6a297fd4"),
+    ),
+    (
+        (0.4, {"r_max": 1, "restarts": 20, "seed": 6}),
+        (920, "0x1.47ae13dc06499p-3", "0x1.47ae13dc06499p-3", 0,
+         hashlib.sha256(b"").hexdigest()),
+    ),
+]
+
+
+@pytest.mark.parametrize("case, pinned", SEARCH_PINS)
+def test_search_max_ratio_pins(case, pinned):
+    rho, kwargs = case
+    result = search_max_ratio(FiniteJoint.binary_symmetric(rho), **kwargs)
+    ratios = " ".join(v["ratio"].hex() for v in result.violations)
+    assert (
+        result.evaluations,
+        result.best_ratio.hex(),
+        result.max_ratio_seen.hex(),
+        len(result.violations),
+        hashlib.sha256(ratios.encode()).hexdigest(),
+    ) == pinned
