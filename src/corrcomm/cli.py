@@ -300,7 +300,16 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     check_seed(seed)
 
-    if args.replay:
+    # the selftest and a replay run no suite, so no suite flag applies to them
+    replay = args.replay is not None
+    if replay and args.selftest:
+        raise ConfigError("--selftest cannot be combined with --replay")
+    if replay or args.selftest:
+        mode = "--replay" if replay else "--selftest"
+        for flag in ("suite", "draws", "rho"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"{mode} cannot be combined with --{flag}")
+    if replay:
         rows = _replay_rows(args.replay)
     elif args.selftest:
         # Deliberately corrupted instance: claim correlation 0.1 for a source
@@ -319,10 +328,11 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"draws must be nonnegative, got {args.draws}")
         if args.draws == 0:
             _note("warning: 0 draws requested; suites pass vacuously")
-        names = SUITES if args.suite == "all" else (args.suite,)
-        if args.rho is not None and args.suite != "all" and args.suite not in RHO_SUITES:
+        suite = args.suite or "all"
+        names = SUITES if suite == "all" else (suite,)
+        if args.rho is not None and suite != "all" and suite not in RHO_SUITES:
             raise ConfigError(
-                f"--rho applies to the {'/'.join(RHO_SUITES)} suites, not {args.suite}"
+                f"--rho applies to the {'/'.join(RHO_SUITES)} suites, not {suite}"
             )
         rows = []
         for name in names:
@@ -398,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="randomized inequality suites")
     p_verify.add_argument(
-        "--suite", choices=(*SUITES, "all"), default="all", help="which suite"
+        "--suite", choices=(*SUITES, "all"), default=None,
+        help="which suite (default all)",
     )
     p_verify.add_argument("--draws", type=int, default=None, help="instances per suite")
     p_verify.add_argument(

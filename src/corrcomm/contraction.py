@@ -3,11 +3,13 @@
 Everything here works on finite, exactly-enumerated joints: an interactive
 protocol is a list of channel tables (round i reads the round-i speaker's
 sample plus the message history), and all divergences are computed in
-closed form from the materialized joint table. Every verifier returns a
-CheckResult carrying its margin; a failed check embeds the violating
-instance in a JSON-ready record that replay_violation re-runs. CHECKS
-holds, per record kind, how a sweep draws instances of the check and how
-a list of instances or records is verified.
+closed form from the materialized joint table, except gap-hamming's,
+which come from the product source's 2^n-row factors (gap_hamming_demo).
+Every verifier returns a CheckResult carrying its margin; a failed check
+embeds the violating instance in a JSON-ready record that
+replay_violation re-runs. CHECKS holds, per record kind, how a sweep
+draws instances of the check and how a list of instances or records is
+verified.
 
 The information quantities run on stacks: same-shape joints ride along a
 leading batch axis through one numpy call per reduction, so a sweep or a
@@ -18,14 +20,15 @@ batch it rides in.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .infotheory import (
+    PMF_ATOL,
     FiniteJoint,
     _check_joints,
     _check_pmfs,
@@ -191,6 +194,13 @@ def build_joint(spec: InteractiveSpec, source: FiniteJoint | None = None) -> np.
     return _joints(src.probs[None], [chan[None] for chan in spec.channels])[0]
 
 
+def _check_entries(entries: int) -> None:
+    if entries > JOINT_ENTRY_GUARD:
+        raise ValueError(
+            f"joint would hold {entries} entries, guard is {JOINT_ENTRY_GUARD}"
+        )
+
+
 def _joints(sources: np.ndarray, channels) -> np.ndarray:
     """Stacked joints over (b, x, y, u_1, ..., u_r), each guarded at 10^7 entries.
 
@@ -200,10 +210,7 @@ def _joints(sources: np.ndarray, channels) -> np.ndarray:
     entries = sources.shape[1] * sources.shape[2]
     for chan in channels:
         entries *= chan.shape[-1]
-    if entries > JOINT_ENTRY_GUARD:
-        raise ValueError(
-            f"joint would hold {entries} entries, guard is {JOINT_ENTRY_GUARD}"
-        )
+    _check_entries(entries)
     joint = sources.copy()
     for i, chan in enumerate(channels, start=1):
         if i % 2 == 1:
@@ -843,10 +850,29 @@ def majority_channel(n: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=1)
-def _hypothesis_sources(n: int, rho0: float) -> tuple[FiniteJoint, FiniteJoint, FiniteJoint]:
-    """gap_hamming_demo's sources at +rho0, -rho0 and 0, built once per (n, rho0)."""
-    return tuple(binary_symmetric_product(rho, n) for rho in (rho0, -rho0, 0.0))
+def _noised(table: np.ndarray, n: int, rho: float) -> np.ndarray:
+    """T_rho applied to the columns of a (2^n, m) table.
+
+    The rows are indexed by n binary coordinates, and (T_rho f)(x) =
+    E[f(y) | x] where each coordinate of y agrees with x's with
+    probability (1 + rho) / 2: the 2x2 kernel [[1+rho, 1-rho], [1-rho,
+    1+rho]] / 2 along each coordinate axis in turn, O(n 2^n m) work.
+    """
+    keep, flip = (1.0 + rho) / 2.0, (1.0 - rho) / 2.0
+    cols = table.shape[1]
+    for k in range(n):
+        pairs = table.reshape(2 ** (n - 1 - k), 2, 2**k * cols)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        table = np.stack([keep * lo + flip * hi, flip * lo + keep * hi], axis=1)
+    return table.reshape(2**n, cols)
+
+
+def _xlog2x(t: np.ndarray) -> np.ndarray:
+    """t log2 t entrywise, with 0 log 0 = 0."""
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = t[pos] * np.log2(t[pos])
+    return out
 
 
 def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
@@ -858,40 +884,65 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     (1/2) sum_sign D(P^sign_{X,U^r} || P^0_{X,U^r}), and bounds that by
     rho0^2 I(transcript; X,Y) under the mixture. implied_k_lower =
     I(U;transcript) / rho0^2 is the budget needed to make the transcript
-    useful, i.e. Theta(n) when I(U;transcript) is order 1. The 4^n-entry
-    source must fit under JOINT_ENTRY_GUARD, so n is at most 11.
+    useful, i.e. Theta(n) when I(U;transcript) is order 1.
+
+    The source is a product of binary-symmetric pairs, so P(x, y, u) =
+    P_rho(x, y) A(x, u) B(y, u), where A multiplies Alice's (odd-round)
+    channel entries along the transcript u and B Bob's, and
+    P^sign(x, u) = 2^-n A(x, u) (T_{sign rho0} B(., u))(x) with the
+    rho-noise operator T (see _noised). No table larger than 2^n x |U| is
+    built. Inputs are held to the full joint's bounds all the same, n at
+    most 11 and 4^n |U| entries under JOINT_ENTRY_GUARD, so the check
+    accepts exactly the inputs, and replays exactly the records, that the
+    full-joint computation (the tests' oracle) can check.
     """
+    n = operator.index(n)
     n_max = int(math.log(JOINT_ENTRY_GUARD, 4))
     if not 1 <= n <= n_max:
         raise ValueError(
-            f"coordinate count must lie in [1, {n_max}] (the source holds 4^n "
+            f"coordinate count must lie in [1, {n_max}] (the full joint holds 4^n "
             f"entries, guard is {JOINT_ENTRY_GUARD}), got {n}"
         )
     rho0 = c / math.sqrt(n)
     if not 0 < rho0 <= 1:
         raise ValueError(f"per-coordinate correlation {rho0} outside (0, 1]")
 
-    source_plus, source_minus, source_null = _hypothesis_sources(n, rho0)
-    spec = InteractiveSpec(source_plus, tuple(spec_channels))
-    joint_plus = build_joint(spec)
-    joint_minus = build_joint(spec, source_minus)
+    size = 2**n
+    channels = [np.asarray(chan, dtype=float) for chan in spec_channels]
+    _check_rounds(size, size, [chan[None] for chan in channels])
+    sizes = [chan.shape[-1] for chan in channels]
+    _check_entries(size * size * math.prod(sizes))
+    # sides[0] is A, sides[1] is B, each over (x or y, u_1, ..., u_r)
+    sides = [np.ones((size, *sizes)), np.ones((size, *sizes))]
+    for i, chan in enumerate(channels):
+        lifted = chan.reshape(chan.shape + (1,) * (len(channels) - 1 - i))
+        sides[i % 2] = sides[i % 2] * lifted
+    alice, bob = (side.reshape(size, -1) for side in sides)
+    cols = alice.shape[1]
 
-    def with_x(joint: np.ndarray) -> np.ndarray:
-        return _sides(joint[None])[0][0]
-
-    with_x_null = with_x(build_joint(spec, source_null))
-    mixture_kl_bound = 0.5 * kl(with_x(joint_plus), with_x_null) + 0.5 * kl(
-        with_x(joint_minus), with_x_null
+    # T_{-rho} f(x) = T_rho f(x with every coordinate flipped): reversed rows
+    noised = _noised(np.concatenate([bob, _xlog2x(bob)], axis=1), n, rho0)
+    scale = 2.0**-n
+    with_x_plus = scale * alice * noised[:, :cols]
+    with_x_minus = scale * alice * noised[::-1, :cols]
+    with_x_null = scale * alice * bob.mean(axis=0)
+    mixture_kl_bound = 0.5 * kl(with_x_plus, with_x_null) + 0.5 * kl(
+        with_x_minus, with_x_null
     )
 
     # I(U; transcript) with U the uniform hypothesis bit
-    table = 0.5 * np.stack(
-        [joint_plus.sum(axis=(0, 1)).ravel(), joint_minus.sum(axis=(0, 1)).ravel()]
-    )
+    table = 0.5 * np.stack([with_x_plus.sum(axis=0), with_x_minus.sum(axis=0)])
     i_u_pi = mutual_info(table)
 
-    mixture = 0.5 * (joint_plus + joint_minus)
-    injected_mix = mutual_info(mixture.reshape(4**n, -1))
+    # I(transcript; X,Y) under the mixture, H(U^r) - H(U^r | X,Y), where
+    # H(U^r | X,Y) = -2^-n sum [A log A T_mix B + A T_mix (B log B)]
+    p_u = table.sum(axis=0)
+    _check_pmfs(p_u[None], "mixture transcript law", PMF_ATOL)
+    mixed = 0.5 * (noised + noised[::-1])
+    h_u_given_xy = -scale * float(
+        (_xlog2x(alice) * mixed[:, :cols] + alice * mixed[:, cols:]).sum()
+    )
+    injected_mix = -float(_xlog2x(p_u).sum()) - h_u_given_xy
 
     ok = (
         i_u_pi <= mixture_kl_bound + TOL

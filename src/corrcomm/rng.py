@@ -10,6 +10,7 @@ numbers as running them serially.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,10 +38,35 @@ def _tag_words(tag: str) -> list[int]:
     ]
 
 
+def _words(value: int) -> list[int]:
+    """value's 32-bit words, least significant first, one word for 0.
+
+    These are the words SeedSequence's own coercion gives one integer of
+    its entropy list.
+    """
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+@lru_cache(maxsize=256)
+def _prefix_words(master_seed: int, tag: str) -> tuple[int, ...]:
+    return tuple(w for value in (master_seed, *_tag_words(tag)) for w in _words(value))
+
+
 def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Return the Philox generator for (master seed, operation tag, index)."""
+    """Return the Philox generator for (master seed, operation tag, index).
+
+    The stream is that of SeedSequence([master_seed, *_tag_words(tag),
+    index]), seeded from the same uint32 words without coercing the list
+    on every call.
+    """
     master_seed = check_seed(master_seed)
     if index < 0:
         raise ValueError(f"substream index must be nonnegative, got {index}")
-    entropy = [master_seed, *_tag_words(tag), int(index)]
+    words = [*_prefix_words(master_seed, tag), *_words(int(index))]
+    entropy = np.array(words, dtype=np.uint32)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

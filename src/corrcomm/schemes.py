@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
 from .infotheory import binary_entropy
@@ -102,6 +101,10 @@ def _max_normal_moment(n: int, power: int) -> float:
         return x**power * math.exp(
             log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
         )
+
+    # imported here, not at module level: scipy.integrate's import costs about
+    # 0.3 s, which only pointer-scheme moments need
+    from scipy import integrate
 
     points = [peak] if lo < peak < hi else None
     value, err = integrate.quad(
@@ -244,6 +247,11 @@ def _bits(value: int, width: int) -> str:
     return format(int(value), f"0{width}b")
 
 
+def _sign_bits(values: np.ndarray) -> str:
+    """One bit per value: "1" where it is positive, "0" elsewhere."""
+    return np.where(values > 0, b"1", b"0").tobytes().decode("ascii")
+
+
 # ----------------------------------------------------------------------
 # batch runners
 # ----------------------------------------------------------------------
@@ -263,7 +271,7 @@ def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     x = batch.x[:k]
     y = batch.y[:k]
     raw = float(np.mean(x * y))
-    payload = "".join("1" if v > 0 else "0" for v in x)
+    payload = _sign_bits(x)
     transcript = Transcript(budget=k, messages=(Message("alice", payload, k),))
     return EstimateResult(
         rho_hat=_clamp(raw),
@@ -413,6 +421,7 @@ class BlockLayout:
     samples_needed: int
 
 
+@lru_cache(maxsize=128, typed=True)
 def block_layout(
     rho_tilde: float,
     n_block: int,
@@ -613,7 +622,7 @@ def run_two_way(
     )
     local = run_local_scheme(k2, rho0, tail, c_threshold, c_bits)
 
-    payload = "".join("1" if v > 0 else "0" for v in sign_x)
+    payload = _sign_bits(sign_x)
     transcript = Transcript(
         budget=k,
         messages=(

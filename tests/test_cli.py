@@ -363,6 +363,39 @@ def test_verify_rho_sets_sdpi_and_tilted_only(capsys):
     assert [s for s in plain if moved[s] != plain[s]] == ["sdpi", "tilted"]
 
 
+SELFTEST_REPORT = Path(__file__).with_name("golden") / "verify-selftest.json"
+
+
+@pytest.mark.parametrize("extra", [
+    ("--suite", "shift"), ("--suite", "all"), ("--draws", "2"), ("--rho", "0.9"),
+])
+@pytest.mark.parametrize("mode", ["--selftest", "--replay"])
+def test_verify_selftest_and_replay_take_no_suite_flags(capsys, mode, extra):
+    argv = [mode] if mode == "--selftest" else [mode, str(SELFTEST_REPORT)]
+    code, out, err = run(capsys, "verify", *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"{mode} cannot be combined with {extra[0]}"
+    }
+
+
+def test_verify_selftest_and_replay_exclude_each_other(capsys):
+    code, out, err = run(
+        capsys, "verify", "--selftest", "--replay", str(SELFTEST_REPORT)
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot be combined" in err
+    # an empty replay path is a replay of an unreadable file, not a suite run
+    code, out, err = run(capsys, "verify", "--replay", "", "--draws", "1")
+    assert code == 2
+    assert out == ""
+    code, out, err = run(capsys, "verify", "--replay", "")
+    assert code == 2
+    assert "cannot read replay file" in err
+
+
 def test_verify_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--suite", "unknowable"])
@@ -651,6 +684,34 @@ def test_bounds_and_verify_never_import_scipy():
     # the converse half needs no scipy; only simulate and maxnormal load it
     proc = subprocess.run(
         [sys.executable, "-c", CONVERSE_COMMANDS],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+NO_QUADRATURE = """
+import sys
+import corrcomm.schemes
+from corrcomm.schemes import SchemeConfig, estimate_risk
+
+block = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
+for config in [
+    SchemeConfig("naive", 8),
+    SchemeConfig("naive", 8, use_batches=True),
+    SchemeConfig("binary_block", 12, block),
+]:
+    estimate_risk(config, 0.6, 200, 5)
+assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
+"""
+
+
+def test_schemes_without_quadrature_never_import_scipy_integrate():
+    # only the max-normal quadrature needs scipy.integrate (about 0.3 s to
+    # import), so the naive and binary-block schemes run without it
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_QUADRATURE],
         capture_output=True,
         text=True,
         env=child_env(),

@@ -389,6 +389,61 @@ def test_gap_hamming_two_rounds_carry_signal():
     )
 
 
+def gap_hamming_oracle(n, channels, c):
+    """gap_hamming_demo's values and ok from the full 4^n x |U| joints."""
+    rho0 = c / math.sqrt(n)
+    spec = InteractiveSpec(binary_symmetric_product(rho0, n), tuple(channels))
+    plus = build_joint(spec)
+    minus = build_joint(spec, binary_symmetric_product(-rho0, n))
+    null = build_joint(spec, binary_symmetric_product(0.0, n))
+
+    def with_x(joint):
+        return joint.sum(axis=1).reshape(2**n, -1)
+
+    mixture_kl_bound = 0.5 * kl(with_x(plus), with_x(null)) + 0.5 * kl(
+        with_x(minus), with_x(null)
+    )
+    i_u_pi = mutual_info(
+        0.5 * np.stack([plus.sum(axis=(0, 1)).ravel(), minus.sum(axis=(0, 1)).ravel()])
+    )
+    injected = mutual_info((0.5 * (plus + minus)).reshape(4**n, -1))
+    ok = (
+        i_u_pi <= mixture_kl_bound + corrcomm.contraction.TOL
+        and mixture_kl_bound <= rho0**2 * injected + corrcomm.contraction.TOL
+    )
+    values = {"i_u_pi": i_u_pi, "mixture_kl_bound": mixture_kl_bound,
+              "injected_mixture": injected}
+    return values, ok
+
+
+def deterministic_channels(n):
+    """Zero-one channels: majority votes, parities and a two-round echo."""
+    size = 2**n
+    parity = np.array([bin(i).count("1") % 2 for i in range(size)])
+    parity_chan = np.eye(2)[parity]  # (x, u1)
+    vote = majority_channel(n)
+    # round 2: Bob's parity xor Alice's message, a function of (y, u1)
+    echo = np.stack([np.eye(2)[parity], np.eye(2)[1 - parity]], axis=1)
+    # round 3: Alice's majority again, whatever the history
+    third = np.broadcast_to(vote[:, None, None, :], (size, 2, 2, 2))
+    return [(vote,), (parity_chan,), (vote, echo), (parity_chan, echo, third)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gap_hamming_matches_the_full_joint(n):
+    rng = substream(SEED, f"gap_hamming_oracle/{n}")
+    shape = binary_symmetric_product(0.0, n)
+    drawn = [random_spec(shape, r_max=3, u_max=3, rng=rng).channels for _ in range(12)]
+    assert {len(channels) for channels in drawn} == {1, 2, 3}
+    for c in (math.sqrt(n), 0.3):  # rho0 = 1, and a weak per-coordinate signal
+        for channels in drawn + deterministic_channels(n):
+            report = gap_hamming_demo(n, channels, c)
+            values, ok = gap_hamming_oracle(n, channels, c)
+            assert report.ok == ok
+            for key, value in values.items():
+                assert abs(report.values[key] - value) <= 1e-12, (key, len(channels), c)
+
+
 def test_gap_hamming_validation():
     with pytest.raises(ValueError):
         gap_hamming_demo(0, (IDENTITY,))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corrcomm import check_seed, substream
+from corrcomm.rng import _tag_words
 
 
 def test_same_coordinates_same_stream():
@@ -32,3 +33,16 @@ def test_check_seed_rejects_out_of_range(bad):
 def test_substream_rejects_negative_index():
     with pytest.raises(ValueError):
         substream(0, "demo", -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_substream_is_the_seed_sequence_of_its_coordinates(seed):
+    # substream seeds from precomputed uint32 words; they must be the words
+    # SeedSequence derives from the list [seed, *tag words, index] itself
+    for index in (0, 1, 2**32 - 1, 2**32, 2**70):
+        entropy = [seed, *_tag_words("demo"), index]
+        reference = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        np.testing.assert_array_equal(
+            substream(seed, "demo", index).integers(0, 2**63, 8),
+            reference.integers(0, 2**63, 8),
+        )
