@@ -182,16 +182,9 @@ def binary_symmetric_product(rho: float, n: int) -> FiniteJoint:
     return out
 
 
-def build_joint(spec: InteractiveSpec, source: FiniteJoint | None = None) -> np.ndarray:
-    """Materialize the joint over (x, y, u_1, ..., u_r).
-
-    Guarded at 10^7 entries. The optional source override reruns the same
-    channels on a different input law (used for independent references).
-    """
-    src = spec.source if source is None else source
-    if (src.nx, src.ny) != (spec.source.nx, spec.source.ny):
-        raise ValueError("source override must keep the alphabet sizes")
-    return _joints(src.probs[None], [chan[None] for chan in spec.channels])[0]
+def build_joint(spec: InteractiveSpec) -> np.ndarray:
+    """Materialize the joint over (x, y, u_1, ..., u_r), guarded at 10^7 entries."""
+    return _joints(spec.source.probs[None], [chan[None] for chan in spec.channels])[0]
 
 
 def _check_entries(entries: int) -> None:
@@ -279,12 +272,9 @@ def _round_cmi(joints: np.ndarray, round_idx: int, observe_x: bool) -> np.ndarra
     return _cond_mutual_info_rows(arr)
 
 
-def compute_info_split(spec: InteractiveSpec, source: FiniteJoint | None = None) -> InfoSplit:
+def compute_info_split(spec: InteractiveSpec) -> InfoSplit:
     """Round-information sums plus their transcript-identity cross-checks."""
-    src = spec.source if source is None else source
-    if (src.nx, src.ny) != (spec.source.nx, spec.source.ny):
-        raise ValueError("source override must keep the alphabet sizes")
-    return _info_splits([src], [spec.channels])[0]
+    return _info_splits([spec.source], [spec.channels])[0]
 
 
 def _info_splits(sources: list, channels: list) -> list[InfoSplit]:

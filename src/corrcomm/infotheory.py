@@ -23,7 +23,6 @@ __all__ = [
     "kl",
     "mutual_info",
     "cond_mutual_info",
-    "mi_radius_gap",
     "binary_pair_family",
     "fisher_fd",
     "cosine_prior",
@@ -140,15 +139,11 @@ def kl(p, q) -> float:
     return float(_kl_rows(parr[None], qarr[None])[0])
 
 
-def _joint_table(j) -> np.ndarray:
-    if isinstance(j, FiniteJoint):
-        return j.probs
-    return FiniteJoint(np.asarray(j, dtype=float)).probs
-
-
 def mutual_info(j) -> float:
     """I(X;Y) in bits of a 2-D joint table (FiniteJoint or array)."""
-    return float(_mutual_info_rows(_joint_table(j)[None])[0])
+    if not isinstance(j, FiniteJoint):
+        j = FiniteJoint(np.asarray(j, dtype=float))
+    return float(_mutual_info_rows(j.probs[None])[0])
 
 
 def cond_mutual_info(j3) -> float:
@@ -156,11 +151,7 @@ def cond_mutual_info(j3) -> float:
     arr = np.asarray(j3, dtype=float)
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-way array, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError("joint table has negative entries")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint table sums to {total!r}, expected 1")
+    _check_pmfs(arr[None], "joint table")
     return float(_cond_mutual_info_rows(arr[None])[0])
 
 
@@ -213,30 +204,6 @@ def _cond_mutual_info_rows(arr: np.ndarray) -> np.ndarray:
     return _log_ratio_sums(
         arr.reshape(rows, -1), (arr * pz).reshape(rows, -1), den.reshape(rows, -1)
     )
-
-
-def mi_radius_gap(j, qy) -> float:
-    """E_x D(P_{Y|X=x} || qy) - I(X;Y), the excess of qy over the MI center.
-
-    Nonnegative for every qy, zero exactly at qy = P_Y, and equal to
-    D(P_Y || qy). Computed from the definition, not the shortcut identity,
-    so tests can confirm the identity independently.
-    """
-    p = _joint_table(j)
-    qarr = _as_pmf(qy, "qy")
-    if qarr.shape != (p.shape[1],):
-        raise ValueError(f"qy must have shape ({p.shape[1]},), got {qarr.shape}")
-    px = p.sum(axis=1)
-    avg = 0.0
-    for x in range(p.shape[0]):
-        if px[x] <= 0:
-            continue
-        cond = p[x] / px[x]
-        term = kl(cond / cond.sum(), qarr)
-        if math.isinf(term):
-            return math.inf
-        avg += px[x] * term
-    return float(avg - mutual_info(p))
 
 
 @dataclass(frozen=True)

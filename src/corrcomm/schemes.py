@@ -328,29 +328,23 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     )
 
 
-def _local_prefix_bits(k: int, rho_nominal: float, c_bits: float) -> int:
-    # Nominal count k (1 - rho^2); the (1 + c_bits) multiple pays for
+def _local_prefix_bits(k: int, rho_nominal: float) -> int:
+    # Nominal count k (1 - rho^2); the (1 + C_BITS) multiple pays for
     # decoding collisions. Capped at the full index width.
-    m = math.ceil(k * (1.0 - rho_nominal**2) * (1.0 + c_bits))
+    m = math.ceil(k * (1.0 - rho_nominal**2) * (1.0 + C_BITS))
     return max(1, min(k, m))
 
 
-def _local_threshold(k: int, rho_nominal: float, c_threshold: float) -> float:
-    return rho_nominal * math.sqrt(2.0 * k * LN2) * (1.0 - c_threshold)
+def _local_threshold(k: int, rho_nominal: float) -> float:
+    return rho_nominal * math.sqrt(2.0 * k * LN2) * (1.0 - C_THRESHOLD)
 
 
-def run_local_scheme(
-    k: int,
-    rho_nominal: float,
-    batch: PairBatch,
-    c_threshold: float = C_THRESHOLD,
-    c_bits: float = C_BITS,
-) -> EstimateResult:
+def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
     """Maximum pointer compressed against side information near rho_nominal.
 
-    Alice sends only the m = ceil(k (1 - rho_nominal^2)(1 + c_bits)) most
+    Alice sends only the m = ceil(k (1 - rho_nominal^2)(1 + C_BITS)) most
     significant bits of her argmax index (capped at k). Bob marks indices
-    whose y-value clears rho_nominal sqrt(2 k ln2)(1 - c_threshold) and
+    whose y-value clears rho_nominal sqrt(2 k ln2)(1 - C_THRESHOLD) and
     decodes to the unique marked index matching the prefix. When the prefix
     is the full index the marking step is bypassed. On a zero or multiple
     match he falls back to rho_nominal and sets aux["decode_failed"].
@@ -362,8 +356,7 @@ def run_local_scheme(
     x = batch.x[:n]
     y = batch.y[:n]
     winner = int(np.argmax(x))
-    m = _local_prefix_bits(k, rho_nominal, c_bits)
-    threshold = _local_threshold(k, rho_nominal, c_threshold)
+    m = _local_prefix_bits(k, rho_nominal)
     mean_max = expected_max_normal(n)
 
     if m == k:
@@ -372,6 +365,7 @@ def run_local_scheme(
         prefix = winner >> (k - m)
         lo = prefix << (k - m)
         hi = lo + (1 << (k - m))
+        threshold = _local_threshold(k, rho_nominal)
         candidates = np.nonzero(y[lo:hi] > threshold)[0] + lo
         decoded = int(candidates[0]) if candidates.size == 1 else None
 
@@ -397,7 +391,6 @@ def run_local_scheme(
             "winner": winner,
             "decoded": decoded,
             "m_bits": m,
-            "threshold": threshold,
         },
         transcript=transcript,
     )
@@ -426,12 +419,11 @@ def block_layout(
     rho_tilde: float,
     n_block: int,
     rho_nominal: float,
-    exist_factor: float = EXIST_FACTOR,
     guard_bits: int = GUARD_BITS,
 ) -> BlockLayout:
     """Resolve block counts and message sizes for the binary block scheme.
 
-    The block count m = ceil(exist_factor sqrt(n) 2^{n (1 - h((1-rt)/2))})
+    The block count m = ceil(EXIST_FACTOR sqrt(n) 2^{n (1 - h((1-rt)/2))})
     makes a block with sum exactly n rho_tilde exist with high probability.
     The prefix length is the nominal n (h((1 - rho rho_tilde)/2) -
     h((1 - rho_tilde)/2)) bits plus the safety overhead, capped at the full
@@ -456,8 +448,8 @@ def block_layout(
         raise ValueError(f"nominal correlation must lie in [-1, 1], got {rho_nominal}")
     h1 = binary_entropy((1.0 - rho_tilde) / 2.0)
     h2 = binary_entropy((1.0 - rho_nominal * rho_tilde) / 2.0)
-    overhead = math.log2(exist_factor * math.sqrt(n_block))
-    m_blocks = max(2, math.ceil(exist_factor * math.sqrt(n_block) * 2 ** (n_block * (1.0 - h1))))
+    overhead = math.log2(EXIST_FACTOR * math.sqrt(n_block))
+    m_blocks = max(2, math.ceil(EXIST_FACTOR * math.sqrt(n_block) * 2 ** (n_block * (1.0 - h1))))
     if m_blocks * n_block > 10**8:
         raise ValueError(
             f"layout needs {m_blocks * n_block} samples per run; "
@@ -479,9 +471,9 @@ def block_layout(
 
 
 def _fitted_layout(k: int, rho_tilde: float, n_block: int, rho_nominal: float,
-                   exist_factor: float, guard_bits: int) -> BlockLayout:
+                   guard_bits: int) -> BlockLayout:
     """The block layout, checked to fit a k-bit budget."""
-    layout = block_layout(rho_tilde, n_block, rho_nominal, exist_factor, guard_bits)
+    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)
     if layout.prefix_bits > k:
         raise ValueError(f"scheme needs {layout.prefix_bits} bits, budget is {k}")
     return layout
@@ -493,7 +485,6 @@ def run_binary_block(
     n_block: int,
     batch: PairBatch,
     rho_nominal: float = 0.0,
-    exist_factor: float = EXIST_FACTOR,
     guard_bits: int = GUARD_BITS,
 ) -> EstimateResult:
     """Anchor on a block whose sign-sum is exactly n_block * rho_tilde.
@@ -509,9 +500,7 @@ def run_binary_block(
     _require_family(batch, "binary", "run_binary_block")
     if k < 1:
         raise ValueError(f"bit budget must be positive, got {k}")
-    layout = _fitted_layout(
-        k, rho_tilde, n_block, rho_nominal, exist_factor, guard_bits
-    )
+    layout = _fitted_layout(k, rho_tilde, n_block, rho_nominal, guard_bits)
     if len(batch) < layout.samples_needed:
         raise ValueError(
             f"need at least {layout.samples_needed} pairs, batch has {len(batch)}"
@@ -563,7 +552,6 @@ def run_binary_block(
             "decode_failed": decode_failed,
             "anchor_block": j_star,
             "decoded": decoded,
-            "layout": layout,
         },
         transcript=transcript,
     )
@@ -590,13 +578,7 @@ def _check_phase1(k: int, k1: int) -> None:
         )
 
 
-def run_two_way(
-    k: int,
-    k1: int | None,
-    batch: PairBatch,
-    c_threshold: float = C_THRESHOLD,
-    c_bits: float = C_BITS,
-) -> EstimateResult:
+def run_two_way(k: int, k1: int | None, batch: PairBatch) -> EstimateResult:
     """Coarse sign exchange, then the local scheme at the estimated rho.
 
     Phase 1 spends k1 bits on the signs of fresh coordinates; the arcsine
@@ -620,7 +602,7 @@ def run_two_way(
     tail = PairBatch(
         x=batch.x[k1 : k1 + n2], y=batch.y[k1 : k1 + n2], family="gaussian"
     )
-    local = run_local_scheme(k2, rho0, tail, c_threshold, c_bits)
+    local = run_local_scheme(k2, rho0, tail)
 
     payload = _sign_bits(sign_x)
     transcript = Transcript(
@@ -681,15 +663,8 @@ def _max_trials(k: int, rho: float, trials: int, rng: np.random.Generator):
     return np.clip(raw, -1.0, 1.0), {"raw": raw}
 
 
-def _local_trials(
-    k: int,
-    rho: float,
-    trials: int,
-    rng: np.random.Generator,
-    rho_nominal,
-    c_threshold: float,
-    c_bits: float,
-):
+def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
+                  rho_nominal):
     """Local-scheme trials; rho_nominal may be a scalar or per-trial array.
 
     The caller has checked every nominal: inside (-1, 1), and with an index
@@ -703,15 +678,15 @@ def _local_trials(
 
     raw = np.array(nominal)  # fallback default
     failed = np.zeros(trials, dtype=bool)
-    # Trials share (k, c_*) but may differ in nominal rho; group identical
+    # Trials share k but may differ in nominal rho; group identical
     # nominals so thresholds and prefix widths stay scalar per group.
     for value in np.unique(nominal):
         sel = np.nonzero(nominal == value)[0]
-        m = _local_prefix_bits(k, float(value), c_bits)
+        m = _local_prefix_bits(k, float(value))
         if m == k:
             raw[sel] = y_w[sel] / mean_max
             continue
-        threshold = _local_threshold(k, float(value), c_threshold)
+        threshold = _local_threshold(k, float(value))
         marked_w = y_w[sel] > threshold
         others = (1 << (k - m)) - 1
         spurious = rng.binomial(others, ndtr(-threshold), size=sel.size)
@@ -748,7 +723,6 @@ def _block_trials(
     rho_tilde: float,
     n_block: int,
     rho_nominal: float,
-    exist_factor: float,
     guard_bits: int,
 ):
     """Block-scheme trials in O(1) draws each, whatever the block count m.
@@ -785,7 +759,7 @@ def _block_trials(
     and Bin(n - a*, 1 - p); given A != t it is their difference,
     P(B) - p_hit P(B | A = t), over 1 - p_hit.
     """
-    layout = block_layout(rho_tilde, n_block, rho_nominal, exist_factor, guard_bits)
+    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)
     n, m, t = layout.n_block, layout.m_blocks, layout.target_sum
     p_keep = (1.0 + rho) / 2.0
     a_hit = (n + t) // 2
@@ -854,15 +828,8 @@ def _block_trials(
     }
 
 
-def _two_way_trials(
-    k: int,
-    rho: float,
-    trials: int,
-    rng: np.random.Generator,
-    k1: int,
-    c_threshold: float,
-    c_bits: float,
-):
+def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
+                    k1: int):
     p_agree = 0.5 + math.asin(rho) / math.pi
     agrees = rng.binomial(k1, p_agree, size=trials)
     mean_products = (2.0 * agrees - k1) / k1
@@ -871,9 +838,7 @@ def _two_way_trials(
         -TWO_WAY_NOMINAL_CAP,
         TWO_WAY_NOMINAL_CAP,
     )
-    rho_hat, aux = _local_trials(
-        k - k1, rho, trials, rng, rho0, c_threshold, c_bits
-    )
+    rho_hat, aux = _local_trials(k - k1, rho, trials, rng, rho0)
     aux = dict(aux)
     aux["rho0_hat"] = rho0
     return rho_hat, aux
@@ -883,8 +848,8 @@ def _two_way_trials(
 # risk estimation
 # ----------------------------------------------------------------------
 
-def _check_suffix(k: int, rho_nominal: float, c_bits: float) -> None:
-    suffix = k - _local_prefix_bits(k, rho_nominal, c_bits)
+def _check_suffix(k: int, rho_nominal: float) -> None:
+    suffix = k - _local_prefix_bits(k, rho_nominal)
     if suffix > MAX_SUFFIX_BITS:
         raise ValueError(
             f"suffix width {suffix} at nominal correlation {rho_nominal} "
@@ -898,7 +863,7 @@ def _local_pairs(k: int, p: dict, literal: bool) -> int:
             f"nominal correlation must lie in (-1, 1), got {p['rho_nominal']}"
         )
     pairs = _pool(k, literal)
-    _check_suffix(k, p["rho_nominal"], p["c_bits"])
+    _check_suffix(k, p["rho_nominal"])
     return pairs
 
 
@@ -907,7 +872,7 @@ def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
     pairs = p["k1"] + _pool(k - p["k1"], literal)
     # Phase 1 reaches the capped nominal whenever every sign agrees, and the
     # suffix is widest there.
-    _check_suffix(k - p["k1"], TWO_WAY_NOMINAL_CAP, p["c_bits"])
+    _check_suffix(k - p["k1"], TWO_WAY_NOMINAL_CAP)
     return pairs
 
 
@@ -932,9 +897,6 @@ class Scheme:
     sample: Callable[..., tuple]
 
 
-_POINTER_KNOBS = {"c_threshold": C_THRESHOLD, "c_bits": C_BITS}
-
-
 def _at_rho(k: int, rho: float) -> float:
     return rho
 
@@ -956,7 +918,7 @@ SCHEMES = {
     ),
     "local": Scheme(
         family="gaussian",
-        params={"rho_nominal": _at_rho, **_POINTER_KNOBS},
+        params={"rho_nominal": _at_rho},
         samples_needed=_local_pairs,
         run=lambda k, batch, p: run_local_scheme(k, batch=batch, **p),
         sample=lambda k, rho, trials, rng, p: _local_trials(k, rho, trials, rng, **p),
@@ -967,7 +929,6 @@ SCHEMES = {
             "rho_tilde": None,
             "n_block": None,
             "rho_nominal": _at_rho,
-            "exist_factor": EXIST_FACTOR,
             "guard_bits": GUARD_BITS,
         },
         samples_needed=lambda k, p, literal: _fitted_layout(k, **p).samples_needed,
@@ -976,7 +937,7 @@ SCHEMES = {
     ),
     "two_way": Scheme(
         family="gaussian",
-        params={"k1": lambda k, rho: default_phase1_bits(k), **_POINTER_KNOBS},
+        params={"k1": lambda k, rho: default_phase1_bits(k)},
         samples_needed=_two_way_pairs,
         run=lambda k, batch, p: run_two_way(k, batch=batch, **p),
         sample=lambda k, rho, trials, rng, p: _two_way_trials(k, rho, trials, rng, **p),
@@ -985,15 +946,23 @@ SCHEMES = {
 SCHEME_NAMES = tuple(SCHEMES)
 
 
+def _is_number(value, integral: bool) -> bool:
+    """Whether value is a finite real (an integer if integral), not a bool."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Integral if integral else numbers.Real)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which scheme to run and with what knobs.
 
-    params takes, by scheme: local rho_nominal (default rho), c_threshold,
-    c_bits; two_way k1 (default ceil(sqrt(k))), c_threshold, c_bits;
-    binary_block rho_tilde and n_block (both required), rho_nominal
-    (default rho), exist_factor, guard_bits. Constants default to the
-    module's C_THRESHOLD, C_BITS, EXIST_FACTOR and GUARD_BITS, and a value
+    k is an integer budget (a numpy integer is stored as int). params
+    takes, by scheme: local rho_nominal (default rho); two_way k1 (default
+    ceil(sqrt(k))); binary_block rho_tilde and n_block (both required),
+    rho_nominal (default rho) and guard_bits (default GUARD_BITS). A value
     of None means the default. Setting use_batches runs the literal batch
     protocol per trial instead of the sufficient-statistic sampler (same
     law, much slower).
@@ -1009,8 +978,11 @@ class SchemeConfig:
             raise ValueError(
                 f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}"
             )
+        if not _is_number(self.k, integral=True):
+            raise ValueError(f"bit budget must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"bit budget must be positive, got {self.k}")
+        object.__setattr__(self, "k", int(self.k))
 
 
 _COUNT_PARAMS = ("n_block", "k1", "guard_bits")
@@ -1023,11 +995,7 @@ def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
     scheme = SCHEMES[config.scheme]
     for name, value in config.params.items():
         integral = name in _COUNT_PARAMS
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Integral if integral else numbers.Real)
-            or not math.isfinite(value)
-        ):
+        if value is not None and not _is_number(value, integral):
             kind = "an integer" if integral else "a finite number"
             raise ValueError(f"parameter {name!r} must be {kind}, got {value!r}")
         if name not in scheme.params:

@@ -214,7 +214,7 @@ BLOCK = {"scheme": "binary_block", "k_grid": [64], "rho_grid": [0.5]}
         ({"k_grid": [True]}, "k_grid"),
         ({"seed": True}, "seed"),
         ({"use_batches": "false"}, "use_batches"),
-        ({"params": {"c_bits": "x"}}, "c_bits"),
+        ({"scheme": "local", "params": {"rho_nominal": "x"}}, "rho_nominal"),
         ({"scheme": "local", "params": {"c_bit": 0.9, "rho_tilde": 3}}, "c_bit"),
         ({"scheme": "local", "params": {"rho_tilde": 3}}, "rho_tilde"),
         ({"rho_grid": [True, 0.5]}, "rho_grid"),
@@ -255,15 +255,27 @@ def test_simulate_rejects_mistyped_values(tmp_path, capsys, overrides, field):
 
 
 def test_simulate_accepts_typed_values(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        scheme="two_way",
-        params={"k1": None, "c_bits": 0.2, "c_threshold": 0},
-        use_batches=False,
-    )
-    code, out, _ = run(capsys, "simulate", "--config", cfg)
-    assert code == 0
-    assert out.splitlines()[1].startswith("two_way,16,0,")
+    # None means the default, and an integer serves where a float is asked
+    for scheme, params in [("two_way", {"k1": None}), ("local", {"rho_nominal": 0})]:
+        cfg = write_config(tmp_path, scheme=scheme, params=params, use_batches=False)
+        code, out, _ = run(capsys, "simulate", "--config", cfg)
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"{scheme},16,0,")
+
+
+@pytest.mark.parametrize(
+    "scheme, name",
+    [("local", "c_threshold"), ("two_way", "c_bits"), ("binary_block", "exist_factor")],
+)
+def test_simulate_rejects_fixed_constants(tmp_path, capsys, scheme, name):
+    # the scheme constants are not settable: a config naming one exits 2
+    params = {"rho_tilde": 0.5, "n_block": 32} if scheme == "binary_block" else {}
+    cfg = write_config(tmp_path, scheme=scheme, k_grid=[64], rho_grid=[0.5],
+                       params={**params, name: 0.2})
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2
+    assert out == ""
+    assert f"takes no parameter '{name}'" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
 def test_simulate_rejects_cells_before_any_trial(tmp_path, capsys):

@@ -117,10 +117,7 @@ def test_build_joint_identity_channel():
     assert joint == pytest.approx(expected, abs=1e-15)
 
 
-def test_build_joint_source_override_and_guard():
-    spec = one_way_identity(0.5)
-    with pytest.raises(ValueError):
-        build_joint(spec, source=binary_symmetric_product(0.5, 2))
+def test_build_joint_guard():
     big_src = binary_symmetric_product(0.0, 10)  # 1024 x 1024
     wide = np.full((1024, 16), 1.0 / 16)
     with pytest.raises(ValueError):
@@ -392,10 +389,10 @@ def test_gap_hamming_two_rounds_carry_signal():
 def gap_hamming_oracle(n, channels, c):
     """gap_hamming_demo's values and ok from the full 4^n x |U| joints."""
     rho0 = c / math.sqrt(n)
-    spec = InteractiveSpec(binary_symmetric_product(rho0, n), tuple(channels))
-    plus = build_joint(spec)
-    minus = build_joint(spec, binary_symmetric_product(-rho0, n))
-    null = build_joint(spec, binary_symmetric_product(0.0, n))
+    plus, minus, null = (
+        build_joint(InteractiveSpec(binary_symmetric_product(rho, n), tuple(channels)))
+        for rho in (rho0, -rho0, 0.0)
+    )
 
     def with_x(joint):
         return joint.sum(axis=1).reshape(2**n, -1)

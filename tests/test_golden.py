@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).with_name("golden")
 SIMULATE_CELLS = {
     "naive-fast": ("naive", 16, 0.5, {}, 2000, False),
     "max-fast": ("max", 10, 0.3, {}, 2000, False),
-    "local-fast": ("local", 12, 0.6, {"c_bits": 0.2}, 2000, False),
+    "local-fast": ("local", 12, 0.6, {}, 2000, False),
     "two_way-fast": ("two_way", 12, 0.6, {}, 2000, False),
     "binary_block-fast": (
         "binary_block", 12, 0.6,
@@ -36,9 +36,7 @@ SIMULATE_CELLS = {
     ),
     "naive-literal": ("naive", 16, 0.5, {}, 100, True),
     "max-literal": ("max", 8, 0.6, {}, 100, True),
-    "local-literal": (
-        "local", 8, 0.6, {"rho_nominal": 0.5, "c_threshold": 0.2}, 100, True,
-    ),
+    "local-literal": ("local", 8, 0.6, {"rho_nominal": 0.5}, 100, True),
     "two_way-literal": ("two_way", 10, 0.6, {"k1": 3}, 100, True),
     "binary_block-literal": (
         "binary_block", 8, 0.6, {"rho_tilde": 0.5, "n_block": 16}, 100, True,

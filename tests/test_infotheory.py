@@ -21,7 +21,6 @@ from corrcomm import (
     entropy,
     fisher_fd,
     kl,
-    mi_radius_gap,
     mutual_info,
     risk_bounds,
 )
@@ -150,6 +149,35 @@ def test_cmi_chain_rule_on_random_joints():
 def test_cmi_requires_3d():
     with pytest.raises(ValueError):
         cond_mutual_info(FiniteJoint.binary_symmetric(0.5).probs)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (np.full((2, 2), 0.25), "3-way"),
+        (np.array([[[0.5, 0.25]], [[0.5, -0.25]]]), "negative"),
+        (np.full((2, 2, 2), 0.25), "sums to 2.0"),
+        (np.zeros((2, 0, 2)), "nonempty"),
+    ],
+    ids=["ndim", "negative", "sum", "empty"],
+)
+def test_cmi_rejects_invalid_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        cond_mutual_info(table)
+
+
+def mi_radius_gap(j, qy) -> float:
+    """E_x D(P_{Y|X=x} || qy) - I(X;Y), summed from the definition.
+
+    It equals D(P_Y || qy); the test below checks that identity.
+    """
+    p = j.probs if isinstance(j, FiniteJoint) else np.asarray(j, dtype=float)
+    px = p.sum(axis=1)
+    avg = 0.0
+    for x in np.flatnonzero(px > 0):
+        cond = p[x] / px[x]
+        avg += px[x] * kl(cond / cond.sum(), qy)
+    return avg - mutual_info(p)
 
 
 def test_mi_radius_gap_identity():

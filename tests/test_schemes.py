@@ -555,12 +555,21 @@ def test_check_preconditions_resolves_params():
         check_preconditions(SchemeConfig("local", 8, {"c_bit": 0.2}), 0.0)
     with pytest.raises(ValueError, match="rho_nominal"):
         check_preconditions(SchemeConfig("two_way", 8, {"rho_nominal": 0.5}), 0.0)
-    with pytest.raises(ValueError, match="c_bits"):
-        check_preconditions(SchemeConfig("local", 8, {"c_bits": True}), 0.0)
-    with pytest.raises(ValueError, match="c_threshold"):
-        check_preconditions(SchemeConfig("local", 8, {"c_threshold": math.inf}), 0.0)
-    # counts must be integers
+    with pytest.raises(ValueError, match="rho_nominal"):
+        check_preconditions(SchemeConfig("local", 8, {"rho_nominal": True}), 0.0)
+    with pytest.raises(ValueError, match="rho_nominal"):
+        check_preconditions(SchemeConfig("local", 8, {"rho_nominal": math.inf}), 0.0)
+    # the marking and block-count constants are fixed, not parameters
     block = {"rho_tilde": 0.5, "n_block": 32}
+    for scheme, params in [
+        ("local", {"c_threshold": 0.1}),
+        ("two_way", {"c_bits": 0.15}),
+        ("binary_block", {**block, "exist_factor": 6.0}),
+    ]:
+        (name,) = set(params) - set(block)
+        with pytest.raises(ValueError, match=f"takes no parameter '{name}'"):
+            check_preconditions(SchemeConfig(scheme, 64, params), 0.5)
+    # counts must be integers
     for scheme, params in [
         ("binary_block", {**block, "n_block": 32.0}),
         ("binary_block", {**block, "guard_bits": 0.5}),
@@ -619,6 +628,18 @@ def test_scheme_config_validation():
         SchemeConfig("quantum", 8)
     with pytest.raises(ValueError):
         SchemeConfig("naive", 0)
+
+
+def test_scheme_config_budget_must_be_an_integer():
+    # a fractional budget used to run and report k = 8.5, True ran as k = 1
+    for k in (8.5, 8.0, True, math.inf, math.nan, "8"):
+        with pytest.raises(ValueError, match="bit budget must be an integer"):
+            SchemeConfig("two_way", k)
+    config = SchemeConfig("naive", np.int64(8))
+    assert type(config.k) is int
+    assert estimate_risk(config, 0.5, 100, SEED) == estimate_risk(
+        SchemeConfig("naive", 8), 0.5, 100, SEED
+    )
 
 
 def test_estimate_risk_requires_100_trials():
