@@ -51,7 +51,7 @@ def _check_pmfs(stack: np.ndarray, name: str, atol: float = 1e-9) -> None:
     if np.any(stack < 0):
         raise ValueError(f"{name} has negative entries")
     totals = stack.reshape(len(stack), -1).sum(axis=1)
-    bad = np.abs(totals - 1.0) > atol
+    bad = ~(np.abs(totals - 1.0) <= atol)  # a nan entry makes its total nan
     if bad.any():
         total = float(totals[bad][0])
         raise ValueError(f"{name} sums to {total!r}, expected 1 within {atol}")

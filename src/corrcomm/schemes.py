@@ -110,17 +110,20 @@ def _max_normal_moment(n: int, power: int) -> float:
     value, err = integrate.quad(
         integrand, lo, hi, points=points, limit=400, epsabs=1e-11, epsrel=1e-11
     )
-    if err > 1e-8:
+    if not err <= 1e-8:  # a nan error fails too
         raise ArithmeticError(
             f"max-normal moment quadrature error {err} exceeds 1e-8 (n={n})"
         )
     return float(value)
 
 
+_MAX_POOL = 2**MAX_FAST_POINTER_BITS
+
+
 def _check_pool_size(n) -> int:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"pool size must be a positive integer, got {n!r}")
-    if n > 2**MAX_FAST_POINTER_BITS:
+    if n > _MAX_POOL:
         raise ValueError(
             f"pool size must be at most 2^{MAX_FAST_POINTER_BITS}, "
             f"got about 2^{math.log2(n):.6g}"
@@ -179,24 +182,27 @@ class Message:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered messages with speaker labels under a fixed bit budget."""
+    """Ordered messages with speaker labels under a fixed bit budget.
+
+    bits_used, the messages' total bit count, is summed once at
+    construction; it takes no part in equality or repr.
+    """
 
     budget: int
     messages: tuple[Message, ...]
+    bits_used: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError(f"bit budget must be positive, got {self.budget}")
         if self.messages and self.messages[0].speaker != "alice":
             raise ValueError("round 1 belongs to alice")
-        if self.bits_used > self.budget:
+        bits_used = sum(m.bit_count for m in self.messages)
+        if bits_used > self.budget:
             raise ValueError(
-                f"transcript spends {self.bits_used} bits, budget is {self.budget}"
+                f"transcript spends {bits_used} bits, budget is {self.budget}"
             )
-
-    @property
-    def bits_used(self) -> int:
-        return sum(m.bit_count for m in self.messages)
+        object.__setattr__(self, "bits_used", bits_used)
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ class RiskReport:
 
     def __post_init__(self):
         gap = abs(self.mse - (self.bias**2 + self.variance))
-        if gap > 1e-9:
+        if not gap <= 1e-9:  # a nan in any of the three fails too
             raise ValueError(
                 f"mse {self.mse} inconsistent with bias^2 + variance "
                 f"(gap {gap})"
@@ -247,14 +253,27 @@ def _bits(value: int, width: int) -> str:
     return format(int(value), f"0{width}b")
 
 
-def _sign_bits(values: np.ndarray) -> str:
-    """One bit per value: "1" where it is positive, "0" elsewhere."""
-    return np.where(values > 0, b"1", b"0").tobytes().decode("ascii")
+_MASK_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask_bits(mask: np.ndarray) -> str:
+    """One bit per entry of a boolean array: "1" where it is set."""
+    return mask.tobytes().translate(_MASK_DIGITS).decode("ascii")
 
 
 # ----------------------------------------------------------------------
 # batch runners
 # ----------------------------------------------------------------------
+
+def _mean_sign_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean of a * b over two sign columns (+-1 floats, or booleans for +-1).
+
+    The products sum to 2 agreements - n exactly, so this is the float that
+    np.mean(a * b) gives, without the products.
+    """
+    n = len(a)
+    return (2 * int(np.count_nonzero(a == b)) - n) / n
+
 
 def _require_family(batch: PairBatch, family: str, scheme: str) -> None:
     if batch.family != family:
@@ -269,9 +288,8 @@ def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     if len(batch) < k:
         raise ValueError(f"need at least {k} pairs, batch has {len(batch)}")
     x = batch.x[:k]
-    y = batch.y[:k]
-    raw = float(np.mean(x * y))
-    payload = _sign_bits(x)
+    raw = _mean_sign_product(x, batch.y[:k])
+    payload = _mask_bits(x > 0)
     transcript = Transcript(budget=k, messages=(Message("alice", payload, k),))
     return EstimateResult(
         rho_hat=_clamp(raw),
@@ -315,7 +333,7 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     """
     _require_family(batch, "gaussian", "run_max_scheme")
     n = _check_pointer_budget(k, len(batch))
-    winner = int(np.argmax(batch.x[:n]))
+    winner = int(batch.x[:n].argmax())
     raw = float(batch.y[winner] / expected_max_normal(n))
     transcript = Transcript(
         budget=k, messages=(Message("alice", _bits(winner, k), k),)
@@ -339,6 +357,39 @@ def _local_threshold(k: int, rho_nominal: float) -> float:
     return rho_nominal * math.sqrt(2.0 * k * LN2) * (1.0 - C_THRESHOLD)
 
 
+def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
+    """The local scheme on a checked pool of 2^k pairs: (message, rho_hat, aux).
+
+    run_local_scheme sends this round alone; run_two_way sends it as phase 2.
+    """
+    winner = int(x.argmax())
+    m = _local_prefix_bits(k, rho_nominal)
+    prefix = winner >> (k - m)
+    if m == k:
+        decoded: int | None = winner
+    else:
+        lo = prefix << (k - m)
+        marked = y[lo : lo + (1 << (k - m))] > _local_threshold(k, rho_nominal)
+        if np.count_nonzero(marked) == 1:
+            decoded = lo + int(marked.argmax())
+        else:
+            decoded = None
+
+    if decoded is None:
+        raw = rho_hat = rho_nominal
+    else:
+        raw = float(y[decoded] / expected_max_normal(len(x)))
+        rho_hat = _clamp(raw)
+    aux = {
+        "raw": raw,
+        "decode_failed": decoded is None,
+        "winner": winner,
+        "decoded": decoded,
+        "m_bits": m,
+    }
+    return Message("alice", _bits(prefix, m), m), rho_hat, aux
+
+
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
     """Maximum pointer compressed against side information near rho_nominal.
 
@@ -353,46 +404,12 @@ def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateRe
     if not -1.0 < rho_nominal < 1.0:
         raise ValueError(f"nominal correlation must lie in (-1, 1), got {rho_nominal}")
     n = _check_pointer_budget(k, len(batch))
-    x = batch.x[:n]
-    y = batch.y[:n]
-    winner = int(np.argmax(x))
-    m = _local_prefix_bits(k, rho_nominal)
-    mean_max = expected_max_normal(n)
-
-    if m == k:
-        decoded: int | None = winner
-    else:
-        prefix = winner >> (k - m)
-        lo = prefix << (k - m)
-        hi = lo + (1 << (k - m))
-        threshold = _local_threshold(k, rho_nominal)
-        candidates = np.nonzero(y[lo:hi] > threshold)[0] + lo
-        decoded = int(candidates[0]) if candidates.size == 1 else None
-
-    if decoded is None:
-        raw = rho_nominal
-        rho_hat = rho_nominal
-        failed = True
-    else:
-        raw = float(y[decoded] / mean_max)
-        rho_hat = _clamp(raw)
-        failed = False
-
-    transcript = Transcript(
-        budget=k,
-        messages=(Message("alice", _bits(winner >> (k - m), m), m),),
-    )
+    message, rho_hat, aux = _local_round(k, rho_nominal, batch.x[:n], batch.y[:n])
     return EstimateResult(
         rho_hat=rho_hat,
-        bits_used=m,
-        aux={
-            "raw": raw,
-            "decode_failed": failed,
-            "winner": winner,
-            "decoded": decoded,
-            "m_bits": m,
-        },
-        transcript=transcript,
+        bits_used=message.bit_count,
+        aux=aux,
+        transcript=Transcript(budget=k, messages=(message,)),
     )
 
 
@@ -506,46 +523,38 @@ def run_binary_block(
             f"need at least {layout.samples_needed} pairs, batch has {len(batch)}"
         )
     n, m = layout.n_block, layout.m_blocks
+    shift = layout.index_bits - layout.prefix_bits
     xs = batch.x[: n * m].reshape(m, n)
     ys = batch.y[: n * m].reshape(m, n)
-    sums_a = xs.sum(axis=1)
-    sums_b = ys.sum(axis=1)
+    hits = np.einsum("ij->i", xs) == layout.target_sum
+    j_star = int(hits.argmax())  # 0 when no block hits
+    exist_failed = not hits[j_star]
 
-    hits = np.nonzero(sums_a == layout.target_sum)[0]
-    exist_failed = hits.size == 0
-    j_star = int(hits[0]) if not exist_failed else 0
-
-    marked = np.abs(sums_b - layout.center) <= layout.window
-    decode_failed = False
     decoded: int | None = None
     if not exist_failed:
-        if layout.prefix_bits == layout.index_bits:
+        if shift == 0:
             decoded = j_star
         else:
-            shift = layout.index_bits - layout.prefix_bits
-            prefix = j_star >> shift
-            block_ids = np.nonzero(marked)[0]
-            matches = block_ids[(block_ids >> shift) == prefix]
-            if matches.size == 1:
-                decoded = int(matches[0])
-            else:
-                decode_failed = True
+            # only the blocks of the anchor's prefix bucket can match
+            lo = j_star >> shift << shift
+            sums_b = ys[lo : lo + (1 << shift)].sum(axis=1)
+            marked = np.abs(sums_b - layout.center) <= layout.window
+            if np.count_nonzero(marked) == 1:
+                decoded = lo + int(marked.argmax())
+    decode_failed = not exist_failed and decoded is None
 
-    if exist_failed or decode_failed:
-        raw = float(np.mean(xs[0] * ys[0]))
+    if decoded is None:
+        raw = _mean_sign_product(xs[0], ys[0])
     else:
-        raw = float(sums_b[decoded] / (n * rho_tilde))
+        raw = float(ys[decoded].sum() / (n * rho_tilde))
 
-    prefix_val = j_star >> (layout.index_bits - layout.prefix_bits)
+    bits = layout.prefix_bits
     transcript = Transcript(
-        budget=k,
-        messages=(
-            Message("alice", _bits(prefix_val, layout.prefix_bits), layout.prefix_bits),
-        ),
+        budget=k, messages=(Message("alice", _bits(j_star >> shift, bits), bits),)
     )
     return EstimateResult(
         rho_hat=_clamp(raw),
-        bits_used=layout.prefix_bits,
+        bits_used=bits,
         aux={
             "raw": raw,
             "exist_failed": exist_failed,
@@ -593,33 +602,24 @@ def run_two_way(k: int, k1: int | None, batch: PairBatch) -> EstimateResult:
     _check_phase1(k, k1)
     k2 = k - k1
     n2 = _check_pointer_budget(k2, len(batch) - k1)
-    sign_x = np.where(batch.x[:k1] >= 0, 1.0, -1.0)
-    sign_y = np.where(batch.y[:k1] >= 0, 1.0, -1.0)
-    mean_product = float(np.mean(sign_x * sign_y))
-    rho0 = _phase1_estimate(mean_product)
+    sign_x = batch.x[:k1] >= 0
+    rho0 = _phase1_estimate(_mean_sign_product(sign_x, batch.y[:k1] >= 0))
     rho0 = min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
 
-    tail = PairBatch(
-        x=batch.x[k1 : k1 + n2], y=batch.y[k1 : k1 + n2], family="gaussian"
+    message, rho_hat, local = _local_round(
+        k2, rho0, batch.x[k1 : k1 + n2], batch.y[k1 : k1 + n2]
     )
-    local = run_local_scheme(k2, rho0, tail)
-
-    payload = _sign_bits(sign_x)
     transcript = Transcript(
-        budget=k,
-        messages=(
-            Message("alice", payload, k1),
-            local.transcript.messages[0],
-        ),
+        budget=k, messages=(Message("alice", _mask_bits(sign_x), k1), message)
     )
     return EstimateResult(
-        rho_hat=local.rho_hat,
-        bits_used=k1 + local.bits_used,
+        rho_hat=rho_hat,
+        bits_used=k1 + message.bit_count,
         aux={
-            "raw": local.aux["raw"],
+            "raw": local["raw"],
             "rho0_hat": rho0,
-            "decode_failed": local.aux["decode_failed"],
-            "m_bits": local.aux["m_bits"],
+            "decode_failed": local["decode_failed"],
+            "m_bits": local["m_bits"],
         },
         transcript=transcript,
     )
@@ -1034,6 +1034,9 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     return _resolve(config, rho_true)[2]
 
 
+_FLAGS = ("decode_failed", "exist_failed")
+
+
 def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                   master_seed: int) -> RiskReport:
     """Monte Carlo squared-error risk of a scheme at one (k, rho) cell.
@@ -1048,21 +1051,22 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
 
     if config.use_batches:
         model = CorrelationModel(scheme.family, rho_true)
+        run, k = scheme.run, config.k
         rho_hats = np.empty(trials)
         raws = np.empty(trials)
-        flags: dict[str, np.ndarray] = {}
-        for trial in range(trials):
-            try:
-                batch = gen_pairs(model, needed, master_seed, trial)
-                result = scheme.run(config.k, batch, params)
-            except ValueError as exc:
-                raise ValueError(f"trial {trial}: {exc}") from exc
-            rho_hats[trial] = result.rho_hat
-            raws[trial] = result.aux.get("raw", result.rho_hat)
-            for flag in ("decode_failed", "exist_failed"):
-                if flag in result.aux:
-                    arr = flags.setdefault(flag, np.zeros(trials, dtype=bool))
-                    arr[trial] = bool(result.aux[flag])
+        flags = None  # flag name -> column, for the flags the first run reports
+        try:
+            for trial in range(trials):
+                result = run(k, gen_pairs(model, needed, master_seed, trial), params)
+                aux = result.aux
+                if flags is None:
+                    flags = {f: np.zeros(trials, dtype=bool) for f in _FLAGS if f in aux}
+                rho_hats[trial] = result.rho_hat
+                raws[trial] = aux.get("raw", result.rho_hat)
+                for name, column in flags.items():
+                    column[trial] = aux[name]
+        except ValueError as exc:
+            raise ValueError(f"trial {trial}: {exc}") from exc
         aux = {"raw": raws, **flags}
     else:
         rng = substream(
@@ -1085,7 +1089,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
         extras["raw_mse_ci95"] = float(
             1.96 * np.std((raw - rho_true) ** 2, ddof=1) / math.sqrt(trials)
         )
-    for flag in ("decode_failed", "exist_failed"):
+    for flag in _FLAGS:
         if flag in aux:
             extras[f"{flag.removesuffix('ed')}_rate"] = float(np.mean(aux[flag]))
     return RiskReport(

@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 FAMILIES = ("binary", "gaussian")
+_SIGNS = np.array([-1.0, 1.0])  # a sign by its bit
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,17 @@ class PairBatch:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _trusted(cls, x: np.ndarray, y: np.ndarray, family: str) -> PairBatch:
+        """A batch of columns that pass __post_init__'s checks as they are.
+
+        The caller guarantees 1-D float64 columns of one nonzero length, a
+        known family and +-1 values in a binary batch; nothing is re-checked.
+        """
+        batch = object.__new__(cls)
+        vars(batch).update(x=x, y=y, family=family)
+        return batch
+
     def __len__(self) -> int:
         return int(self.x.size)
 
@@ -83,20 +95,24 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int, trial: int = 0) -> Pai
     """Draw n correlated pairs from the model's joint law.
 
     The stream is derived from (seed, "gen_pairs/<family>", trial), so
-    distinct trials of one experiment never share randomness.
+    distinct trials of one experiment never share randomness. A binary
+    batch draws n integers, then n uniforms; a gaussian one draws x's n
+    normals, then the n normals z that y = rho x + sqrt(1 - rho^2) z mixes
+    in (one call of 2n normals is the same stream as two calls of n).
     """
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
     rng = substream(seed, f"gen_pairs/{model.family}", trial)
     if model.family == "binary":
-        x = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        x = _SIGNS.take(rng.integers(0, 2, size=n))
         agree = rng.random(n) < (1.0 + model.rho) / 2.0
         y = np.where(agree, x, -x)
     else:
-        x = rng.standard_normal(n)
-        z = rng.standard_normal(n)
-        y = model.rho * x + math.sqrt(1.0 - model.rho**2) * z
-    return PairBatch(x=x, y=y, family=model.family)
+        normals = rng.standard_normal(2 * n)
+        x, y = normals[:n], normals[n:]
+        y *= math.sqrt(1.0 - model.rho**2)  # z scaled in place, then + rho x
+        y += model.rho * x
+    return PairBatch._trusted(x, y, model.family)
 
 
 @dataclass(frozen=True)

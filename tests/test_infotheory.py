@@ -166,6 +166,21 @@ def test_cmi_rejects_invalid_tables(table, message):
         cond_mutual_info(table)
 
 
+@pytest.mark.parametrize(
+    "check, table",
+    [
+        (FiniteJoint, np.full((2, 2), math.nan)),
+        (entropy, [math.nan, math.nan]),
+        (cond_mutual_info, np.full((2, 2, 2), math.nan)),
+    ],
+    ids=["FiniteJoint", "entropy", "cond_mutual_info"],
+)
+def test_pmf_checks_reject_nan(check, table):
+    # a nan total once passed the "sums to 1 within atol" comparison
+    with pytest.raises(ValueError, match="sums to nan"):
+        check(table)
+
+
 def mi_radius_gap(j, qy) -> float:
     """E_x D(P_{Y|X=x} || qy) - I(X;Y), summed from the definition.
 

@@ -6,6 +6,7 @@ are compared at 3-sigma throughout, so a distributional mismatch in either
 one fails loudly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from corrcomm import (
     EstimateResult,
     Message,
     PairBatch,
+    RiskReport,
     SchemeConfig,
     Transcript,
     block_layout,
@@ -33,7 +35,7 @@ from corrcomm import (
     run_two_way,
     var_max_normal,
 )
-from corrcomm.schemes import _binom_pmf
+from corrcomm.schemes import _binom_pmf, _max_normal_moment
 
 SEED = 411
 
@@ -78,6 +80,22 @@ def test_max_normal_validation():
     with pytest.raises(ValueError, match="2\\^960"):
         expected_max_normal(2**961)
     assert var_max_normal(2**960) > 0
+
+
+def test_max_normal_quadrature_rejects_a_nan_error(monkeypatch):
+    # a nan error estimate once passed the "error exceeds 1e-8" comparison
+    import scipy.integrate
+
+    calls = []
+
+    def nan_quad(*args, **kwargs):
+        calls.append(args)
+        return 1.0, math.nan
+
+    monkeypatch.setattr(scipy.integrate, "quad", nan_quad)
+    with pytest.raises(ArithmeticError, match="error nan exceeds"):
+        _max_normal_moment(12347, 1)  # a pool no other test caches
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -129,8 +147,20 @@ def test_message_validation():
 def test_transcript_budget_and_order():
     msg = Message("alice", "01", 2)
     t = Transcript(budget=4, messages=(msg, Message("bob", "1", 1)))
-    assert t.bits_used == 3
-    with pytest.raises(ValueError):
+    assert t.bits_used == 3 == sum(m.bit_count for m in t.messages)
+    # bits_used is stored at construction but stays out of equality and repr
+    same = Transcript(budget=4, messages=(msg, Message("bob", "1", 1)))
+    assert t == same and hash(t) == hash(same)
+    assert t != Transcript(budget=5, messages=t.messages)
+    assert repr(t) == (
+        "Transcript(budget=4, messages=(Message(speaker='alice', payload='01', "
+        "bit_count=2), Message(speaker='bob', payload='1', bit_count=1)))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.bits_used = 2
+    with pytest.raises(TypeError):
+        Transcript(budget=4, messages=(msg,), bits_used=2)
+    with pytest.raises(ValueError, match="spends 3 bits, budget is 2"):
         Transcript(budget=2, messages=(msg, Message("bob", "1", 1)))
     with pytest.raises(ValueError):
         Transcript(budget=4, messages=(Message("bob", "1", 1),))
@@ -146,6 +176,15 @@ def test_estimate_result_validation():
         EstimateResult(rho_hat=0.0, bits_used=3, transcript=t)
     ok = EstimateResult(rho_hat=0.0, bits_used=2, transcript=t)
     assert ok.bits_used == ok.transcript.bits_used
+
+
+def test_risk_report_rejects_nan():
+    # a nan gap once passed the "gap exceeds 1e-9" comparison
+    fields = dict(scheme="naive", rho_true=0.5, k=8, trials=100, bias=0.0,
+                  variance=0.01, ci95_halfwidth=0.001, seed=SEED)
+    RiskReport(mse=0.01, **fields)
+    with pytest.raises(ValueError, match="inconsistent"):
+        RiskReport(mse=math.nan, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +374,63 @@ def test_block_scheme_partial_prefix_run():
     if result.aux["decoded"] is not None and not result.aux["exist_failed"]:
         shift = layout.index_bits - layout.prefix_bits
         assert result.aux["decoded"] >> shift == result.aux["anchor_block"] >> shift
+
+
+def block_scheme_by_full_scan(rho_tilde, n_block, batch, rho_nominal):
+    """run_binary_block's (anchor, decoded, raw) at guard_bits 0, marking
+    every block of bob's."""
+    layout = block_layout(rho_tilde, n_block, rho_nominal, 0)
+    n, m = layout.n_block, layout.m_blocks
+    xs = batch.x[: n * m].reshape(m, n)
+    ys = batch.y[: n * m].reshape(m, n)
+    hits = np.nonzero(xs.sum(axis=1) == layout.target_sum)[0]
+    anchor = int(hits[0]) if hits.size else 0
+    shift = layout.index_bits - layout.prefix_bits
+    marked = np.nonzero(np.abs(ys.sum(axis=1) - layout.center) <= layout.window)[0]
+    matches = marked[(marked >> shift) == anchor >> shift]
+    decoded = None
+    if hits.size and (shift == 0 or matches.size == 1):
+        decoded = anchor if shift == 0 else int(matches[0])
+    if decoded is None:
+        return anchor, None, float(np.mean(xs[0] * ys[0]))
+    return anchor, decoded, float(ys.sum(axis=1)[decoded] / (n * rho_tilde))
+
+
+@pytest.mark.parametrize(
+    "rho_tilde, n_block, rho_nominal",
+    [(0.5, 4, 0.9), (0.5, 8, 1.0), (0.5, 16, 0.5), (1.0, 2, 0.9), (1.0, 3, 0.5)],
+)
+def test_block_scheme_matches_a_full_scan(rho_tilde, n_block, rho_nominal):
+    # bob marks only the anchor's bucket; every block's marks give the same run
+    layout = block_layout(rho_tilde, n_block, rho_nominal, 0)
+    assert layout.prefix_bits < layout.index_bits
+    k = layout.prefix_bits
+    decoded = 0
+    for trial in range(60):
+        model = CorrelationModel("binary", (-0.9, 0.3, 0.8)[trial % 3])
+        batch = gen_pairs(model, layout.samples_needed, SEED, trial)
+        result = run_binary_block(k, rho_tilde, n_block, batch, rho_nominal, 0)
+        anchor, want, raw = block_scheme_by_full_scan(
+            rho_tilde, n_block, batch, rho_nominal
+        )
+        assert result.aux["anchor_block"] == anchor
+        assert result.aux["decoded"] == want
+        assert result.aux["raw"] == raw and type(result.aux["raw"]) is float
+        decoded += want is not None
+    assert 0 < decoded < 60  # both the decode and the fallback ran
+
+
+def test_sign_means_are_the_float_mean_of_the_products():
+    # runners count sign agreements instead of averaging the products
+    for trial in range(50):
+        batch = gen_pairs(CorrelationModel("binary", 0.3), 41, SEED, trial)
+        raw = run_naive(41, batch).aux["raw"]
+        assert raw == float(np.mean(batch.x * batch.y)) and type(raw) is float
+        gauss = gen_pairs(CorrelationModel("gaussian", 0.3), 7 + 2**3, SEED, trial)
+        sign_x = np.where(gauss.x[:7] >= 0, 1.0, -1.0)
+        signs = sign_x * np.where(gauss.y[:7] >= 0, 1.0, -1.0)
+        rho0 = min(0.95, max(-0.95, math.sin(0.5 * math.pi * float(np.mean(signs)))))
+        assert run_two_way(10, 7, gauss).aux["rho0_hat"] == rho0
 
 
 # ----------------------------------------------------------------------
@@ -608,8 +704,9 @@ def test_scheme_table_calls_through_module_attributes(
     # wrappers installed on the module (tracers, test doubles) see every call
     import corrcomm.schemes
 
+    runners = [name for name in corrcomm.schemes.__all__ if name.startswith("run_")]
     calls = []
-    for name in (runner, sampler):
+    for name in (*runners, sampler, "gen_pairs"):
         original = getattr(corrcomm.schemes, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -618,8 +715,12 @@ def test_scheme_table_calls_through_module_attributes(
 
         monkeypatch.setattr(corrcomm.schemes, name, spy)
     estimate_risk(SchemeConfig(scheme, k, params, use_batches=True), 0.5, 100, SEED)
-    estimate_risk(SchemeConfig(scheme, k, params), 0.5, 100, SEED)
+    # one batch and one runner call per trial (two_way's phase 2 included)
+    assert calls.count("gen_pairs") == 100
     assert calls.count(runner) == 100
+    assert len(calls) == 200
+    estimate_risk(SchemeConfig(scheme, k, params), 0.5, 100, SEED)
+    assert calls.count("gen_pairs") == 100
     assert calls.count(sampler) == 1
 
 

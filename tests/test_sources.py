@@ -13,6 +13,7 @@ from corrcomm import (
     shift_correlation,
     shift_params,
 )
+from corrcomm.rng import substream
 
 SEED = 20240817
 
@@ -30,6 +31,15 @@ def test_batch_validation():
     with pytest.raises(ValueError):
         PairBatch(x=np.zeros(3), y=np.zeros(3), family="cauchy")
     assert len(PairBatch(x=np.zeros(5), y=np.zeros(5), family="gaussian")) == 5
+    # batches built by callers are checked in full; gen_pairs' are not
+    with pytest.raises(ValueError, match="\\+-1 values"):
+        PairBatch(x=np.array([1.0, 0.5]), y=np.ones(2), family="binary")
+    with pytest.raises(ValueError, match="\\+-1 values"):
+        PairBatch(x=np.ones(2), y=np.array([-1.0, 0.5]), family="binary")
+    with pytest.raises(ValueError, match="1-D"):
+        PairBatch(x=np.ones((2, 1)), y=np.ones((2, 1)), family="binary")
+    with pytest.raises(ValueError, match="at least one pair"):
+        PairBatch(x=np.ones(0), y=np.ones(0), family="gaussian")
 
 
 def test_gen_pairs_binary_values_and_agreement():
@@ -63,6 +73,31 @@ def test_gen_pairs_deterministic_per_trial():
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.y, b.y)
     assert not np.array_equal(a.x, c.x)
+
+
+@pytest.mark.parametrize("family", ["binary", "gaussian"])
+@pytest.mark.parametrize(
+    "n, seed, trial, rho", [(1, 0, 0, 0.6), (68, 3, 17, -0.3), (1025, SEED, 4, 1.0)]
+)
+def test_gen_pairs_stream_is_pinned(family, n, seed, trial, rho):
+    batch = gen_pairs(CorrelationModel(family, rho), n, seed, trial)
+    # the recipe the stream was defined by, written out
+    rng = substream(seed, f"gen_pairs/{family}", trial)
+    if family == "binary":
+        x = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        agree = rng.random(n) < (1.0 + rho) / 2.0
+        y = np.where(agree, x, -x)
+    else:
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(n)
+        y = rho * x + math.sqrt(1.0 - rho**2) * z
+    for got, want in ((batch.x, x), (batch.y, y)):
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, want)
+    # the batch passes the checks it skipped
+    rebuilt = PairBatch(x=batch.x, y=batch.y, family=family)
+    assert np.array_equal(rebuilt.x, x) and np.array_equal(rebuilt.y, y)
+    assert batch.family == family and len(batch) == n
 
 
 def test_gen_pairs_rejects_empty():
