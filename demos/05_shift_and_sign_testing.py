@@ -11,7 +11,8 @@ coupling and watch the moments land where they should.
 Part 2. Deciding the *sign* of a weak correlation c/sqrt(n) needs order
 n transcript bits, because each bit moves the two hypothesis mixtures
 apart by at most rho0^2 = c^2/n. The demo computes I(hypothesis;
-transcript) exactly for small n and reports the implied budget.
+transcript) exactly, from tables of 2^n rows, for n from 2 to 16 and
+reports the implied budget.
 """
 
 from corrcomm import (
@@ -46,7 +47,7 @@ def main() -> None:
 
     print("sign testing at per-coordinate correlation 1/sqrt(n):")
     print(f"{'n':>3} {'I(U; transcript)':>17} {'implied budget':>15}")
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 12, 16):
         # two rounds of coordinate majorities, the natural first attempt
         vote = majority_channel(n)
         second = np.stack([vote] * 2, axis=1)

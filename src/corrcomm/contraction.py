@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .infotheory import (
-    PMF_ATOL,
     FiniteJoint,
     _check_joints,
     _check_pmfs,
@@ -327,12 +326,16 @@ def _info_splits(sources: list, channels: list) -> list[InfoSplit]:
 # ----------------------------------------------------------------------
 
 def random_spec(
-    source: FiniteJoint,
-    r_max: int,
-    u_max: int,
-    rng: np.random.Generator,
+    source: FiniteJoint, r_max: int, u_max: int, rng: np.random.Generator
 ) -> InteractiveSpec:
     """Uniformly random rounds/alphabets with Dirichlet(1) channel rows."""
+    channels = _random_channels(source.nx, source.ny, r_max, u_max, rng)
+    # Dirichlet rows are pmfs by construction; stacked evaluations check them
+    return InteractiveSpec._unchecked(source, channels)
+
+
+def _random_channels(nx: int, ny: int, r_max: int, u_max: int, rng) -> tuple:
+    """random_spec's channels for nx x ny alphabets, from the same stream."""
     if r_max < 1 or u_max < 2:
         raise ValueError("need r_max >= 1 and u_max >= 2")
     rounds = int(rng.integers(1, r_max + 1))
@@ -340,13 +343,10 @@ def random_spec(
     channels = []
     for i in range(1, rounds + 1):
         u_i = int(rng.integers(2, u_max + 1))
-        input_size = source.nx if i % 2 == 1 else source.ny
-        shape = (input_size, *sizes)
-        rows = rng.dirichlet(np.ones(u_i), size=shape)
-        channels.append(rows)
+        shape = (nx if i % 2 == 1 else ny, *sizes)
+        channels.append(rng.dirichlet(np.ones(u_i), size=shape))
         sizes.append(u_i)
-    # Dirichlet rows are pmfs by construction; stacked evaluations check them
-    return InteractiveSpec._unchecked(source, tuple(channels))
+    return tuple(channels)
 
 
 @dataclass(frozen=True)
@@ -831,13 +831,12 @@ def verify_shift_reduction(rho0: float, rho1: float, spec_channels) -> CheckResu
 
 def majority_channel(n: int) -> np.ndarray:
     """Deterministic one-bit channel: 1 when most of the n signs are +1."""
-    size = 2**n
-    table = np.zeros((size, 2))
-    for idx in range(size):
-        ones = bin(idx).count("1")  # symbol 1 encodes -1
-        plus = n - ones
-        table[idx, 1 if plus > n - plus else 0] = 1.0
-    return table
+    if n < 1:
+        raise ValueError(f"coordinate count must be positive, got {n}")
+    minus = np.zeros(1, dtype=np.int64)  # -1 signs per row; symbol 1 encodes -1
+    for _ in range(n):
+        minus = np.concatenate([minus, minus + 1])
+    return np.eye(2)[(2 * minus < n).astype(np.intp)]  # ties go to symbol 0
 
 
 def _noised(table: np.ndarray, n: int, rho: float) -> np.ndarray:
@@ -881,27 +880,22 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     channel entries along the transcript u and B Bob's, and
     P^sign(x, u) = 2^-n A(x, u) (T_{sign rho0} B(., u))(x) with the
     rho-noise operator T (see _noised). No table larger than 2^n x |U| is
-    built. Inputs are held to the full joint's bounds all the same, n at
-    most 11 and 4^n |U| entries under JOINT_ENTRY_GUARD, so the check
-    accepts exactly the inputs, and replays exactly the records, that the
-    full-joint computation (the tests' oracle) can check.
+    built, and that size, read from the channel shapes before any entry
+    is, is what JOINT_ENTRY_GUARD bounds.
     """
+    if isinstance(n, bool) or operator.index(n) < 1:  # bool is a subclass of int
+        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
     n = operator.index(n)
-    n_max = int(math.log(JOINT_ENTRY_GUARD, 4))
-    if not 1 <= n <= n_max:
-        raise ValueError(
-            f"coordinate count must lie in [1, {n_max}] (the full joint holds 4^n "
-            f"entries, guard is {JOINT_ENTRY_GUARD}), got {n}"
-        )
+    channels = [np.asarray(chan, dtype=float) for chan in spec_channels]
+    sizes = [chan.shape[-1] for chan in channels if chan.ndim]  # _check_rounds rejects 0-d
+    # 2^n |U|, with n clipped where any |U| >= 1 is over the guard already
+    _check_entries(max(math.prod(sizes), 1) << min(n, JOINT_ENTRY_GUARD.bit_length()))
     rho0 = c / math.sqrt(n)
     if not 0 < rho0 <= 1:
         raise ValueError(f"per-coordinate correlation {rho0} outside (0, 1]")
 
     size = 2**n
-    channels = [np.asarray(chan, dtype=float) for chan in spec_channels]
     _check_rounds(size, size, [chan[None] for chan in channels])
-    sizes = [chan.shape[-1] for chan in channels]
-    _check_entries(size * size * math.prod(sizes))
     # sides[0] is A, sides[1] is B, each over (x or y, u_1, ..., u_r)
     sides = [np.ones((size, *sizes)), np.ones((size, *sizes))]
     for i, chan in enumerate(channels):
@@ -913,21 +907,20 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     # T_{-rho} f(x) = T_rho f(x with every coordinate flipped): reversed rows
     noised = _noised(np.concatenate([bob, _xlog2x(bob)], axis=1), n, rho0)
     scale = 2.0**-n
+    # column sums run down 2^n rows: summed over a contiguous copy, numpy
+    # sums them pairwise, where row by row they drift past PMF_ATOL at n = 20
     with_x_plus = scale * alice * noised[:, :cols]
     with_x_minus = scale * alice * noised[::-1, :cols]
-    with_x_null = scale * alice * bob.mean(axis=0)
-    mixture_kl_bound = 0.5 * kl(with_x_plus, with_x_null) + 0.5 * kl(
-        with_x_minus, with_x_null
-    )
+    with_x_null = scale * alice * (scale * bob.T.copy().sum(axis=1))
+    mixture_kl_bound = 0.5 * (kl(with_x_plus, with_x_null) + kl(with_x_minus, with_x_null))
 
     # I(U; transcript) with U the uniform hypothesis bit
-    table = 0.5 * np.stack([with_x_plus.sum(axis=0), with_x_minus.sum(axis=0)])
+    table = 0.5 * np.stack([t.T.copy().sum(axis=1) for t in (with_x_plus, with_x_minus)])
     i_u_pi = mutual_info(table)
 
     # I(transcript; X,Y) under the mixture, H(U^r) - H(U^r | X,Y), where
     # H(U^r | X,Y) = -2^-n sum [A log A T_mix B + A T_mix (B log B)]
-    p_u = table.sum(axis=0)
-    _check_pmfs(p_u[None], "mixture transcript law", PMF_ATOL)
+    p_u = table.sum(axis=0)  # mutual_info checked table, so p_u is a pmf
     mixed = 0.5 * (noised + noised[::-1])
     h_u_given_xy = -scale * float(
         (_xlog2x(alice) * mixed[:, :cols] + alice * mixed[:, cols:]).sum()
@@ -1024,10 +1017,9 @@ def _draw_tensorization(rng, seed, draws, run, rho1, rho2):
     source2 = FiniteJoint.binary_symmetric(rho2)
     sup1 = search_max_ratio(source1, restarts=400, seed=seed).best_ratio
     sup2 = search_max_ratio(source2, restarts=400, seed=seed + 1).best_ratio
-    product = source1.product(source2)
     _in_batches(draws, run, lambda: {
         "source1": source1, "source2": source2,
-        "channels": random_spec(product, 2, 2, rng).channels,
+        "channels": _random_channels(4, 4, 2, 2, rng),
         "sup1": sup1, "sup2": sup2, "slack": TENSOR_SLACK,
     })
     return {"sup1": sup1, "sup2": sup2}
@@ -1050,21 +1042,19 @@ def _draw_chain(rng, seed, draws, run, rhos):
 
 def _draw_shift(rng, seed, draws, run, rho0, rho1):
     # channel shapes live on the +-1 alphabets
-    shape_source = FiniteJoint.binary_symmetric(0.0)
     for _ in range(draws):
-        spec = random_spec(shape_source, 3, 3, rng)
-        run([{"rho0": rho0, "rho1": rho1, "channels": spec.channels}])
+        run([{"rho0": rho0, "rho1": rho1, "channels": _random_channels(2, 2, 3, 3, rng)}])
     return {}
 
 
 def _draw_gap_hamming(rng, seed, draws, run, n, c):
-    majority = run([{"n": n, "c": c, "channels": (majority_channel(n),)}])[0].values
-    source_shape = binary_symmetric_product(0.0, n)
+    # Alice and Bob each send their majority; Alice's alone never reads y,
+    # so it carries no information about the correlation sign
+    maj = majority_channel(n)
+    two_round = (maj, np.repeat(maj[:, None, :], 2, axis=1))
+    majority = run([{"n": n, "c": c, "channels": two_round}])[0].values
     for _ in range(draws):
-        # allow two rounds: a transcript that never touches y carries zero
-        # information about the correlation sign, so r=1 alone is vacuous
-        spec = random_spec(source_shape, r_max=2, u_max=2, rng=rng)
-        run([{"n": n, "c": c, "channels": spec.channels}])
+        run([{"n": n, "c": c, "channels": _random_channels(2**n, 2**n, 2, 2, rng)}])
     keys = ("i_u_pi", "mixture_kl_bound", "implied_k_lower")
     return {"majority": {key: majority[key] for key in keys}}
 
@@ -1177,4 +1167,13 @@ def replay_violation(record: dict) -> CheckResult:
     kind = record.get("check")
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ValueError(f"unknown violation record kind: {kind!r}")
+    if _holds_bool(record):  # JSON true/false would pass as the numbers 1 and 0
+        raise TypeError("violation record fields hold numbers, not booleans")
     return CHECKS[kind].verify([record])[0]
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is, or nests, a boolean."""
+    if isinstance(value, (dict, list)):
+        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, bool)

@@ -334,7 +334,7 @@ def test_verify_gaphamming_counts_the_majority_demo(capsys):
     row = json.loads(out)["rows"][0]
     assert row["suite"] == "gaphamming"
     assert row["checks"] == 3
-    assert row["stats"]["majority"]["implied_k_lower"] >= 0.0
+    assert row["stats"]["majority"]["implied_k_lower"] > 0.0
 
 
 def test_verify_zero_draws_warns_and_passes(capsys):
@@ -579,6 +579,16 @@ def test_verify_replay_bad_file(tmp_path, capsys):
     ]))
     code, _, _ = run(capsys, "verify", "--replay", str(path))
     assert code == 2
+    # JSON booleans where a record holds numbers
+    for record in (
+        {"check": "gap_hamming", "n": True, "c": True, "channels": [[[1, 0], [0, 1]]]},
+        {"check": "interactive_chain", "rho": True, "source": [[0.4, 0.1], [0.1, 0.4]],
+         "channels": [[[1, 0], [0, 1]]]},
+    ):
+        path.write_text(json.dumps([record]))
+        code, _, err = run(capsys, "verify", "--replay", str(path))
+        assert code == 2
+        assert "boolean" in json.loads(err.strip().splitlines()[-1])["error"]
     code, _, _ = run(capsys, "verify", "--replay", str(tmp_path / "absent.json"))
     assert code == 2
 

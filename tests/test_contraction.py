@@ -35,7 +35,7 @@ from corrcomm import (
     verify_tensorization,
     verify_tilted_contraction,
 )
-from corrcomm.infotheory import _kl_rows
+from corrcomm.infotheory import PMF_ATOL, _kl_rows
 from corrcomm.rng import substream
 
 SEED = 1123
@@ -358,6 +358,18 @@ def test_majority_channel_table():
     assert tie[0b01, 0] == 1.0  # one of each, tie goes to symbol 0
 
 
+def test_majority_channel_counts_every_row():
+    for n in range(1, 11):
+        table = np.zeros((2**n, 2))
+        for idx in range(2**n):
+            minus = bin(idx).count("1")  # symbol 1 encodes -1
+            table[idx, 1 if n - minus > minus else 0] = 1.0
+        assert np.array_equal(majority_channel(n), table), n
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="coordinate count"):
+            majority_channel(n)
+
+
 def test_gap_hamming_one_way_transcript_is_blind():
     # a transcript computed from x alone cannot see the correlation sign
     report = gap_hamming_demo(4, (majority_channel(4),))
@@ -384,6 +396,30 @@ def test_gap_hamming_two_rounds_carry_signal():
     assert values["implied_k_lower"] == pytest.approx(
         values["i_u_pi"] / values["rho0"] ** 2, abs=1e-12
     )
+
+
+def two_round_majority(n):
+    """Alice sends her majority, then Bob his, whatever Alice said."""
+    vote = majority_channel(n)
+    return vote, np.repeat(vote[:, None, :], 2, axis=1)
+
+
+def test_gap_hamming_two_round_majority_scales_like_n():
+    # a 2-bit protocol's information about the sign falls like 1/n, so
+    # n I(U;transcript) / c^2 stays order one, under its 2 injected bits
+    for n in (4, 8, 12, 16, 18):
+        report = gap_hamming_demo(n, two_round_majority(n), c=1.0)
+        assert report.ok, n
+        assert 0.25 < report.values["implied_k_lower"] < 2.0, n
+
+
+def test_gap_hamming_sums_hold_at_n_20():
+    # 2^20-row column sums stay within PMF_ATOL of a pmf only when they
+    # are summed pairwise
+    assert PMF_ATOL == 1e-12
+    report = gap_hamming_demo(20, two_round_majority(20), c=1.0)
+    assert report.ok
+    assert report.margin > 0
 
 
 def gap_hamming_oracle(n, channels, c):
@@ -441,16 +477,24 @@ def test_gap_hamming_matches_the_full_joint(n):
                 assert abs(report.values[key] - value) <= 1e-12, (key, len(channels), c)
 
 
-def test_gap_hamming_validation():
-    with pytest.raises(ValueError):
-        gap_hamming_demo(0, (IDENTITY,))
-    with pytest.raises(ValueError):
-        gap_hamming_demo(21, (IDENTITY,))
-    # the 4^12-entry source would pass the joint guard only after allocation
+def test_gap_hamming_validation(monkeypatch):
     with pytest.raises(ValueError, match="coordinate count"):
-        gap_hamming_demo(12, (IDENTITY,))
+        gap_hamming_demo(0, (IDENTITY,))
+    with pytest.raises(ValueError, match="coordinate count"):
+        gap_hamming_demo(True, (IDENTITY,))  # a bool is not a count
     with pytest.raises(ValueError):
         gap_hamming_demo(4, (majority_channel(4),), c=3.0)  # rho0 = 1.5
+
+    # 2^24 x 2 tables are over the guard, which reads only the shapes
+    def scanned(*args):
+        raise AssertionError("channel entries scanned before the guard")
+
+    monkeypatch.setattr(corrcomm.contraction, "_check_rounds", scanned)
+    lazy = np.broadcast_to(np.array([1.0, 0.0]), (2**24, 2))
+    with pytest.raises(ValueError, match="guard"):
+        gap_hamming_demo(24, (lazy,))
+    with pytest.raises(ValueError, match="guard"):
+        gap_hamming_demo(10**12, (IDENTITY,))  # 2^n is never formed
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +526,7 @@ def test_sweep_suite_names_and_clean_runs():
     assert outcomes[2].checks == 10
     assert outcomes[5].checks == 11  # majority demo plus the random draws
     assert "majority" in outcomes[5].stats
-    assert outcomes[5].stats["majority"]["i_u_pi"] == pytest.approx(0.0, abs=1e-12)
+    assert outcomes[5].stats["majority"]["i_u_pi"] > 0  # two rounds see the sign
 
 
 def test_sweeps_are_deterministic():
