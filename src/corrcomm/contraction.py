@@ -21,7 +21,6 @@ batch it rides in.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .infotheory import (
     _check_joints,
     _check_pmfs,
     _cond_mutual_info_rows,
+    _is_number,
     _mutual_info_rows,
     kl,
     mutual_info,
@@ -173,8 +173,8 @@ def _check_rounds(nx: int, ny: int, channels) -> None:
 
 def binary_symmetric_product(rho: float, n: int) -> FiniteJoint:
     """n independent copies of the +-1 symmetric pair, composite alphabets."""
-    if n < 1:
-        raise ValueError(f"coordinate count must be positive, got {n}")
+    if not _is_number(n, integral=True) or n < 1:
+        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
     out = FiniteJoint.binary_symmetric(rho)
     for _ in range(n - 1):
         out = out.product(FiniteJoint.binary_symmetric(rho))
@@ -831,8 +831,8 @@ def verify_shift_reduction(rho0: float, rho1: float, spec_channels) -> CheckResu
 
 def majority_channel(n: int) -> np.ndarray:
     """Deterministic one-bit channel: 1 when most of the n signs are +1."""
-    if n < 1:
-        raise ValueError(f"coordinate count must be positive, got {n}")
+    if not _is_number(n, integral=True) or n < 1:
+        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
     minus = np.zeros(1, dtype=np.int64)  # -1 signs per row; symbol 1 encodes -1
     for _ in range(n):
         minus = np.concatenate([minus, minus + 1])
@@ -883,9 +883,9 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     built, and that size, read from the channel shapes before any entry
     is, is what JOINT_ENTRY_GUARD bounds.
     """
-    if isinstance(n, bool) or operator.index(n) < 1:  # bool is a subclass of int
+    if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
-    n = operator.index(n)
+    n = int(n)
     channels = [np.asarray(chan, dtype=float) for chan in spec_channels]
     sizes = [chan.shape[-1] for chan in channels if chan.ndim]  # _check_rounds rejects 0-d
     # 2^n |U|, with n clipped where any |U| >= 1 is over the guard already

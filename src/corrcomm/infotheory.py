@@ -8,6 +8,7 @@ the second gives zero mass; infinity is never approximated by a large float.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -33,6 +34,15 @@ __all__ = [
 # Tolerance for "entries sum to one" checks on probability tables.
 PMF_ATOL = 1e-12
 LN2 = math.log(2.0)
+
+
+def _is_number(value, integral: bool) -> bool:
+    """Whether value is a finite real (an integer if integral), not a bool."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Integral if integral else numbers.Real)
+        and math.isfinite(value)
+    )
 
 
 def _as_pmf(p, name: str = "pmf", atol: float = 1e-9) -> np.ndarray:
@@ -345,7 +355,7 @@ def risk_bounds(k: int, rho: float) -> BoundSet:
     naive_risk is the k-sample sign-exchange baseline (1 - rho^2)/k and
     max_scheme_risk the one-way maximum-pointer level (1 - rho^2)/(2 k ln2).
     """
-    if not isinstance(k, (int, np.integer)) or k <= 0:
+    if not _is_number(k, integral=True) or k <= 0:
         raise ValueError(f"bit budget must be a positive integer, got {k!r}")
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {rho}")

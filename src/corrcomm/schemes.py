@@ -16,7 +16,6 @@ to the sampler so Monte Carlo sizes in the hundreds of thousands stay cheap.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -24,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
-from .infotheory import binary_entropy
+from .infotheory import _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, gen_pairs
 
@@ -121,7 +120,7 @@ _MAX_POOL = 2**MAX_FAST_POINTER_BITS
 
 
 def _check_pool_size(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_number(n, integral=True) or n < 1:
         raise ValueError(f"pool size must be a positive integer, got {n!r}")
     if n > _MAX_POOL:
         raise ValueError(
@@ -166,18 +165,16 @@ SPEAKERS = ("alice", "bob")
 class Message:
     speaker: str
     payload: str  # '0'/'1' characters
-    bit_count: int
 
     def __post_init__(self):
         if self.speaker not in SPEAKERS:
             raise ValueError(f"speaker must be one of {SPEAKERS}, got {self.speaker!r}")
-        if self.bit_count != len(self.payload):
-            raise ValueError(
-                f"bit_count {self.bit_count} does not match payload length "
-                f"{len(self.payload)}"
-            )
         if self.payload.strip("01"):
             raise ValueError("payload must consist of '0'/'1' characters")
+
+    @property
+    def bit_count(self) -> int:
+        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -210,15 +207,16 @@ class EstimateResult:
     """Outcome of one protocol run; rho_hat is truncated to [-1, 1]."""
 
     rho_hat: float
-    bits_used: int
+    transcript: Transcript
     aux: dict = field(default_factory=dict)
-    transcript: Transcript | None = None
 
     def __post_init__(self):
         if not -1.0 <= self.rho_hat <= 1.0:
             raise ValueError(f"estimate {self.rho_hat} escaped [-1, 1]")
-        if self.transcript is not None and self.bits_used != self.transcript.bits_used:
-            raise ValueError("bits_used disagrees with the transcript")
+
+    @property
+    def bits_used(self) -> int:
+        return self.transcript.bits_used
 
 
 @dataclass(frozen=True)
@@ -275,25 +273,28 @@ def _mean_sign_product(a: np.ndarray, b: np.ndarray) -> float:
     return (2 * int(np.count_nonzero(a == b)) - n) / n
 
 
-def _require_family(batch: PairBatch, family: str, scheme: str) -> None:
-    if batch.family != family:
-        raise ValueError(f"{scheme} expects a {family} batch, got {batch.family}")
+def _checked_pairs(scheme: str, k: int, p: dict, batch: PairBatch) -> int:
+    """The pairs a literal run of SCHEMES[scheme] reads, checked against batch."""
+    entry = SCHEMES[scheme]
+    if batch.family != entry.family:
+        raise ValueError(f"{scheme} expects a {entry.family} batch, got {batch.family}")
+    if k < 1:
+        raise ValueError(f"bit budget must be positive, got {k}")
+    needed = entry.samples_needed(k, p, True)
+    if len(batch) < needed:
+        raise ValueError(f"need at least {needed} pairs, batch has {len(batch)}")
+    return needed
 
 
 def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     """Send k raw signs; estimate by the mean of the k products."""
-    if k < 1:
-        raise ValueError(f"bit budget must be positive, got {k}")
-    _require_family(batch, "binary", "run_naive")
-    if len(batch) < k:
-        raise ValueError(f"need at least {k} pairs, batch has {len(batch)}")
+    _checked_pairs("naive", k, {}, batch)
     x = batch.x[:k]
     raw = _mean_sign_product(x, batch.y[:k])
     payload = _mask_bits(x > 0)
-    transcript = Transcript(budget=k, messages=(Message("alice", payload, k),))
+    transcript = Transcript(budget=k, messages=(Message("alice", payload),))
     return EstimateResult(
         rho_hat=_clamp(raw),
-        bits_used=k,
         aux={"raw": raw},
         transcript=transcript,
     )
@@ -314,15 +315,6 @@ def _pool(bits: int, literal: bool) -> int:
     return 2**bits
 
 
-def _check_pointer_budget(k: int, batch_len: int) -> int:
-    if k < 1:
-        raise ValueError(f"bit budget must be positive, got {k}")
-    n = _pool(k, literal=True)
-    if batch_len < n:
-        raise ValueError(f"need at least {n} pairs, batch has {batch_len}")
-    return n
-
-
 def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     """Point at the largest of 2^k x-samples; estimate from its y-partner.
 
@@ -331,16 +323,14 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     it to [-1, 1], which can only shrink the squared error. The exact raw
     value is kept in aux["raw"].
     """
-    _require_family(batch, "gaussian", "run_max_scheme")
-    n = _check_pointer_budget(k, len(batch))
+    n = _checked_pairs("max", k, {}, batch)
     winner = int(batch.x[:n].argmax())
     raw = float(batch.y[winner] / expected_max_normal(n))
     transcript = Transcript(
-        budget=k, messages=(Message("alice", _bits(winner, k), k),)
+        budget=k, messages=(Message("alice", _bits(winner, k)),)
     )
     return EstimateResult(
         rho_hat=_clamp(raw),
-        bits_used=k,
         aux={"raw": raw, "winner": winner},
         transcript=transcript,
     )
@@ -385,9 +375,8 @@ def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
         "decode_failed": decoded is None,
         "winner": winner,
         "decoded": decoded,
-        "m_bits": m,
     }
-    return Message("alice", _bits(prefix, m), m), rho_hat, aux
+    return Message("alice", _bits(prefix, m)), rho_hat, aux
 
 
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
@@ -400,14 +389,10 @@ def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateRe
     is the full index the marking step is bypassed. On a zero or multiple
     match he falls back to rho_nominal and sets aux["decode_failed"].
     """
-    _require_family(batch, "gaussian", "run_local_scheme")
-    if not -1.0 < rho_nominal < 1.0:
-        raise ValueError(f"nominal correlation must lie in (-1, 1), got {rho_nominal}")
-    n = _check_pointer_budget(k, len(batch))
+    n = _checked_pairs("local", k, {"rho_nominal": rho_nominal}, batch)
     message, rho_hat, aux = _local_round(k, rho_nominal, batch.x[:n], batch.y[:n])
     return EstimateResult(
         rho_hat=rho_hat,
-        bits_used=message.bit_count,
         aux=aux,
         transcript=Transcript(budget=k, messages=(message,)),
     )
@@ -501,7 +486,7 @@ def run_binary_block(
     rho_tilde: float,
     n_block: int,
     batch: PairBatch,
-    rho_nominal: float = 0.0,
+    rho_nominal: float,
     guard_bits: int = GUARD_BITS,
 ) -> EstimateResult:
     """Anchor on a block whose sign-sum is exactly n_block * rho_tilde.
@@ -514,14 +499,10 @@ def run_binary_block(
     or decoding is ambiguous, the fallback estimate is the empirical
     correlation of block 1 with the failure flagged in aux.
     """
-    _require_family(batch, "binary", "run_binary_block")
-    if k < 1:
-        raise ValueError(f"bit budget must be positive, got {k}")
-    layout = _fitted_layout(k, rho_tilde, n_block, rho_nominal, guard_bits)
-    if len(batch) < layout.samples_needed:
-        raise ValueError(
-            f"need at least {layout.samples_needed} pairs, batch has {len(batch)}"
-        )
+    p = {"rho_tilde": rho_tilde, "n_block": n_block, "rho_nominal": rho_nominal,
+         "guard_bits": guard_bits}
+    _checked_pairs("binary_block", k, p, batch)
+    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)  # cached
     n, m = layout.n_block, layout.m_blocks
     shift = layout.index_bits - layout.prefix_bits
     xs = batch.x[: n * m].reshape(m, n)
@@ -550,11 +531,10 @@ def run_binary_block(
 
     bits = layout.prefix_bits
     transcript = Transcript(
-        budget=k, messages=(Message("alice", _bits(j_star >> shift, bits), bits),)
+        budget=k, messages=(Message("alice", _bits(j_star >> shift, bits)),)
     )
     return EstimateResult(
         rho_hat=_clamp(raw),
-        bits_used=bits,
         aux={
             "raw": raw,
             "exist_failed": exist_failed,
@@ -580,28 +560,22 @@ def _phase1_estimate(mean_product: float) -> float:
     return math.sin(0.5 * math.pi * mean_product)
 
 
-def _check_phase1(k: int, k1: int) -> None:
-    if not 1 <= k1 < k:
-        raise ValueError(
-            f"phase 1 budget must satisfy 1 <= k1 < k, got k1={k1}, k={k}"
-        )
-
-
-def run_two_way(k: int, k1: int | None, batch: PairBatch) -> EstimateResult:
+def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
     """Coarse sign exchange, then the local scheme at the estimated rho.
 
     Phase 1 spends k1 bits on the signs of fresh coordinates; the arcsine
     identity turns the sign-agreement rate into a provisional rho0. Phase 2
     runs the local scheme with budget k - k1 and rho_nominal = rho0
     (truncated into (-0.95, 0.95) so the local scheme's preconditions hold).
-    The provisional estimate is treated as common knowledge for phase 2.
+    The provisional estimate is treated as common knowledge for phase 2,
+    although only Bob can compute it, from his own signs, and Alice's
+    prefix length m depends on it. Every message here is Alice's, so the
+    k1 + m bits charged leave out Bob's reply that tells her m: at most
+    ceil(log2(k1 + 1)) bits, his agreement count (3 bits at the default
+    k1 = 4 of k = 10).
     """
-    _require_family(batch, "gaussian", "run_two_way")
-    if k1 is None:
-        k1 = default_phase1_bits(k)
-    _check_phase1(k, k1)
+    n2 = _checked_pairs("two_way", k, {"k1": k1}, batch) - k1
     k2 = k - k1
-    n2 = _check_pointer_budget(k2, len(batch) - k1)
     sign_x = batch.x[:k1] >= 0
     rho0 = _phase1_estimate(_mean_sign_product(sign_x, batch.y[:k1] >= 0))
     rho0 = min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
@@ -610,16 +584,14 @@ def run_two_way(k: int, k1: int | None, batch: PairBatch) -> EstimateResult:
         k2, rho0, batch.x[k1 : k1 + n2], batch.y[k1 : k1 + n2]
     )
     transcript = Transcript(
-        budget=k, messages=(Message("alice", _mask_bits(sign_x), k1), message)
+        budget=k, messages=(Message("alice", _mask_bits(sign_x)), message)
     )
     return EstimateResult(
         rho_hat=rho_hat,
-        bits_used=k1 + message.bit_count,
         aux={
             "raw": local["raw"],
             "rho0_hat": rho0,
             "decode_failed": local["decode_failed"],
-            "m_bits": local["m_bits"],
         },
         transcript=transcript,
     )
@@ -849,7 +821,8 @@ def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
 # ----------------------------------------------------------------------
 
 def _check_suffix(k: int, rho_nominal: float) -> None:
-    suffix = k - _local_prefix_bits(k, rho_nominal)
+    # the suffix k - m is under k, so a budget within the range skips m
+    suffix = 0 if k <= MAX_SUFFIX_BITS else k - _local_prefix_bits(k, rho_nominal)
     if suffix > MAX_SUFFIX_BITS:
         raise ValueError(
             f"suffix width {suffix} at nominal correlation {rho_nominal} "
@@ -868,7 +841,10 @@ def _local_pairs(k: int, p: dict, literal: bool) -> int:
 
 
 def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
-    _check_phase1(k, p["k1"])
+    if not 1 <= p["k1"] < k:
+        raise ValueError(
+            f"phase 1 budget must satisfy 1 <= k1 < k, got k1={p['k1']}, k={k}"
+        )
     pairs = p["k1"] + _pool(k - p["k1"], literal)
     # Phase 1 reaches the capped nominal whenever every sign agrees, and the
     # suffix is widest there.
@@ -884,7 +860,8 @@ class Scheme:
     a function of (k, rho), or None for a required parameter. The other
     fields take a cell's budget k and its resolved params p:
     samples_needed(k, p, literal) validates the cell and returns the pairs
-    one literal trial reads, run(k, batch, p) is the literal runner and
+    one literal trial reads (each runner checks its own cell through it,
+    with family), run(k, batch, p) is the literal runner and
     sample(k, rho, trials, rng, p) the fast sampler. The table's entries
     look their runners and samplers up when called, so wrappers installed
     on this module's functions see every call.
@@ -944,15 +921,6 @@ SCHEMES = {
     ),
 }
 SCHEME_NAMES = tuple(SCHEMES)
-
-
-def _is_number(value, integral: bool) -> bool:
-    """Whether value is a finite real (an integer if integral), not a bool."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, numbers.Integral if integral else numbers.Real)
-        and math.isfinite(value)
-    )
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,10 @@ def test_simulate_non_object_config(tmp_path, capsys):
     path.write_text("[1, 2]")
     code, _, _ = run(capsys, "simulate", "--config", str(path))
     assert code == 2
+    path.write_text('{"scheme": "naive",')
+    code, _, err = run(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert "not valid JSON" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
 # ----------------------------------------------------------------------
@@ -585,10 +589,11 @@ def test_verify_replay_bad_file(tmp_path, capsys):
         {"check": "interactive_chain", "rho": True, "source": [[0.4, 0.1], [0.1, 0.4]],
          "channels": [[[1, 0], [0, 1]]]},
     ):
-        path.write_text(json.dumps([record]))
-        code, _, err = run(capsys, "verify", "--replay", str(path))
-        assert code == 2
-        assert "boolean" in json.loads(err.strip().splitlines()[-1])["error"]
+        for payload in ([record], record):  # a list, or one bare record
+            path.write_text(json.dumps(payload))
+            code, _, err = run(capsys, "verify", "--replay", str(path))
+            assert code == 2
+            assert "boolean" in json.loads(err.strip().splitlines()[-1])["error"]
     code, _, _ = run(capsys, "verify", "--replay", str(tmp_path / "absent.json"))
     assert code == 2
 

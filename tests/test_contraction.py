@@ -106,6 +106,8 @@ def test_binary_symmetric_product():
     assert mutual_info(pair) == pytest.approx(2 * mutual_info(single), abs=1e-12)
     with pytest.raises(ValueError):
         binary_symmetric_product(0.6, 0)
+    with pytest.raises(ValueError, match="coordinate count"):
+        binary_symmetric_product(0.5, True)  # a bool is not a count
 
 
 def test_build_joint_identity_channel():
@@ -146,6 +148,15 @@ def test_info_split_chain_identities_on_random_specs():
         assert abs(split.interchanged - split.interchanged_chain) < 1e-9
         assert abs(split.injected - split.injected_chain) < 1e-9
         assert split.interchanged <= 0.49 * split.injected + 1e-9
+
+
+def test_random_spec_validation():
+    rng = substream(SEED, "random-spec-validation")
+    src = FiniteJoint.binary_symmetric(0.5)
+    with pytest.raises(ValueError, match="r_max >= 1"):
+        random_spec(src, r_max=0, u_max=2, rng=rng)
+    with pytest.raises(ValueError, match="u_max >= 2"):
+        random_spec(src, r_max=1, u_max=1, rng=rng)
 
 
 def test_info_split_constant_channel_has_zero_ratio():
@@ -274,6 +285,8 @@ def test_binary_input_validation():
         binary_input_contraction([0.6, 0.6], [0.4, 0.4], IDENTITY)
     with pytest.raises(ValueError, match="pa sums to"):
         binary_input_contraction([0.5, 0.5], [0.5, 0.5], IDENTITY, pa=(0.7, 0.7))
+    with pytest.raises(ValueError, match="2 entries"):
+        binary_input_contraction([0.5, 0.5], [0.5, 0.5], IDENTITY, pa=(0.5, 0.25, 0.25))
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +378,7 @@ def test_majority_channel_counts_every_row():
             minus = bin(idx).count("1")  # symbol 1 encodes -1
             table[idx, 1 if n - minus > minus else 0] = 1.0
         assert np.array_equal(majority_channel(n), table), n
-    for n in (0, -1):
+    for n in (0, -1, True):  # a bool is not a count
         with pytest.raises(ValueError, match="coordinate count"):
             majority_channel(n)
 

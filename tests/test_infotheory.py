@@ -97,6 +97,8 @@ def test_kl_basics():
     # mutual information of the symmetric pair at rho = 1/2.
     assert kl([0.75, 0.25], [0.5, 0.5]) == pytest.approx(MI_HALF, abs=1e-12)
     assert kl([0.5, 0.5], [1.0, 0.0]) == math.inf
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kl([0.5, 0.5], [0.25, 0.25, 0.5])
 
 
 def test_kl_nonnegative_on_random_pairs():
@@ -322,5 +324,7 @@ def test_risk_bounds_validation():
         risk_bounds(0, 0.0)
     with pytest.raises(ValueError):
         risk_bounds(2.5, 0.0)
+    with pytest.raises(ValueError):
+        risk_bounds(True, 0.5)  # a bool is not a budget
     with pytest.raises(ValueError):
         risk_bounds(8, 1.5)

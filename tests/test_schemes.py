@@ -35,7 +35,7 @@ from corrcomm import (
     run_two_way,
     var_max_normal,
 )
-from corrcomm.schemes import _binom_pmf, _max_normal_moment
+from corrcomm.schemes import MAX_POINTER_BITS, SCHEMES, _binom_pmf, _max_normal_moment
 
 SEED = 411
 
@@ -75,6 +75,11 @@ def test_max_normal_validation():
         expected_max_normal(0)
     with pytest.raises(ValueError):
         expected_max_normal(2.5)
+    # a bool is not a pool size
+    with pytest.raises(ValueError):
+        expected_max_normal(True)
+    with pytest.raises(ValueError):
+        var_max_normal(True)
     # pools stop at the fast samplers' 2^960, where the variance still
     # tracks pi^2 / (12 ln n)
     with pytest.raises(ValueError, match="2\\^960"):
@@ -135,47 +140,43 @@ def test_exact_mse_formulas():
 # ----------------------------------------------------------------------
 
 def test_message_validation():
-    Message("alice", "0101", 4)
+    assert Message("alice", "0101").bit_count == 4
     with pytest.raises(ValueError):
-        Message("carol", "01", 2)
+        Message("carol", "01")
     with pytest.raises(ValueError):
-        Message("alice", "01", 3)
-    with pytest.raises(ValueError):
-        Message("bob", "021", 3)
+        Message("bob", "021")
 
 
 def test_transcript_budget_and_order():
-    msg = Message("alice", "01", 2)
-    t = Transcript(budget=4, messages=(msg, Message("bob", "1", 1)))
+    msg = Message("alice", "01")
+    t = Transcript(budget=4, messages=(msg, Message("bob", "1")))
     assert t.bits_used == 3 == sum(m.bit_count for m in t.messages)
     # bits_used is stored at construction but stays out of equality and repr
-    same = Transcript(budget=4, messages=(msg, Message("bob", "1", 1)))
+    same = Transcript(budget=4, messages=(msg, Message("bob", "1")))
     assert t == same and hash(t) == hash(same)
     assert t != Transcript(budget=5, messages=t.messages)
     assert repr(t) == (
-        "Transcript(budget=4, messages=(Message(speaker='alice', payload='01', "
-        "bit_count=2), Message(speaker='bob', payload='1', bit_count=1)))"
+        "Transcript(budget=4, messages=(Message(speaker='alice', payload='01'), "
+        "Message(speaker='bob', payload='1')))"
     )
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.bits_used = 2
     with pytest.raises(TypeError):
         Transcript(budget=4, messages=(msg,), bits_used=2)
     with pytest.raises(ValueError, match="spends 3 bits, budget is 2"):
-        Transcript(budget=2, messages=(msg, Message("bob", "1", 1)))
+        Transcript(budget=2, messages=(msg, Message("bob", "1")))
     with pytest.raises(ValueError):
-        Transcript(budget=4, messages=(Message("bob", "1", 1),))
+        Transcript(budget=4, messages=(Message("bob", "1"),))
     with pytest.raises(ValueError):
         Transcript(budget=0, messages=())
 
 
 def test_estimate_result_validation():
+    t = Transcript(budget=4, messages=(Message("alice", "01"),))
     with pytest.raises(ValueError):
-        EstimateResult(rho_hat=1.5, bits_used=1)
-    t = Transcript(budget=4, messages=(Message("alice", "01", 2),))
-    with pytest.raises(ValueError):
-        EstimateResult(rho_hat=0.0, bits_used=3, transcript=t)
-    ok = EstimateResult(rho_hat=0.0, bits_used=2, transcript=t)
-    assert ok.bits_used == ok.transcript.bits_used
+        EstimateResult(rho_hat=1.5, transcript=t)
+    ok = EstimateResult(rho_hat=0.0, transcript=t)
+    assert ok.bits_used == ok.transcript.bits_used == 2
 
 
 def test_risk_report_rejects_nan():
@@ -248,7 +249,7 @@ def test_local_scheme_full_prefix_degenerates_to_max():
     batch = gen_pairs(CorrelationModel("gaussian", 0.3), 2**6, SEED)
     local = run_local_scheme(6, 0.0, batch)
     top = run_max_scheme(6, batch)
-    assert local.aux["m_bits"] == 6
+    assert local.transcript.messages[0].bit_count == 6
     assert local.rho_hat == top.rho_hat
     assert not local.aux["decode_failed"]
 
@@ -257,7 +258,7 @@ def test_local_scheme_prefix_width():
     batch = gen_pairs(CorrelationModel("gaussian", 0.6), 2**18, SEED)
     result = run_local_scheme(18, 0.6, batch)
     # ceil(18 * (1 - 0.36) * 1.15) = 14 of the 18 index bits
-    assert result.aux["m_bits"] == 14
+    assert result.transcript.messages[0].bit_count == 14
     assert result.bits_used == 14
     assert result.transcript.bits_used == 14
 
@@ -327,6 +328,10 @@ def test_block_layout_validation():
         block_layout(0.0, 32, 0.0)
     with pytest.raises(ValueError):
         block_layout(0.5, 33, 1.5)
+    with pytest.raises(ValueError, match="nominal"):
+        block_layout(0.5, 32, 1.5)  # 33 above fails on its sum first
+    with pytest.raises(ValueError, match="block size"):
+        block_layout(1.0, 1, 0.0)
     with pytest.raises(ValueError):
         block_layout(0.5, 120, 0.0)  # needs > 1e8 samples
 
@@ -338,7 +343,7 @@ def test_block_scheme_perfect_correlation():
     x[4:8] = [1, 1, -1, -1]
     x[8:12] = [1, 1, 1, -1]
     batch = binary_batch(x, x.copy())
-    result = run_binary_block(5, 0.5, n, batch)
+    result = run_binary_block(5, 0.5, n, batch, rho_nominal=0.0)
     assert result.aux["anchor_block"] == 2
     assert result.aux["decoded"] == 2
     assert not result.aux["exist_failed"]
@@ -350,7 +355,7 @@ def test_block_scheme_exist_failure_falls_back():
     x = np.ones(n * m)  # every block sums to 4, never 2
     y = x.copy()
     y[1] = -1.0  # block-1 correlation 0.5
-    result = run_binary_block(5, 0.5, n, binary_batch(x, y))
+    result = run_binary_block(5, 0.5, n, binary_batch(x, y), rho_nominal=0.0)
     assert result.aux["exist_failed"]
     assert result.rho_hat == pytest.approx(0.5, abs=0)
 
@@ -358,10 +363,13 @@ def test_block_scheme_exist_failure_falls_back():
 def test_block_scheme_budget_and_family():
     batch = gen_pairs(CorrelationModel("binary", 0.0), 21 * 4, SEED)
     with pytest.raises(ValueError):
-        run_binary_block(4, 0.5, 4, batch)  # needs 5 bits
+        run_binary_block(4, 0.5, 4, batch, rho_nominal=0.0)  # needs 5 bits
     gauss = gen_pairs(CorrelationModel("gaussian", 0.0), 21 * 4, SEED)
     with pytest.raises(ValueError):
-        run_binary_block(5, 0.5, 4, gauss)
+        run_binary_block(5, 0.5, 4, gauss, rho_nominal=0.0)
+    short = gen_pairs(CorrelationModel("binary", 0.0), 21 * 4 - 1, SEED)
+    with pytest.raises(ValueError, match="need at least 84 pairs"):
+        run_binary_block(5, 0.5, 4, short, rho_nominal=0.0)
 
 
 def test_block_scheme_partial_prefix_run():
@@ -683,6 +691,94 @@ def test_check_preconditions_resolves_params():
     assert check_preconditions(SchemeConfig("binary_block", 12, partial), 0.9) == needed
     with pytest.raises(ValueError, match="bits"):
         check_preconditions(SchemeConfig("binary_block", 12, partial), 0.0)
+
+
+RUNNERS = {
+    "naive": run_naive,
+    "max": run_max_scheme,
+    "local": run_local_scheme,
+    "two_way": run_two_way,
+    "binary_block": run_binary_block,
+}
+BLOCK = {"rho_tilde": 0.5, "n_block": 4, "rho_nominal": 0.0, "guard_bits": 4}
+PAST = MAX_POINTER_BITS + 1
+# (scheme, k, params) cells, every parameter given, accepted or not
+RUNNER_CELLS = [
+    ("naive", 0, {}),
+    ("naive", 1, {}),
+    ("naive", PAST, {}),
+    ("max", 0, {}),
+    ("max", 1, {}),
+    ("max", MAX_POINTER_BITS, {}),
+    ("max", PAST, {}),
+    ("local", 0, {"rho_nominal": 0.5}),
+    ("local", 6, {"rho_nominal": 0.0}),
+    ("local", 6, {"rho_nominal": 1.0}),
+    ("local", 6, {"rho_nominal": -1.0}),
+    ("local", MAX_POINTER_BITS, {"rho_nominal": 0.5}),
+    ("local", PAST, {"rho_nominal": 0.5}),
+    ("two_way", 0, {"k1": 1}),
+    ("two_way", 8, {"k1": 0}),
+    ("two_way", 8, {"k1": 3}),
+    ("two_way", 8, {"k1": 8}),
+    ("two_way", 3 + MAX_POINTER_BITS, {"k1": 3}),
+    ("two_way", 3 + PAST, {"k1": 3}),
+    ("binary_block", 0, BLOCK),
+    ("binary_block", 5, BLOCK),
+    ("binary_block", 4, BLOCK),  # the 5-bit prefix is longer than k
+    ("binary_block", MAX_POINTER_BITS, BLOCK),
+    ("binary_block", 5, {**BLOCK, "rho_nominal": 1.0}),
+    ("binary_block", 5, {**BLOCK, "rho_nominal": -1.0}),
+    ("binary_block", 5, {**BLOCK, "rho_nominal": 1.5}),
+    ("binary_block", 8, {**BLOCK, "rho_tilde": 0.3, "n_block": 32}),  # no integer sum
+    ("binary_block", 8, {**BLOCK, "rho_tilde": 1.0, "n_block": 1}),
+]
+
+
+def constant_batch(n, family):
+    # +1 columns belong to both families; broadcast, a 2^26 pool costs no memory
+    column = np.broadcast_to(1.0, (n,))
+    return PairBatch._trusted(column, column, family)
+
+
+@pytest.mark.parametrize("scheme, k, params", RUNNER_CELLS)
+def test_runners_reject_the_cells_check_preconditions_rejects(scheme, k, params):
+    family = SCHEMES[scheme].family
+    other = "gaussian" if family == "binary" else "binary"
+    runner = RUNNERS[scheme]
+    try:
+        needed = check_preconditions(
+            SchemeConfig(scheme, k, params, use_batches=True), 0.5
+        )
+    except ValueError:
+        with pytest.raises(ValueError):
+            runner(k, batch=constant_batch(2**PAST + 64, family), **params)
+        return
+    result = runner(k, batch=constant_batch(needed, family), **params)
+    assert result.bits_used == sum(len(m.payload) for m in result.transcript.messages)
+    with pytest.raises(ValueError, match=f"need at least {needed} pairs"):
+        runner(k, batch=constant_batch(needed - 1, family), **params)
+    with pytest.raises(ValueError, match=f"expects a {family} batch"):
+        runner(k, batch=constant_batch(needed, other), **params)
+
+
+def test_estimate_risk_names_the_failing_trial(monkeypatch):
+    # a runner that raises mid-loop is reported with its trial index
+    import corrcomm.schemes
+
+    original = corrcomm.schemes.run_naive
+    calls = []
+
+    def fail_third(k, batch):
+        calls.append(k)
+        if len(calls) == 3:
+            raise ValueError("planted")
+        return original(k, batch)
+
+    monkeypatch.setattr(corrcomm.schemes, "run_naive", fail_third)
+    with pytest.raises(ValueError, match="^trial 2: planted$"):
+        estimate_risk(SchemeConfig("naive", 8, use_batches=True), 0.5, 100, SEED)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
