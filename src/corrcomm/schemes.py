@@ -1,13 +1,16 @@
 """One-way and two-way estimation schemes under a k-bit budget.
 
-Each scheme exists in two equivalent forms:
+Each scheme exists in two forms:
 
 * a batch runner (``run_*``) that executes the protocol literally on a
   ``PairBatch``, producing a ``Transcript`` with exact bit accounting, and
 * a vectorized trial sampler used by ``estimate_risk`` that draws the
   scheme's sufficient statistics directly (for example the maximum of
-  2^k unit normals via its inverse CDF), which follows the identical
-  distribution at a fraction of the cost.
+  2^k unit normals via its inverse CDF) at a fraction of the cost. It
+  follows the runner's law, except that the local sampler (and two_way's
+  phase 2 through it) marks bucket mates with the unconditioned tail
+  probability, though their x lies below the winner's: decode failure
+  0.5606 against 0.5774 exact at k = 10, rho = rho_nominal = 0.9.
 
 Tests cross-validate the two forms against each other; risk sweeps default
 to the sampler so Monte Carlo sizes in the hundreds of thousands stay cheap.
@@ -58,9 +61,6 @@ MAX_POINTER_BITS = 26  # batch runners materialize 2^k samples; keep that sane
 # The max-normal quadrature takes pools up to the same bound; near 2^1024 it
 # loses its accuracy.
 MAX_FAST_POINTER_BITS = 960
-# The fast local sampler draws the marked count among the winner's bucket
-# mates as a binomial over 2^(k - m) - 1 indices, exact up to this suffix.
-MAX_SUFFIX_BITS = 62
 
 # Local-scheme constants: the marking threshold sits at a (1 - C_THRESHOLD)
 # multiple of the asymptotic maximum location, and the index prefix carries
@@ -598,7 +598,7 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
 
 
 # ----------------------------------------------------------------------
-# vectorized trial samplers (sufficient statistics, identical laws)
+# vectorized trial samplers (sufficient statistics)
 # ----------------------------------------------------------------------
 
 def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
@@ -639,8 +639,8 @@ def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
                   rho_nominal):
     """Local-scheme trials; rho_nominal may be a scalar or per-trial array.
 
-    The caller has checked every nominal: inside (-1, 1), and with an index
-    suffix k - m of at most MAX_SUFFIX_BITS (see _check_suffix).
+    The caller has checked every nominal to lie inside (-1, 1). Mates are
+    marked with the unconditioned tail probability (see the module docstring).
     """
     nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
     n_pool = 2**k
@@ -660,10 +660,15 @@ def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
             continue
         threshold = _local_threshold(k, float(value))
         marked_w = y_w[sel] > threshold
-        others = (1 << (k - m)) - 1
-        spurious = rng.binomial(others, ndtr(-threshold), size=sel.size)
-        success = marked_w & (spurious == 0)
-        wrong = ~marked_w & (spurious == 1)
+        # None or one of the marked mates: the first two steps of numpy's
+        # binomial inversion, which reads this uniform for q <= 1/2, B q <= 30
+        mates = 2.0 ** (k - m) - 1.0
+        q = ndtr(-threshold)
+        p_none = np.exp(xlog1py(mates, -q))
+        p_one = mates * q * np.exp(xlog1py(mates - 1.0, -q))
+        u = rng.random(sel.size)
+        success = marked_w & (u <= p_none)
+        wrong = ~marked_w & (u > p_none) & (u - p_none <= p_one)
         fail = ~(success | wrong)
         raw[sel[success]] = y_w[sel[success]] / mean_max
         n_wrong = int(wrong.sum())
@@ -820,14 +825,13 @@ def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
 # risk estimation
 # ----------------------------------------------------------------------
 
-def _check_suffix(k: int, rho_nominal: float) -> None:
-    # the suffix k - m is under k, so a budget within the range skips m
-    suffix = 0 if k <= MAX_SUFFIX_BITS else k - _local_prefix_bits(k, rho_nominal)
-    if suffix > MAX_SUFFIX_BITS:
-        raise ValueError(
-            f"suffix width {suffix} at nominal correlation {rho_nominal} "
-            f"exceeds exact integer sampling range ({MAX_SUFFIX_BITS} bits)"
-        )
+def _naive_pairs(k: int, p: dict, literal: bool) -> int:
+    # a literal run materializes k pairs; the fast rng.binomial takes int64
+    bound = 2**MAX_POINTER_BITS if literal else 2**63 - 1
+    if k > bound:
+        path = "literal" if literal else "fast"
+        raise ValueError(f"a {path} naive budget is at most {bound} bits")
+    return k
 
 
 def _local_pairs(k: int, p: dict, literal: bool) -> int:
@@ -835,9 +839,7 @@ def _local_pairs(k: int, p: dict, literal: bool) -> int:
         raise ValueError(
             f"nominal correlation must lie in (-1, 1), got {p['rho_nominal']}"
         )
-    pairs = _pool(k, literal)
-    _check_suffix(k, p["rho_nominal"])
-    return pairs
+    return _pool(k, literal)
 
 
 def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
@@ -845,11 +847,7 @@ def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
         raise ValueError(
             f"phase 1 budget must satisfy 1 <= k1 < k, got k1={p['k1']}, k={k}"
         )
-    pairs = p["k1"] + _pool(k - p["k1"], literal)
-    # Phase 1 reaches the capped nominal whenever every sign agrees, and the
-    # suffix is widest there.
-    _check_suffix(k - p["k1"], TWO_WAY_NOMINAL_CAP)
-    return pairs
+    return p["k1"] + _pool(k - p["k1"], literal)
 
 
 @dataclass(frozen=True)
@@ -882,7 +880,7 @@ SCHEMES = {
     "naive": Scheme(
         family="binary",
         params={},
-        samples_needed=lambda k, p, literal: k,
+        samples_needed=_naive_pairs,
         run=lambda k, batch, p: run_naive(k, batch),
         sample=lambda k, rho, trials, rng, p: _naive_trials(k, rho, trials, rng),
     ),
@@ -932,8 +930,8 @@ class SchemeConfig:
     ceil(sqrt(k))); binary_block rho_tilde and n_block (both required),
     rho_nominal (default rho) and guard_bits (default GUARD_BITS). A value
     of None means the default. Setting use_batches runs the literal batch
-    protocol per trial instead of the sufficient-statistic sampler (same
-    law, much slower).
+    protocol per trial instead of the sufficient-statistic sampler (much
+    slower; the same law but for the local marks, see the module docstring).
     """
 
     scheme: str
@@ -995,9 +993,9 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     n_block, k1 and guard_bits), nominal correlation
     outside (-1, 1), block layout infeasible for the budget, phase-1
     budget out of range, a pointer pool past the MAX_POINTER_BITS guard
-    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler), or a
-    local or two_way index suffix wider than MAX_SUFFIX_BITS (two_way at
-    its capped nominal, TWO_WAY_NOMINAL_CAP).
+    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler), or a naive
+    budget past the same literal guard or the int64 range of its fast
+    binomial draw.
     """
     return _resolve(config, rho_true)[2]
 

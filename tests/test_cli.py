@@ -192,7 +192,7 @@ def test_simulate_grid_is_sorted_and_unique(tmp_path, capsys):
         {"seed": -1},
         {"format": "xml"},
         {"params": 7},
-        {"k_grid": [10**20]},  # past float range
+        {"k_grid": [10**20]},  # past the naive binomial's int64 count
         # past 2^960 pointers the fast max-normal draw leaves its law
         {"scheme": "max", "k_grid": [1000], "rho_grid": [0.5]},
     ],
@@ -286,14 +286,24 @@ def test_simulate_rejects_cells_before_any_trial(tmp_path, capsys):
     assert "rho_tilde" in err
 
 
-def test_simulate_rejects_wide_suffix_before_any_trial(tmp_path, capsys):
-    # at the capped nominal 0.95 the k = 80 cell's suffix is 63 bits
-    cfg = write_config(tmp_path, scheme="two_way", k_grid=[16, 80], rho_grid=[0.95])
+@pytest.mark.parametrize(
+    "scheme, k_grid, message",
+    [
+        pytest.param("max", [16, 961], "2^960 pointers", id="max"),
+        pytest.param("naive", [4, 10**300], "fast naive budget", id="naive"),
+    ],
+)
+def test_simulate_rejects_a_cell_past_its_bound_before_any_trial(
+    tmp_path, capsys, scheme, k_grid, message
+):
+    # the pool bound of the fast max-normal draw, and the int64 count of
+    # the naive binomial: the smaller cell must not run first
+    cfg = write_config(tmp_path, scheme=scheme, k_grid=k_grid, rho_grid=[0.5])
     code, out, err = run(capsys, "simulate", "--config", cfg)
     assert code == 2
     assert out == ""
-    assert "suffix width" in err
-    assert "simulate: k=16" not in err
+    assert message in err
+    assert f"simulate: k={k_grid[0]}" not in err
 
 
 def test_simulate_missing_config_file(capsys):

@@ -1,14 +1,17 @@
-"""README tables against the tables the code reads.
+"""README tables and constants against the code.
 
 The `params` table and the `CHECKS` table in README.md are parsed and
 compared, row for row, with `schemes.SCHEMES` and `contraction.CHECKS`,
-so adding, removing or retuning a setting cannot leave README stale.
+and every constant README names is looked up in those two modules, so
+adding, removing or retuning a setting cannot leave README stale.
 """
 
 import math
 import re
 from pathlib import Path
 
+import corrcomm.contraction
+import corrcomm.schemes
 from corrcomm.contraction import CHECKS
 from corrcomm.schemes import SCHEMES
 
@@ -19,6 +22,10 @@ CELL_DEFAULTS = {
     "rho": lambda k, rho: rho,
     "ceil(sqrt(k))": lambda k, rho: math.ceil(math.sqrt(k)),
 }
+
+
+# names README spells in capitals that are not constants of the package
+NOT_CONSTANTS = {"PATH"}  # the environment variable
 
 
 def table_rows(header: str) -> list[list[str]]:
@@ -73,3 +80,19 @@ def test_readme_checks_table_matches_checks():
         )
         for kind, check in CHECKS.items()
     }
+
+
+def test_readme_constants_exist_with_their_values():
+    # a backticked name of two or more capitals, digits and underscores is
+    # a constant (single capitals such as `X` are variables of the math)
+    text = README.read_text(encoding="utf-8")
+    modules = (corrcomm.schemes, corrcomm.contraction)
+    names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text)) - NOT_CONSTANTS
+    assert names
+    for name in names:
+        assert any(hasattr(module, name) for module in modules), name
+    pairs = re.findall(r"`([A-Z][A-Z0-9_]+)`\s+=\s+(-?[0-9][0-9.e+-]*[0-9])", text)
+    assert pairs
+    for name, value in pairs:
+        actual = next(getattr(m, name) for m in modules if hasattr(m, name))
+        assert actual == float(value), name

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from corrcomm import (
     CorrelationModel,
@@ -35,7 +36,17 @@ from corrcomm import (
     run_two_way,
     var_max_normal,
 )
-from corrcomm.schemes import MAX_POINTER_BITS, SCHEMES, _binom_pmf, _max_normal_moment
+import corrcomm.schemes
+from corrcomm.schemes import (
+    MAX_POINTER_BITS,
+    SCHEMES,
+    _binom_pmf,
+    _local_prefix_bits,
+    _local_threshold,
+    _max_normal_moment,
+    _sample_max_normal,
+    _sample_tail_normal,
+)
 
 SEED = 411
 
@@ -599,6 +610,84 @@ def test_two_way_sampler_matches_batch():
     assert_compatible(slow, fast, 3000, 100_000)
 
 
+def local_trials_by_count(k, rho, trials, rng, rho_nominal):
+    """The fast local sampler with its marks drawn as one binomial count.
+
+    Reference for the sampler's single-uniform mark draw; exact only while
+    the 2^(k - m) - 1 bucket mates fit numpy's int64 count.
+    """
+    nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
+    n_pool = 2**k
+    mean_max = expected_max_normal(n_pool)
+    x_w = _sample_max_normal(n_pool, trials, rng)
+    y_w = rho * x_w + math.sqrt(1.0 - rho * rho) * rng.standard_normal(trials)
+    raw = np.array(nominal)
+    failed = np.zeros(trials, dtype=bool)
+    for value in np.unique(nominal):
+        sel = np.nonzero(nominal == value)[0]
+        m = _local_prefix_bits(k, float(value))
+        if m == k:
+            raw[sel] = y_w[sel] / mean_max
+            continue
+        threshold = _local_threshold(k, float(value))
+        marked_w = y_w[sel] > threshold
+        others = (1 << (k - m)) - 1
+        spurious = rng.binomial(others, ndtr(-threshold), size=sel.size)
+        success = marked_w & (spurious == 0)
+        wrong = ~marked_w & (spurious == 1)
+        fail = ~(success | wrong)
+        raw[sel[success]] = y_w[sel[success]] / mean_max
+        n_wrong = int(wrong.sum())
+        if n_wrong:
+            raw[sel[wrong]] = _sample_tail_normal(threshold, n_wrong, rng) / mean_max
+        failed[sel[fail]] = True
+    return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
+
+
+@pytest.mark.parametrize("scheme", ["local", "two_way"])
+def test_local_mark_draw_reads_the_binomial_counts_uniform(monkeypatch, scheme):
+    # where numpy inverts Bin(B, q) (q <= 1/2, B q <= 30) the single uniform
+    # is the very one the count read, so every report is bit-identical
+    cells = [(k, rho) for k in (8, 12, 16, 20) for rho in (0.0, 0.3, 0.6, 0.9)]
+    swapped = [estimate_risk(SchemeConfig(scheme, k), rho, 2000, SEED) for k, rho in cells]
+    monkeypatch.setattr(corrcomm.schemes, "_local_trials", local_trials_by_count)
+    assert [
+        estimate_risk(SchemeConfig(scheme, k), rho, 2000, SEED) for k, rho in cells
+    ] == swapped
+
+
+def test_local_mark_draw_keeps_the_law_where_numpy_flips(monkeypatch):
+    # at a negative nominal q > 1/2 and numpy counts the unmarked mates, so
+    # the streams part; the decode-failure rates agree within 4 s.e.
+    config, trials = SchemeConfig("local", 12), 100_000
+    swapped = estimate_risk(config, -0.5, trials, SEED).extras["decode_fail_rate"]
+    monkeypatch.setattr(corrcomm.schemes, "_local_trials", local_trials_by_count)
+    reference = estimate_risk(config, -0.5, trials, SEED).extras["decode_fail_rate"]
+    assert 0.3 < reference < 0.7  # the marking path decides most trials
+    se = math.sqrt(2 * reference * (1 - reference) / trials)
+    assert abs(swapped - reference) < 4 * se
+
+
+PAST_THE_OLD_CAP = [
+    ("local", 500, {}, 0.5),
+    ("two_way", 80, {}, 0.95),
+    ("two_way", 963, {"k1": 3}, 0.0),
+] + [
+    ("local", k, {"rho_nominal": rho0}, rho0)
+    for k in (1, 62, 63, 200, 960)
+    for rho0 in (-0.99, -0.5, 0.0, 0.5, 0.99)
+]
+
+
+@pytest.mark.parametrize("scheme, k, params, rho", PAST_THE_OLD_CAP)
+def test_local_marks_run_to_the_pool_bound(scheme, k, params, rho):
+    # one uniform decides the marks among up to 2^960 - 1 bucket mates
+    report = estimate_risk(SchemeConfig(scheme, k, params), rho, 200, SEED)
+    raw = (report.mse, report.extras["raw_mean"], report.extras["raw_mse"])
+    assert all(math.isfinite(value) for value in raw)
+    assert 0.0 <= report.extras["decode_fail_rate"] <= 1.0
+
+
 # ----------------------------------------------------------------------
 # preconditions and the risk harness
 # ----------------------------------------------------------------------
@@ -610,11 +699,13 @@ def test_check_preconditions_sample_counts():
         check_preconditions(SchemeConfig("two_way", 8, {"k1": 3}), 0.0) == 3 + 32
     )
     # the largest pool the fast sampler takes, and a numpy k1 that would
-    # wrap in 2**(k - k1); at the capped nominal the suffix is 62 bits
+    # wrap in 2**(k - k1)
     assert check_preconditions(SchemeConfig("max", 960), 0.0) == 2**960
     assert check_preconditions(
-        SchemeConfig("two_way", 73, {"k1": np.int64(3)}), 0.0
-    ) == 3 + 2**70
+        SchemeConfig("two_way", 963, {"k1": np.int64(3)}), 0.0
+    ) == 3 + 2**960
+    # the naive budget up to its fast binomial's int64 count
+    assert check_preconditions(SchemeConfig("naive", 2**63 - 1), 0.0) == 2**63 - 1
 
 
 def test_check_preconditions_rejects_bad_cells():
@@ -643,14 +734,12 @@ def test_check_preconditions_rejects_bad_cells():
         check_preconditions(SchemeConfig("max", 961), 0.0)
     with pytest.raises(ValueError, match="2\\^960"):
         check_preconditions(SchemeConfig("two_way", 964, {"k1": 3}), 0.0)
-    # the fast local sampler's suffix k - m must fit in 62 bits: local at its
-    # nominal, two_way at the capped nominal its phase 1 reaches
-    with pytest.raises(ValueError, match="suffix width 68"):
-        check_preconditions(SchemeConfig("local", 500), 0.5)
-    with pytest.raises(ValueError, match="suffix width 63"):
-        check_preconditions(SchemeConfig("two_way", 80), 0.95)
-    with pytest.raises(ValueError, match="suffix width 852"):
-        check_preconditions(SchemeConfig("two_way", 963, {"k1": np.int64(3)}), 0.0)
+    # the naive budget: an int64 count for the fast binomial, and a literal
+    # run materializes its pairs under the pointer pools' guard
+    with pytest.raises(ValueError, match="fast naive budget"):
+        check_preconditions(SchemeConfig("naive", 10**300), 0.5)
+    with pytest.raises(ValueError, match="literal naive budget"):
+        check_preconditions(SchemeConfig("naive", 2**40, use_batches=True), 0.5)
 
 
 def test_check_preconditions_resolves_params():
