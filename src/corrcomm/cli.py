@@ -324,8 +324,6 @@ def cmd_verify(args) -> int:
         stats = {"worst_margin": result.margin}
         rows = [_row("selftest", 1, records, result.margin, stats)]
     else:
-        if args.draws is not None and args.draws < 0:
-            raise ConfigError(f"draws must be nonnegative, got {args.draws}")
         if args.draws == 0:
             _note("warning: 0 draws requested; suites pass vacuously")
         suite = args.suite or "all"

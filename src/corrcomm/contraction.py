@@ -222,18 +222,6 @@ def _sides(joints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _chain_terms(joints: np.ndarray, source_mi) -> tuple[np.ndarray, np.ndarray]:
-    """(I(X;Y) - I(X;Y|U), I(U;X,Y)) of stacked joints, U the transcript.
-
-    source_mi is I(X;Y) of each row's source.
-    """
-    rows, nx, ny = joints.shape[:3]
-    return (
-        source_mi - _cond_mutual_info_rows(joints.reshape(rows, nx, ny, -1)),
-        _mutual_info_rows(joints.reshape(rows, nx * ny, -1)),
-    )
-
-
 # ----------------------------------------------------------------------
 # round-by-round information decomposition
 # ----------------------------------------------------------------------
@@ -246,16 +234,12 @@ class InfoSplit:
     about its speaker's own sample given the history; interchanged adds
     the information it carries about the other party's sample. The
     contraction statement under test is interchanged <= rho^2 injected.
-    The *_chain fields recompute both via transcript-level identities
-    (interchanged = I(X;Y) - I(X;Y|U^r), injected = I(U^r; X,Y)) as a
-    cross-check.
+    For a one-round spec, U drawn from x, they are I(U;X) and I(U;Y).
     """
 
     interchanged: float
     injected: float
     ratio: float
-    interchanged_chain: float
-    injected_chain: float
 
 
 def _round_cmi(joints: np.ndarray, round_idx: int, observe_x: bool) -> np.ndarray:
@@ -272,34 +256,31 @@ def _round_cmi(joints: np.ndarray, round_idx: int, observe_x: bool) -> np.ndarra
 
 
 def compute_info_split(spec: InteractiveSpec) -> InfoSplit:
-    """Round-information sums plus their transcript-identity cross-checks."""
-    return _info_splits([spec.source], [spec.channels])[0]
+    """The spec's round-information sums."""
+    return _info_splits([spec.source.probs], [spec.channels])[0]
 
 
-def _info_splits(sources: list, channels: list) -> list[InfoSplit]:
-    """compute_info_split of each (source, channel tuple) pair, stacked by shape.
+def _info_splits(sources, channels: list) -> list[InfoSplit]:
+    """compute_info_split of each (source table, channel tuple) pair, stacked.
 
-    Pairs with the same source and message shapes form one stack: its
-    channels are checked once, its joints built and checked once, and
-    each round's informations come from one call. I(X;Y) is computed once
-    per distinct source object.
+    sources holds (nx, ny) joint tables. Pairs with the same source and
+    message shapes form one stack: its sources, channels and joints are
+    checked once, and each round's informations come from one call.
     """
     groups: dict[tuple, list[int]] = {}
     for b, (src, chans) in enumerate(zip(sources, channels)):
-        key = (src.probs.shape, *(chan.shape for chan in chans))
+        key = (src.shape, *[chan.shape for chan in chans])
         groups.setdefault(key, []).append(b)
-    source_mi: dict[int, float] = {}
-    splits: list = [None] * len(sources)
+    splits: list = [None] * len(channels)
     for members in groups.values():
-        group_sources = [sources[b] for b in members]
-        stacks = [np.stack(round_chans)
-                  for round_chans in zip(*(channels[b] for b in members))]
-        _check_rounds(group_sources[0].nx, group_sources[0].ny, stacks)
-        joints = _joints(np.stack([src.probs for src in group_sources]), stacks)
+        # np.array stacks same-shape arrays as np.stack does, at a third of its cost
+        group_sources = np.array([sources[b] for b in members])
+        stacks = [np.array(round_chans)
+                  for round_chans in zip(*[channels[b] for b in members])]
+        _check_joints(group_sources)
+        _check_rounds(group_sources.shape[1], group_sources.shape[2], stacks)
+        joints = _joints(group_sources, stacks)
         _check_joints(joints)
-        for src in group_sources:
-            if id(src) not in source_mi:
-                source_mi[id(src)] = mutual_info(src)
         interchanged = np.zeros(len(members))
         injected = np.zeros(len(members))
         for i in range(1, len(stacks) + 1):
@@ -311,13 +292,8 @@ def _info_splits(sources: list, channels: list) -> list[InfoSplit]:
             else:
                 injected += about_y
                 interchanged += about_x
-        chain = _chain_terms(joints, np.array([source_mi[id(s)] for s in group_sources]))
-        for b, cross, own, cross_chain, own_chain in zip(
-            members, interchanged.tolist(), injected.tolist(),
-            chain[0].tolist(), chain[1].tolist(),
-        ):
-            ratio = cross / own if own > 0 else 0.0
-            splits[b] = InfoSplit(cross, own, ratio, cross_chain, own_chain)
+        for b, cross, own in zip(members, interchanged.tolist(), injected.tolist()):
+            splits[b] = InfoSplit(cross, own, cross / own if own > 0 else 0.0)
     return splits
 
 
@@ -499,7 +475,8 @@ def _ratio_ceilings(records: list) -> list[CheckResult]:
     """verify_ratio_ceiling of each record's instance and ceiling, stacked."""
     specs = [_live(r["instance"], InteractiveSpec, InteractiveSpec.from_jsonable)
              for r in records]
-    splits = _info_splits([spec.source for spec in specs], [spec.channels for spec in specs])
+    splits = _info_splits([spec.source.probs for spec in specs],
+                          [spec.channels for spec in specs])
     return [_ratio_result(spec, split, r["ceiling"])
             for spec, split, r in zip(specs, splits, records)]
 
@@ -516,33 +493,6 @@ def _ratio_result(spec: InteractiveSpec, split: InfoSplit, ceiling: float) -> Ch
 # ----------------------------------------------------------------------
 # one-shot verifiers
 # ----------------------------------------------------------------------
-
-def _own_and_cross(sources: np.ndarray, channels: list) -> tuple[list, list]:
-    """(I(U;X), I(U;Y)) for one-round specs: U drawn from x via channels[b].
-
-    sources is a stack (B, nx, ny); the specs are stacked by channel shape
-    and checked once per stack, like InteractiveSpec and FiniteJoint.
-    """
-    if not channels:
-        return [], []
-    _check_joints(sources)
-    groups: dict[tuple, list[int]] = {}
-    for b, chan in enumerate(channels):
-        groups.setdefault(chan.shape, []).append(b)
-    own = [0.0] * len(channels)
-    cross = [0.0] * len(channels)
-    for members in groups.values():
-        stack = np.stack([channels[b] for b in members])
-        _check_rounds(sources.shape[1], sources.shape[2], [stack])
-        joints = _joints(sources[members], [stack])
-        _check_joints(joints)
-        p_own, p_cross = _sides(joints)
-        for b, i_own, i_cross in zip(
-            members, _mutual_info_rows(p_own).tolist(), _mutual_info_rows(p_cross).tolist()
-        ):
-            own[b], cross[b] = i_own, i_cross
-    return own, cross
-
 
 def verify_tilted_contraction(
     rho: float, f, g, channel_u, channel_v=None
@@ -582,28 +532,24 @@ def _tilted_batch(records: list) -> list[CheckResult]:
         raise ValueError("tilt removes all probability mass")
     tilted /= mass[:, None, None]
 
-    # (cross, own) information of a message drawn from the source's x
-    own_u, cross_u = _own_and_cross(
-        tilted, [np.asarray(r["channel_u"], dtype=float) for r in records]
-    )
+    # one-round specs: U drawn from x, and V drawn from y on the transposed tables
+    sides_u = _info_splits(tilted, [(np.asarray(r["channel_u"], dtype=float),) for r in records])
     with_v = [b for b, r in enumerate(records) if r.get("channel_v") is not None]
-    own_v, cross_v = _own_and_cross(
+    sides_v = dict(zip(with_v, _info_splits(
         tilted[with_v].transpose(0, 2, 1),
-        [np.asarray(records[b]["channel_v"], dtype=float) for b in with_v],
-    )
-    sides_v = dict(zip(with_v, zip(cross_v, own_v)))
-    return [
-        _tilted_result(r, f[b], g[b], cross_u[b], own_u[b], sides_v.get(b))
-        for b, r in enumerate(records)
-    ]
+        [(np.asarray(records[b]["channel_v"], dtype=float),) for b in with_v],
+    )))
+    return [_tilted_result(r, f[b], g[b], sides_u[b], sides_v.get(b))
+            for b, r in enumerate(records)]
 
 
-def _tilted_result(record, f, g, cross_u, own_u, side_v) -> CheckResult:
+def _tilted_result(record, f, g, side_u: InfoSplit, side_v: InfoSplit | None) -> CheckResult:
     rho, channel_u, channel_v = record["rho"], record["channel_u"], record.get("channel_v")
+    cross_u, own_u = side_u.interchanged, side_u.injected
     margin = rho * rho * own_u - cross_u
     values = {"margin_u": margin, "cross_u": cross_u, "own_u": own_u}
     if side_v is not None:
-        cross_v, own_v = side_v
+        cross_v, own_v = side_v.interchanged, side_v.injected
         margin_v = rho * rho * own_v - cross_v
         values.update(margin_v=margin_v, cross_v=cross_v, own_v=own_v)
         margin = min(margin, margin_v)
@@ -650,10 +596,12 @@ def _binary_input_batch(records: list) -> list[CheckResult]:
         coeffs = 1.0 - affinity * affinity
         # A is the x side and B the y side of a one-round spec that reads A
         channels = [np.asarray(records[b]["channel"], dtype=float) for b in members]
-        i_ua, i_ub = _own_and_cross(pa[:, :, None] * np.stack([p, q], axis=1), channels)
-        for row, (b, coeff) in enumerate(zip(members, coeffs.tolist())):
+        splits = _info_splits(pa[:, :, None] * np.stack([p, q], axis=1),
+                              [(chan,) for chan in channels])
+        for row, (b, coeff, split) in enumerate(zip(members, coeffs.tolist(), splits)):
             results[b] = _binary_input_result(
-                p[row], q[row], pa[row], channels[row], coeff, i_ua[row], i_ub[row]
+                p[row], q[row], pa[row], channels[row], coeff, split.injected,
+                split.interchanged,
             )
     return results
 
@@ -688,14 +636,14 @@ def verify_tensorization(
 
 def _tensor_batch(records: list) -> list[CheckResult]:
     """verify_tensorization of each record, stacked; one product per source pair."""
-    products: dict[tuple, FiniteJoint] = {}
+    products: dict[tuple, np.ndarray] = {}
     sources = []
     for r in records:
         key = (id(r["source1"]), id(r["source2"]))
         if key not in products:
             products[key] = _live(r["source1"], FiniteJoint, FiniteJoint).product(
                 _live(r["source2"], FiniteJoint, FiniteJoint)
-            )
+            ).probs
         sources.append(products[key])
     channels = [tuple(np.asarray(c, dtype=float) for c in r["channels"]) for r in records]
     splits = _info_splits(sources, channels)
@@ -738,10 +686,12 @@ def verify_interactive_chain(spec: InteractiveSpec, rho: float) -> CheckResult:
     d_x = kl(with_x, with_x_ref)
     d_y = kl(with_y, with_y_ref)
 
-    _check_joints(joints[:1])
-    interchanged, injected = (
-        float(term[0]) for term in _chain_terms(joints[:1], mutual_info(src))
-    )
+    # the chain identities: I(X;Y) - I(X;Y|U^r) and I(U^r;X,Y)
+    spec_joint = joints[:1]
+    _check_joints(spec_joint)
+    interchanged = float(mutual_info(src) - _cond_mutual_info_rows(
+        spec_joint.reshape(1, src.nx, src.ny, -1))[0])
+    injected = float(_mutual_info_rows(spec_joint.reshape(1, src.nx * src.ny, -1))[0])
     scaled = rho * rho * injected
 
     one_way_gap = abs(d_y - interchanged) if spec.rounds == 1 else None
@@ -1136,6 +1086,8 @@ def sweep(kind: str, draws: int, seed: int, **args) -> SweepOutcome:
     args go to the check's instance generator. Stats carry the worst
     margin over all checks, then whatever the generator reports.
     """
+    if draws < 0:
+        raise ValueError(f"draws must be nonnegative, got {draws}")
     check = CHECKS[kind]
     violations = []
     checks = 0

@@ -45,6 +45,14 @@ def _is_number(value, integral: bool) -> bool:
     )
 
 
+def _check_correlation(rho) -> None:
+    """Raise ValueError unless rho is a finite real number in [-1, 1]."""
+    if not _is_number(rho, integral=False):
+        raise ValueError(f"correlation must be a finite number, got {rho!r}")
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+
+
 def _as_pmf(p, name: str = "pmf", atol: float = 1e-9) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     _check_pmfs(arr[None], name, atol)
@@ -102,8 +110,7 @@ class FiniteJoint:
     @staticmethod
     def binary_symmetric(rho: float) -> "FiniteJoint":
         """Uniform +-1 pair with agreement probability (1 + rho) / 2."""
-        if not -1.0 <= rho <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+        _check_correlation(rho)
         agree = (1.0 + rho) / 4.0
         differ = (1.0 - rho) / 4.0
         return FiniteJoint(np.array([[agree, differ], [differ, agree]]))
@@ -357,8 +364,7 @@ def risk_bounds(k: int, rho: float) -> BoundSet:
     """
     if not _is_number(k, integral=True) or k <= 0:
         raise ValueError(f"bit budget must be a positive integer, got {k!r}")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho}")
+    _check_correlation(rho)
     base = 1.0 / (2.0 * k * LN2)
     one_minus_sq = 1.0 - rho * rho
     return BoundSet(

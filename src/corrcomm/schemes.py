@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
-from .infotheory import _is_number, binary_entropy
+from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, gen_pairs
 
@@ -273,17 +273,26 @@ def _mean_sign_product(a: np.ndarray, b: np.ndarray) -> float:
     return (2 * int(np.count_nonzero(a == b)) - n) / n
 
 
-def _checked_pairs(scheme: str, k: int, p: dict, batch: PairBatch) -> int:
-    """The pairs a literal run of SCHEMES[scheme] reads, checked against batch."""
+def _checked_scheme(scheme: str, k: int, batch: PairBatch) -> Scheme:
+    """SCHEMES[scheme], checked to read batch's family at a positive budget k."""
     entry = SCHEMES[scheme]
     if batch.family != entry.family:
         raise ValueError(f"{scheme} expects a {entry.family} batch, got {batch.family}")
     if k < 1:
         raise ValueError(f"bit budget must be positive, got {k}")
-    needed = entry.samples_needed(k, p, True)
+    return entry
+
+
+def _fits(needed: int, batch: PairBatch) -> int:
+    """needed, checked to be at most the pairs batch holds."""
     if len(batch) < needed:
         raise ValueError(f"need at least {needed} pairs, batch has {len(batch)}")
     return needed
+
+
+def _checked_pairs(scheme: str, k: int, p: dict, batch: PairBatch) -> int:
+    """The pairs a literal run of SCHEMES[scheme] reads, checked against batch."""
+    return _fits(_checked_scheme(scheme, k, batch).samples_needed(k, p, True), batch)
 
 
 def run_naive(k: int, batch: PairBatch) -> EstimateResult:
@@ -499,10 +508,10 @@ def run_binary_block(
     or decoding is ambiguous, the fallback estimate is the empirical
     correlation of block 1 with the failure flagged in aux.
     """
-    p = {"rho_tilde": rho_tilde, "n_block": n_block, "rho_nominal": rho_nominal,
-         "guard_bits": guard_bits}
-    _checked_pairs("binary_block", k, p, batch)
-    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)  # cached
+    # _checked_pairs, keeping the layout that the scheme's samples_needed reads
+    _checked_scheme("binary_block", k, batch)
+    layout = _fitted_layout(k, rho_tilde, n_block, rho_nominal, guard_bits)
+    _fits(layout.samples_needed, batch)
     n, m = layout.n_block, layout.m_blocks
     shift = layout.index_bits - layout.prefix_bits
     xs = batch.x[: n * m].reshape(m, n)
@@ -949,6 +958,8 @@ class SchemeConfig:
         if self.k < 1:
             raise ValueError(f"bit budget must be positive, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
+        if not isinstance(self.use_batches, bool):
+            raise ValueError(f"use_batches must be True or False, got {self.use_batches!r}")
 
 
 _COUNT_PARAMS = ("n_block", "k1", "guard_bits")
@@ -956,8 +967,7 @@ _COUNT_PARAMS = ("n_block", "k1", "guard_bits")
 
 def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
     """The cell's scheme, its filled-in params and its pairs per literal trial."""
-    if not -1.0 <= rho_true <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {rho_true}")
+    _check_correlation(rho_true)
     scheme = SCHEMES[config.scheme]
     for name, value in config.params.items():
         integral = name in _COUNT_PARAMS
@@ -988,14 +998,14 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     """Validate one (scheme, k, rho) cell without drawing a single sample.
 
     Returns the pair count one batch-mode trial would consume. Raises
-    ValueError whenever the cell cannot run: a missing or unknown
-    parameter, a value that is not a finite number (or not an integer, for
-    n_block, k1 and guard_bits), nominal correlation
-    outside (-1, 1), block layout infeasible for the budget, phase-1
-    budget out of range, a pointer pool past the MAX_POINTER_BITS guard
-    (literal) or the MAX_FAST_POINTER_BITS bound (fast sampler), or a naive
-    budget past the same literal guard or the int64 range of its fast
-    binomial draw.
+    ValueError whenever the cell cannot run: a true correlation that is
+    not a finite number in [-1, 1], a missing or unknown parameter, a
+    value that is not a finite number (or not an integer, for n_block, k1
+    and guard_bits), nominal correlation outside (-1, 1), block layout
+    infeasible for the budget, phase-1 budget out of range, a pointer pool
+    past the MAX_POINTER_BITS guard (literal) or the MAX_FAST_POINTER_BITS
+    bound (fast sampler), or a naive budget past the same literal guard or
+    the int64 range of its fast binomial draw.
     """
     return _resolve(config, rho_true)[2]
 
@@ -1011,6 +1021,9 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     are reproducible bit-for-bit for a fixed (config, seed) and independent
     of any execution interleaving.
     """
+    if not _is_number(trials, integral=True):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     scheme, params, needed = _resolve(config, rho_true)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .infotheory import _check_correlation
 from .rng import substream
 
 __all__ = [
@@ -38,8 +39,7 @@ class CorrelationModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation must lie in [-1, 1], got {self.rho}")
+        _check_correlation(self.rho)
 
 
 @dataclass(frozen=True)

@@ -362,8 +362,10 @@ def test_verify_zero_draws_warns_and_passes(capsys):
 
 
 def test_verify_negative_draws_rejected(capsys):
-    code, _, _ = run(capsys, "verify", "--suite", "tilted", "--draws", "-5")
-    assert code == 2
+    for suite in ("tilted", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--draws", "-5")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "draws must be nonnegative, got -5"}
 
 
 @pytest.mark.parametrize("suite", ["shift", "chain", "tensor", "gaphamming"])

@@ -136,8 +136,10 @@ def test_info_split_identity_spec():
     assert split.injected == pytest.approx(1.0, abs=1e-12)
     assert split.interchanged == pytest.approx(0.18872187554086717, abs=1e-12)
     assert split.ratio == pytest.approx(split.interchanged, abs=1e-12)
-    assert split.interchanged_chain == pytest.approx(split.interchanged, abs=1e-12)
-    assert split.injected_chain == pytest.approx(1.0, abs=1e-12)
+    # the chain verifier's transcript identities give the same sums
+    chain = verify_interactive_chain(one_way_identity(0.5), 0.5).values
+    assert chain["interchanged"] == pytest.approx(split.interchanged, abs=1e-12)
+    assert chain["injected"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_info_split_chain_identities_on_random_specs():
@@ -145,8 +147,9 @@ def test_info_split_chain_identities_on_random_specs():
     for _ in range(20):
         spec = random_spec(FiniteJoint.binary_symmetric(0.7), 3, 3, rng)
         split = compute_info_split(spec)
-        assert abs(split.interchanged - split.interchanged_chain) < 1e-9
-        assert abs(split.injected - split.injected_chain) < 1e-9
+        chain = verify_interactive_chain(spec, 0.7).values
+        assert abs(split.interchanged - chain["interchanged"]) < 1e-9
+        assert abs(split.injected - chain["injected"]) < 1e-9
         assert split.interchanged <= 0.49 * split.injected + 1e-9
 
 
@@ -287,6 +290,30 @@ def test_binary_input_validation():
         binary_input_contraction([0.5, 0.5], [0.5, 0.5], IDENTITY, pa=(0.7, 0.7))
     with pytest.raises(ValueError, match="2 entries"):
         binary_input_contraction([0.5, 0.5], [0.5, 0.5], IDENTITY, pa=(0.5, 0.25, 0.25))
+
+
+def test_one_shot_checks_read_the_info_split_of_their_one_round_spec():
+    # injected is I(U;X) and interchanged I(U;Y) of a message drawn from x
+    rng = substream(SEED, "one-shot-splits")
+    for _ in range(20):
+        rho, f, g = 0.7, rng.random(2) * 2.0, rng.random(2) * 2.0
+        channel_u = rng.dirichlet(np.ones(3), size=2)
+        channel_v = rng.dirichlet(np.ones(2), size=2)
+        values = verify_tilted_contraction(rho, f, g, channel_u, channel_v).values
+        tilted = f[:, None] * g[None, :] * FiniteJoint.binary_symmetric(rho).probs
+        tilted /= tilted.sum()
+        for table, channel, side in ((tilted, channel_u, "u"), (tilted.T, channel_v, "v")):
+            split = compute_info_split(InteractiveSpec(FiniteJoint(table), (channel,)))
+            assert values[f"own_{side}"] == split.injected
+            assert values[f"cross_{side}"] == split.interchanged
+
+        p, q = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+        pa, channel = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3), size=2)
+        values = binary_input_contraction(p, q, channel, pa).values
+        table = pa[:, None] * np.stack([p, q])
+        split = compute_info_split(InteractiveSpec(FiniteJoint(table), (channel,)))
+        assert values["i_ua"] == split.injected
+        assert values["i_ub"] == split.interchanged
 
 
 # ----------------------------------------------------------------------
@@ -540,6 +567,13 @@ def test_sweep_suite_names_and_clean_runs():
     assert outcomes[5].checks == 11  # majority demo plus the random draws
     assert "majority" in outcomes[5].stats
     assert outcomes[5].stats["majority"]["i_u_pi"] > 0  # two rounds see the sign
+
+
+def test_sweep_rejects_negative_draws():
+    # a negative count once ran no check and reported worst_margin inf
+    for kind in ("tilted_contraction", "ratio_ceiling", "tensorization"):
+        with pytest.raises(ValueError, match="draws must be nonnegative, got -1"):
+            sweep(kind, -1, SEED, **CHECKS[kind].args)
 
 
 def test_sweeps_are_deterministic():

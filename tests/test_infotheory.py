@@ -46,7 +46,7 @@ def test_binary_symmetric_table_is_exact():
     np.testing.assert_allclose(j.marginal_y(), [0.5, 0.5], atol=1e-15)
 
 
-@pytest.mark.parametrize("rho", [-1.5, 1.0001, 2.0])
+@pytest.mark.parametrize("rho", [-1.5, 1.0001, 2.0, True, "0.5"])
 def test_binary_symmetric_rejects_bad_correlation(rho):
     with pytest.raises(ValueError):
         FiniteJoint.binary_symmetric(rho)
@@ -328,3 +328,6 @@ def test_risk_bounds_validation():
         risk_bounds(True, 0.5)  # a bool is not a budget
     with pytest.raises(ValueError):
         risk_bounds(8, 1.5)
+    for rho in (True, "0.5"):  # a bool or a string is not a correlation
+        with pytest.raises(ValueError, match="correlation must be a finite number"):
+            risk_bounds(8, rho)

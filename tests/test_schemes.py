@@ -395,6 +395,15 @@ def test_block_scheme_partial_prefix_run():
         assert result.aux["decoded"] >> shift == result.aux["anchor_block"] >> shift
 
 
+def test_block_runner_resolves_its_layout_once():
+    layout = block_layout(0.5, 16, 0.4)
+    batch = gen_pairs(CorrelationModel("binary", 0.4), layout.samples_needed, SEED)
+    before = block_layout.cache_info()
+    run_binary_block(8, 0.5, 16, batch, rho_nominal=0.4)
+    after = block_layout.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+
+
 def block_scheme_by_full_scan(rho_tilde, n_block, batch, rho_nominal):
     """run_binary_block's (anchor, decoded, raw) at guard_bits 0, marking
     every block of bob's."""
@@ -711,6 +720,12 @@ def test_check_preconditions_sample_counts():
 def test_check_preconditions_rejects_bad_cells():
     with pytest.raises(ValueError):
         check_preconditions(SchemeConfig("naive", 8), 1.5)
+    # True once ran at rho = 1 and reported rho_true 1.0; "0.5" raised TypeError
+    for rho in (True, "0.5"):
+        with pytest.raises(ValueError, match="correlation must be a finite number"):
+            check_preconditions(SchemeConfig("max", 8), rho)
+        with pytest.raises(ValueError, match="correlation must be a finite number"):
+            estimate_risk(SchemeConfig("max", 8), rho, 100, 0)
     with pytest.raises(ValueError):
         check_preconditions(
             SchemeConfig("local", 8, {"rho_nominal": 1.0}), 0.0
@@ -914,6 +929,10 @@ def test_scheme_config_validation():
         SchemeConfig("quantum", 8)
     with pytest.raises(ValueError):
         SchemeConfig("naive", 0)
+    # "yes" once constructed and ran the literal path
+    for flag in ("yes", 1, None):
+        with pytest.raises(ValueError, match="use_batches must be True or False"):
+            SchemeConfig("max", 8, use_batches=flag)
 
 
 def test_scheme_config_budget_must_be_an_integer():
@@ -931,6 +950,12 @@ def test_scheme_config_budget_must_be_an_integer():
 def test_estimate_risk_requires_100_trials():
     with pytest.raises(ValueError):
         estimate_risk(SchemeConfig("naive", 8), 0.0, 99, SEED)
+    for trials in (150.5, 200.0, True, "200", math.inf):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            estimate_risk(SchemeConfig("naive", 8), 0.0, trials, SEED)
+    report = estimate_risk(SchemeConfig("naive", 8), 0.0, np.int64(200), SEED)
+    assert type(report.trials) is int
+    assert report == estimate_risk(SchemeConfig("naive", 8), 0.0, 200, SEED)
 
 
 def test_estimate_risk_deterministic():

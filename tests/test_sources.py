@@ -23,6 +23,9 @@ def test_model_validation():
         CorrelationModel("poisson", 0.1)
     with pytest.raises(ValueError):
         CorrelationModel("binary", 1.2)
+    for rho in (True, "0.5"):  # a bool or a string is not a correlation
+        with pytest.raises(ValueError, match="correlation must be a finite number"):
+            CorrelationModel("binary", rho)
 
 
 def test_batch_validation():
