@@ -2,7 +2,7 @@
 
 The pointer schemes divide by E[max of 2^k normals], so that constant has
 to be right to all the digits the estimator needs. The library computes
-it by adaptive quadrature on the order-statistic density; this script
+it by Gauss-Legendre quadrature on the order-statistic density; this script
 cross-checks a mid-sized value by Monte Carlo through the inverse CDF
 (max of n uniforms is one uniform raised to 1/n) and shows how slowly the
 textbook asymptote sqrt(2 ln n) is approached: the ratio is still only

@@ -1086,6 +1086,8 @@ def sweep(kind: str, draws: int, seed: int, **args) -> SweepOutcome:
     args go to the check's instance generator. Stats carry the worst
     margin over all checks, then whatever the generator reports.
     """
+    if not _is_number(draws, integral=True):
+        raise ValueError(f"draws must be an integer, got {draws!r}")
     if draws < 0:
         raise ValueError(f"draws must be nonnegative, got {draws}")
     check = CHECKS[kind]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
 from .infotheory import _check_correlation, _is_number, binary_entropy
@@ -88,32 +89,53 @@ _NORM_PDF_LOGC = np.log(np.sqrt(2 * np.pi))
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _max_normal_moment(n: int, power: int) -> float:
-    """integral of x^power n phi(x) Phi(x)^(n-1) dx to ~1e-10 abs error."""
-    if n == 1 and power == 1:
-        return 0.0
-    log_n = math.log(n)
-    peak = math.sqrt(2.0 * log_n) if n > 1 else 0.0
-    lo, hi = -12.0, peak + 12.0
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], made at first use."""
+    return leggauss(order)
 
-    def integrand(x):
-        return x**power * math.exp(
+
+@lru_cache(maxsize=None)
+def _max_normal_moments(n: int) -> tuple[float, float]:
+    """(mean, central variance) of the maximum of n unit normals.
+
+    Composite Gauss-Legendre quadrature of x and (x - mean)^2 against the
+    density n phi(x) Phi(x)^(n-1) on [-12, peak + 12], peak = sqrt(2 ln n),
+    in panels of width at most 1 / max(1, peak), the width of the density's
+    bulk. A 10-node rule on the same panels bounds the 20-node rule's error,
+    which must stay under 1e-8. Both moments agree with adaptive quadrature
+    (scipy.integrate.quad) to 1e-14 relative for pools from 2 to 2^26, and
+    with a rule refined fourfold in panels and 1.5-fold in nodes to 1e-13
+    up to 2^960, where the integrand's own rounding sets the floor. The
+    variance is integrated about the mean, so unlike E[M^2] - E[M]^2 it does
+    not cancel as the pool grows.
+    """
+    if n == 1:
+        return 0.0, 1.0
+    log_n = math.log(n)
+    peak = math.sqrt(2.0 * log_n)
+    lo, hi = -12.0, peak + 12.0
+    panels = math.ceil((hi - lo) * max(1.0, peak))
+    half = (hi - lo) / (2 * panels)
+    mids = lo + half * (2 * np.arange(panels) + 1)
+
+    def moments(order):
+        nodes, weights = _legendre_rule(order)
+        x = mids[:, None] + half * nodes
+        mass = (half * weights) * np.exp(
             log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
         )
+        # elementwise sums, not `@`: a BLAS dot of this length may start
+        # threads, and pairwise summation keeps the rounding down
+        mean = float((mass * x).sum())
+        return mean, float((mass * (x - mean) ** 2).sum())
 
-    # imported here, not at module level: scipy.integrate's import costs about
-    # 0.3 s, which only pointer-scheme moments need
-    from scipy import integrate
-
-    points = [peak] if lo < peak < hi else None
-    value, err = integrate.quad(
-        integrand, lo, hi, points=points, limit=400, epsabs=1e-11, epsrel=1e-11
-    )
+    (mean, var), (mean_lo, var_lo) = moments(20), moments(10)
+    err = abs(mean - mean_lo) + abs(var - var_lo)
     if not err <= 1e-8:  # a nan error fails too
         raise ArithmeticError(
             f"max-normal moment quadrature error {err} exceeds 1e-8 (n={n})"
         )
-    return float(value)
+    return mean, var
 
 
 _MAX_POOL = 2**MAX_FAST_POINTER_BITS
@@ -131,15 +153,13 @@ def _check_pool_size(n) -> int:
 
 
 def expected_max_normal(n: int) -> float:
-    """E[max of n iid standard normals], by adaptive quadrature."""
-    return _max_normal_moment(_check_pool_size(n), 1)
+    """E[max of n iid standard normals], by Gauss-Legendre quadrature."""
+    return _max_normal_moments(_check_pool_size(n))[0]
 
 
 def var_max_normal(n: int) -> float:
-    """Var[max of n iid standard normals], by adaptive quadrature."""
-    n = _check_pool_size(n)
-    mean = _max_normal_moment(n, 1)
-    return _max_normal_moment(n, 2) - mean * mean
+    """Var[max of n iid standard normals], by Gauss-Legendre quadrature."""
+    return _max_normal_moments(_check_pool_size(n))[1]
 
 
 def naive_mse_exact(k: int, rho: float) -> float:

@@ -155,6 +155,8 @@ def shift_params(family: str, rho0: float, rho1: float) -> ShiftParams:
     with alpha^2 = |rho0|. The shared-noise sign s is sign(rho0), taken as
     +1 when rho0 = 0.
     """
+    _check_correlation(rho0)
+    _check_correlation(rho1)
     if family == "binary":
         alpha = abs(rho0)
     elif family == "gaussian":

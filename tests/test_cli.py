@@ -730,27 +730,26 @@ def test_bounds_and_verify_never_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-NO_QUADRATURE = """
+# Every caller of the max-normal quadrature: fast and literal cells of the
+# three schemes that divide by E[max of 2^k normals], and maxnormal.
+EXERCISE_THE_QUADRATURE = """
 import sys
-import corrcomm.schemes
+from corrcomm.cli import main
 from corrcomm.schemes import SchemeConfig, estimate_risk
 
-block = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
-for config in [
-    SchemeConfig("naive", 8),
-    SchemeConfig("naive", 8, use_batches=True),
-    SchemeConfig("binary_block", 12, block),
-]:
-    estimate_risk(config, 0.6, 200, 5)
+for scheme in ("max", "local", "two_way"):
+    for use_batches in (False, True):
+        estimate_risk(SchemeConfig(scheme, 6, use_batches=use_batches), 0.5, 100, 5)
+assert main(["maxnormal", "--n", "1,2,1024,65536"]) == 0
 assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 """
 
 
-def test_schemes_without_quadrature_never_import_scipy_integrate():
-    # only the max-normal quadrature needs scipy.integrate (about 0.3 s to
-    # import), so the naive and binary-block schemes run without it
+def test_package_never_imports_scipy_integrate():
+    # the max-normal moments need only numpy's Gauss-Legendre nodes;
+    # importing scipy.integrate costs about 26 MiB resident and 0.2 s
     proc = subprocess.run(
-        [sys.executable, "-c", NO_QUADRATURE],
+        [sys.executable, "-c", EXERCISE_THE_QUADRATURE],
         capture_output=True,
         text=True,
         env=child_env(),

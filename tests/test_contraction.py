@@ -576,6 +576,13 @@ def test_sweep_rejects_negative_draws():
             sweep(kind, -1, SEED, **CHECKS[kind].args)
 
 
+@pytest.mark.parametrize("draws", [2.5, True, "3"])
+def test_sweep_rejects_draws_that_are_not_integers(draws):
+    # 2.5 once failed inside range() with a TypeError, and True ran one check
+    with pytest.raises(ValueError, match="draws must be an integer"):
+        sweep("tilted_contraction", draws, SEED, rho=0.7)
+
+
 def test_sweeps_are_deterministic():
     a = sweep("tilted_contraction", 30, SEED, rho=0.7)
     b = sweep("tilted_contraction", 30, SEED, rho=0.7)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
 from corrcomm import (
     CorrelationModel,
@@ -43,7 +43,8 @@ from corrcomm.schemes import (
     _binom_pmf,
     _local_prefix_bits,
     _local_threshold,
-    _max_normal_moment,
+    _NORM_PDF_LOGC,
+    _max_normal_moments,
     _sample_max_normal,
     _sample_tail_normal,
 )
@@ -65,10 +66,69 @@ def binary_batch(x, y):
 
 def test_expected_max_normal_small_n():
     assert expected_max_normal(1) == 0.0
-    assert expected_max_normal(2) == pytest.approx(
-        1.0 / math.sqrt(math.pi), abs=1e-12
+    assert var_max_normal(1) == 1.0
+
+
+@pytest.mark.parametrize(
+    "n, mean, second",
+    [
+        # E[max(X1, X2)] = 1/sqrt(pi) and E[max^2] = 1 (max^2 + min^2 = X1^2 + X2^2)
+        (2, 1.0 / math.sqrt(math.pi), 1.0),
+        (3, 1.5 / math.sqrt(math.pi), 1.0 + math.sqrt(3.0) / (2.0 * math.pi)),
+    ],
+)
+def test_max_normal_moments_match_closed_forms(n, mean, second):
+    assert expected_max_normal(n) == pytest.approx(mean, rel=1e-14, abs=0)
+    assert var_max_normal(n) == pytest.approx(second - mean * mean, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, 8, 11, 16, 20, 26])
+def test_max_normal_moments_match_adaptive_quadrature(bits):
+    from scipy.integrate import quad  # the package itself must not import it
+
+    n = 2**bits
+    log_n = math.log(n)
+    peak = math.sqrt(2.0 * log_n)
+
+    def raw(power):
+        def integrand(x):
+            return x**power * math.exp(
+                log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
+            )
+
+        return quad(
+            integrand, -12.0, peak + 12.0, points=[peak],
+            limit=400, epsabs=1e-11, epsrel=1e-11,
+        )[0]
+
+    mean, var = _max_normal_moments(n)
+    assert mean == pytest.approx(raw(1), rel=1e-13, abs=0)
+    assert var + mean * mean == pytest.approx(raw(2), rel=1e-13, abs=0)
+
+
+def refined_moments(n, panels_per_unit=4.0, order=30):
+    """Mean and central variance from a rule finer in panels and nodes."""
+    log_n = math.log(n)
+    peak = math.sqrt(2.0 * log_n)
+    lo, hi = -12.0, peak + 12.0
+    panels = math.ceil((hi - lo) * peak * panels_per_unit)
+    edges = np.linspace(lo, hi, panels + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    x = (edges[:-1, None] + half) + half * nodes
+    mass = half * weights * np.exp(
+        log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
     )
-    assert var_max_normal(2) == pytest.approx(1.0 - 1.0 / math.pi, abs=1e-10)
+    mean = (mass * x).sum()
+    return mean, (mass * (x - mean) ** 2).sum()
+
+
+@pytest.mark.parametrize("bits", [64, 256, 960])
+def test_max_normal_variance_is_central(bits):
+    # E[M^2] - E[M]^2 cancels: it lost 8e-10 of the variance at 2^256
+    mean, var = refined_moments(2**bits)
+    assert expected_max_normal(2**bits) == pytest.approx(mean, rel=1e-12, abs=0)
+    assert var_max_normal(2**bits) == pytest.approx(var, rel=1e-12, abs=0)
 
 
 def test_max_normal_trends():
@@ -100,26 +160,24 @@ def test_max_normal_validation():
 
 def test_max_normal_quadrature_rejects_a_nan_error(monkeypatch):
     # a nan error estimate once passed the "error exceeds 1e-8" comparison
-    import scipy.integrate
-
     calls = []
 
-    def nan_quad(*args, **kwargs):
-        calls.append(args)
-        return 1.0, math.nan
+    def nan_log_ndtr(x):
+        calls.append(x.shape)
+        return np.full_like(x, math.nan)
 
-    monkeypatch.setattr(scipy.integrate, "quad", nan_quad)
+    monkeypatch.setattr(corrcomm.schemes, "log_ndtr", nan_log_ndtr)
     with pytest.raises(ArithmeticError, match="error nan exceeds"):
-        _max_normal_moment(12347, 1)  # a pool no other test caches
-    assert len(calls) == 1
+        _max_normal_moments(12347)  # a pool no other test caches
+    assert len(calls) == 2  # the 20-node rule and the 10-node check
 
 
 @pytest.mark.parametrize(
     "n, mean_hex, var_hex",
     [
         (2, "0x1.20dd750429b6ep-1", "0x1.5d067c91b1bc0p-1"),
-        (1024, "0x1.9fc650b4bd5f9p+1", "0x1.f7f15fb84a500p-4"),
-        (2**20, "0x1.37d3aa1918eb6p+2", "0x1.f61f0e9f82400p-5"),
+        (1024, "0x1.9fc650b4bd5fdp+1", "0x1.f7f15fb84a60ap-4"),
+        (2**20, "0x1.37d3aa1918eafp+2", "0x1.f61f0e9f83d3cp-5"),
     ],
 )
 def test_max_normal_quadrature_is_pinned(n, mean_hex, var_hex):

@@ -152,6 +152,23 @@ def test_shift_params_feasibility_window():
         shift_params("exponential", 0.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "rho0, rho1",
+    [
+        pytest.param("0.25", 0.5, id="str-base"),
+        pytest.param(True, 0.5, id="bool-base"),
+        pytest.param(math.nan, 0.5, id="nan-base"),
+        pytest.param(0.25, "0.5", id="str-target"),
+        pytest.param(0.25, True, id="bool-target"),
+        pytest.param(0.25, 1.5, id="target-past-1"),
+    ],
+)
+def test_shift_params_checks_both_correlations(rho0, rho1):
+    # a string base once raised abs()'s TypeError, and True passed as 1.0
+    with pytest.raises(ValueError, match="correlation must"):
+        shift_params("binary", rho0, rho1)
+
+
 def test_shift_params_negative_base_uses_negative_sign():
     params = shift_params("gaussian", -0.25, 0.1)
     assert params.s == -1.0
