@@ -263,18 +263,23 @@ def compute_info_split(spec: InteractiveSpec) -> InfoSplit:
 def _info_splits(sources, channels: list) -> list[InfoSplit]:
     """compute_info_split of each (source table, channel tuple) pair, stacked.
 
-    sources holds (nx, ny) joint tables. Pairs with the same source and
-    message shapes form one stack: its sources, channels and joints are
-    checked once, and each round's informations come from one call.
+    sources holds (nx, ny) joint tables, as a list or as one (B, nx, ny)
+    stack. Pairs with the same source and message shapes form one stack:
+    its sources, channels and joints are checked once, and each round's
+    informations come from one call.
     """
+    stacked = isinstance(sources, np.ndarray)
     groups: dict[tuple, list[int]] = {}
-    for b, (src, chans) in enumerate(zip(sources, channels)):
-        key = (src.shape, *[chan.shape for chan in chans])
-        groups.setdefault(key, []).append(b)
+    for b, chans in enumerate(channels):
+        key = tuple([chan.shape for chan in chans])
+        groups.setdefault(key if stacked else (sources[b].shape, key), []).append(b)
     splits: list = [None] * len(channels)
     for members in groups.values():
-        # np.array stacks same-shape arrays as np.stack does, at a third of its cost
-        group_sources = np.array([sources[b] for b in members])
+        if stacked:
+            group_sources = np.ascontiguousarray(sources[members])
+        else:
+            # np.array stacks same-shape arrays as np.stack does, at a third of its cost
+            group_sources = np.array([sources[b] for b in members])
         stacks = [np.array(round_chans)
                   for round_chans in zip(*[channels[b] for b in members])]
         _check_joints(group_sources)

@@ -103,6 +103,12 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, trial, rho):
     assert batch.family == family and len(batch) == n
 
 
+@pytest.mark.parametrize("trial", [1.5, True])
+def test_gen_pairs_rejects_a_non_integer_trial(trial):
+    with pytest.raises(ValueError, match="substream index must be an integer"):
+        gen_pairs(CorrelationModel("binary", 0.0), 8, SEED, trial=trial)
+
+
 def test_gen_pairs_rejects_empty():
     with pytest.raises(ValueError):
         gen_pairs(CorrelationModel("binary", 0.0), 0, SEED)
