@@ -12,10 +12,8 @@ asymptote as a plug-in.
 
 import math
 
-import numpy as np
-from scipy.special import ndtri
-
 from corrcomm import expected_max_normal, var_max_normal
+from corrcomm._normal import ndtri
 from corrcomm.rng import substream
 
 

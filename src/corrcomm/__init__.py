@@ -19,7 +19,7 @@ import importlib
 __version__ = "0.1.0"
 
 # Each public name lives in its module's __all__; the modules are searched in
-# this order and imported on first use, so the lab never loads scipy.
+# this order and imported on first use, so the lab never loads the schemes.
 _MODULES = ("rng", "infotheory", "sources", "contraction", "schemes")
 
 

@@ -930,6 +930,10 @@ class SweepOutcome:
 # stacked calls, few enough that a sweep's memory does not grow with draws.
 SWEEP_BATCH = 256
 
+# Dirichlet(1, ..., 1) weights for the tilted and binary-input draws, whose
+# alphabets have at most four letters: sliced, not rebuilt per draw
+_FLAT_DIRICHLET = np.ones(4)
+
 
 def _in_batches(draws: int, run, draw_one: Callable[[], dict]) -> None:
     """run every SWEEP_BATCH instances that draw_one() draws, in draw order."""
@@ -949,8 +953,8 @@ def _draw_tilted(rng, seed, draws, run, rho):
         f, g = rng.random(2) * 2.0, rng.random(2) * 2.0
         m_u, m_v = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         return {"rho": rho, "f": f, "g": g,
-                "channel_u": rng.dirichlet(np.ones(m_u), size=2),
-                "channel_v": rng.dirichlet(np.ones(m_v), size=2)}
+                "channel_u": rng.dirichlet(_FLAT_DIRICHLET[:m_u], size=2),
+                "channel_v": rng.dirichlet(_FLAT_DIRICHLET[:m_v], size=2)}
 
     _in_batches(draws, run, draw_one)
     return {}
@@ -959,9 +963,10 @@ def _draw_tilted(rng, seed, draws, run, rho):
 def _draw_binary_input(rng, seed, draws, run):
     def draw_one():
         b_size = int(rng.integers(2, 5))
-        p, q = rng.dirichlet(np.ones(b_size)), rng.dirichlet(np.ones(b_size))
+        weights = _FLAT_DIRICHLET[:b_size]
+        p, q = rng.dirichlet(weights), rng.dirichlet(weights)
         u_size = int(rng.integers(2, 4))
-        return {"p": p, "q": q, "channel": rng.dirichlet(np.ones(u_size), size=2)}
+        return {"p": p, "q": q, "channel": rng.dirichlet(_FLAT_DIRICHLET[:u_size], size=2)}
 
     _in_batches(draws, run, draw_one)
     return {}

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
+from ._normal import log_ndtr, ndtr, ndtri
 from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, gen_pairs
@@ -82,16 +81,73 @@ TWO_WAY_NOMINAL_CAP = 0.95
 # integrand spells out norm.logpdf's own expression with this constant, so
 # its floats match scipy.stats to the bit without importing it.
 _NORM_PDF_LOGC = np.log(np.sqrt(2 * np.pi))
+# exp of anything below this rounds to 0.0 in float64: the smallest
+# subnormal, 2^-1074, is exp(-744.44), and half of it exp(-745.13)
+_LOG_UNDERFLOW = -746.0
 
 
 # ----------------------------------------------------------------------
 # quadrature oracles for the maximum of N unit normals
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], made at first use."""
-    return leggauss(order)
+# The 20-node Gauss-Legendre rule on [-1, 1] and the 10-node rule that
+# checks it: each one's positive nodes and their weights, bit for bit as
+# numpy.polynomial.legendre.leggauss returns them (it costs 0.4 ms, and its
+# import 7 ms, per process). The rules are symmetric about 0.
+_LEGENDRE_HALVES = (
+    ((0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+      0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+      0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095),
+     (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+      0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+      0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+      0.017614007139150893)),
+    ((0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+      0.8650633666889845, 0.9739065285171717),
+     (0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+      0.1494513491505804, 0.06667134430868814)),
+)
+
+
+def _mirrored(half, sign: float) -> np.ndarray:
+    half = np.array(half)
+    return np.concatenate((sign * half[::-1], half))
+
+
+# both rules side by side: columns [:20] and [20:]
+_RULE_NODES = np.concatenate([_mirrored(nodes, -1.0) for nodes, _ in _LEGENDRE_HALVES])
+_RULE_WEIGHTS = np.concatenate([_mirrored(weights, 1.0) for _, weights in _LEGENDRE_HALVES])
+
+
+def _max_normal_panels(n: int) -> tuple[np.ndarray, float]:
+    """Midpoints and half-width of the quadrature panels for a pool of n >= 2.
+
+    Panels of width at most 1 / max(1, peak), the width of the density's
+    bulk, cover [-12, peak + 12], peak = sqrt(2 ln n). The density
+    n phi(x) Phi(x)^(n-1) is log-concave, so it rises up to its mode, and a
+    leading panel whose right edge has log-density below -746 has every
+    node's density underflow to exactly 0. Such panels are dropped (1757 of
+    2207 at 2^960, 80 of 155 at 2^20, none at n = 2). They are found without
+    log_ndtr, by bounding Phi at the edges from above with Mills'-ratio
+    inequalities, a = |x|: Phi(x) <= phi(x) 4 / (3a + sqrt(a^2 + 8)) for
+    x < 0 (Sampford 1953), and 1 - Phi(x) >= phi(x) 2 / (a + sqrt(a^2 + 4))
+    for x >= 0 (Birnbaum 1942).
+    """
+    log_n = math.log(n)
+    peak = math.sqrt(2.0 * log_n)
+    lo, hi = -12.0, peak + 12.0
+    panels = math.ceil((hi - lo) * max(1.0, peak))
+    half = (hi - lo) / (2 * panels)
+    edges = lo + 2.0 * half * np.arange(1, panels + 1)
+    a = np.abs(edges)
+    log_pdf = -edges**2 / 2.0 - _NORM_PDF_LOGC
+    log_cdf_bound = np.where(
+        edges < 0.0,
+        log_pdf + np.log(4.0 / (3.0 * a + np.sqrt(a * a + 8.0))),
+        np.log1p(-np.exp(log_pdf) * 2.0 / (a + np.sqrt(a * a + 4.0))),
+    )
+    first = int(np.argmax(log_n + log_pdf + (n - 1) * log_cdf_bound >= _LOG_UNDERFLOW))
+    return (lo + half * (2 * np.arange(panels) + 1))[first:], half
 
 
 @lru_cache(maxsize=None)
@@ -99,10 +155,9 @@ def _max_normal_moments(n: int) -> tuple[float, float]:
     """(mean, central variance) of the maximum of n unit normals.
 
     Composite Gauss-Legendre quadrature of x and (x - mean)^2 against the
-    density n phi(x) Phi(x)^(n-1) on [-12, peak + 12], peak = sqrt(2 ln n),
-    in panels of width at most 1 / max(1, peak), the width of the density's
-    bulk. A 10-node rule on the same panels bounds the 20-node rule's error,
-    which must stay under 1e-8. Both moments agree with adaptive quadrature
+    density n phi(x) Phi(x)^(n-1) on the panels of `_max_normal_panels`. A
+    10-node rule on the same panels bounds the 20-node rule's error, which
+    must stay under 1e-8. Both moments agree with adaptive quadrature
     (scipy.integrate.quad) to 1e-14 relative for pools from 2 to 2^26, and
     with a rule refined fourfold in panels and 1.5-fold in nodes to 1e-13
     up to 2^960, where the integrand's own rounding sets the floor. The
@@ -111,25 +166,20 @@ def _max_normal_moments(n: int) -> tuple[float, float]:
     """
     if n == 1:
         return 0.0, 1.0
-    log_n = math.log(n)
-    peak = math.sqrt(2.0 * log_n)
-    lo, hi = -12.0, peak + 12.0
-    panels = math.ceil((hi - lo) * max(1.0, peak))
-    half = (hi - lo) / (2 * panels)
-    mids = lo + half * (2 * np.arange(panels) + 1)
+    mids, half = _max_normal_panels(n)
+    x = mids[:, None] + half * _RULE_NODES
+    log_density = (math.log(n) + (-x**2 / 2.0 - _NORM_PDF_LOGC)
+                   + (n - 1) * log_ndtr(x))
+    mass = (half * _RULE_WEIGHTS) * np.exp(log_density)
 
-    def moments(order):
-        nodes, weights = _legendre_rule(order)
-        x = mids[:, None] + half * nodes
-        mass = (half * weights) * np.exp(
-            log_n + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
-        )
+    def moments(cols):
+        x_rule, mass_rule = x[:, cols], mass[:, cols]
         # elementwise sums, not `@`: a BLAS dot of this length may start
         # threads, and pairwise summation keeps the rounding down
-        mean = float((mass * x).sum())
-        return mean, float((mass * (x - mean) ** 2).sum())
+        mean = float((mass_rule * x_rule).sum())
+        return mean, float((mass_rule * (x_rule - mean) ** 2).sum())
 
-    (mean, var), (mean_lo, var_lo) = moments(20), moments(10)
+    (mean, var), (mean_lo, var_lo) = moments(slice(20)), moments(slice(20, None))
     err = abs(mean - mean_lo) + abs(var - var_lo)
     if not err <= 1e-8:  # a nan error fails too
         raise ArithmeticError(
@@ -693,8 +743,11 @@ def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
         # binomial inversion, which reads this uniform for q <= 1/2, B q <= 30
         mates = 2.0 ** (k - m) - 1.0
         q = ndtr(-threshold)
-        p_none = np.exp(xlog1py(mates, -q))
-        p_one = mates * q * np.exp(xlog1py(mates - 1.0, -q))
+        # q reaches 1.0 (k = 600, rho_nominal = -0.364), where a lone mate
+        # must still give (mates - 1) log1p(-q) = 0, not 0 * -inf
+        log_miss = np.log1p(-q) if q < 1.0 else -np.inf
+        p_none = np.exp(mates * log_miss)
+        p_one = mates * q * (np.exp((mates - 1.0) * log_miss) if mates > 1.0 else 1.0)
         u = rng.random(sel.size)
         success = marked_w & (u <= p_none)
         wrong = ~marked_w & (u > p_none) & (u - p_none <= p_one)
@@ -707,11 +760,38 @@ def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
     return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
 
 
+# log(m!) for m < 32; _log_binomials takes Stirling's series from there
+_SMALL_LOG_FACTORIALS = np.array([math.lgamma(m + 1.0) for m in range(32)])
+
+
+@lru_cache(maxsize=128)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, from log(m!) to a few units in its last place.
+
+    From m = 32 on, log(m!) is Stirling's series for log Gamma(z), z = m + 1,
+    through its 1/z^7 term: the first term left out, 1/(1188 z^9), is below
+    2e-17.
+    """
+    z = np.arange(32.0, n + 1.0) + 1.0
+    inv2 = 1.0 / (z * z)
+    series = (((-1.0 / 1680.0 * inv2 + 1.0 / 1260.0) * inv2 - 1.0 / 360.0) * inv2
+              + 1.0 / 12.0) / z
+    stirling = (z - 0.5) * np.log(z) - z + _NORM_PDF_LOGC + series
+    log_fact = np.concatenate((_SMALL_LOG_FACTORIALS[: n + 1], stirling))
+    log_comb = log_fact[n] - log_fact - log_fact[::-1]
+    log_comb.flags.writeable = False  # every caller of the cache shares it
+    return log_comb
+
+
 def _binom_pmf(n: int, p: float) -> np.ndarray:
-    """Bin(n, p) pmf over 0..n, by the log-space formula of scipy's binom."""
+    """Bin(n, p) pmf over 0..n, exp(log C(n, k) + k log p + (n - k) log1p(-p)).
+
+    At p = 0 or 1 it is a point mass: a zero count times log 0 counts as 0.
+    """
     k = np.arange(n + 1)
-    log_comb = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-    return np.exp(log_comb + xlogy(k, p) + xlog1py(n - k, -p))
+    if p == 0.0 or p == 1.0:
+        return (k == n * p).astype(float)
+    return np.exp(_log_binomials(n) + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
 def _draw_from_weights(weights: np.ndarray, size: int,

@@ -674,38 +674,50 @@ def test_module_has_no_other_entry():
     assert proc.returncode == 0
 
 
-# Every scheme's fast sampler, one literal cell and one verify suite, so an
-# import hidden inside a function body is caught as well as a top-level one.
-EXERCISE_EVERY_SCHEME = """
-import sys
-from corrcomm.cli import main
-from corrcomm.schemes import SchemeConfig, estimate_risk
-
-partial_prefix = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
-for config, rho in [
-    (SchemeConfig("naive", 8), 0.5),
-    (SchemeConfig("max", 6), 0.5),
-    (SchemeConfig("local", 8, {"rho_nominal": 0.6}), 0.5),
-    (SchemeConfig("two_way", 8), 0.5),
-    (SchemeConfig("binary_block", 12, partial_prefix), 0.6),
-    (SchemeConfig("local", 4, use_batches=True), 0.5),
-]:
-    estimate_risk(config, rho, 200, 5)
-assert main(["verify", "--suite", "tilted", "--draws", "5"]) == 0
-assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+NO_SCIPY_LOADED = """
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
-def test_package_never_imports_scipy_stats():
-    # scipy.stats costs about half a second of start-up; the package uses
-    # scipy.special kernels instead
+def run_without_scipy(script):
     proc = subprocess.run(
-        [sys.executable, "-c", EXERCISE_EVERY_SCHEME],
+        [sys.executable, "-c", script + NO_SCIPY_LOADED],
         capture_output=True,
         text=True,
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Every scheme's fast sampler, one literal cell per scheme and one verify
+# suite, so an import hidden inside a function body is caught as well as a
+# top-level one.
+EXERCISE_EVERY_SCHEME = """
+import sys
+from corrcomm.cli import main
+from corrcomm.schemes import SCHEME_NAMES, SchemeConfig, estimate_risk
+
+cells = {  # (k, params) of a fast and of a literal cell per scheme
+    "naive": [(8, {}), (8, {})],
+    "max": [(6, {}), (6, {})],
+    "local": [(8, {"rho_nominal": 0.6}), (6, {})],
+    "two_way": [(8, {}), (8, {})],
+    "binary_block": [(12, {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}),
+                     (8, {"rho_tilde": 0.5, "n_block": 16})],
+}
+assert set(cells) == set(SCHEME_NAMES)
+for scheme, ((k, params), (k_literal, params_literal)) in cells.items():
+    estimate_risk(SchemeConfig(scheme, k, params), 0.6, 100, 5)
+    estimate_risk(SchemeConfig(scheme, k_literal, params_literal, use_batches=True), 0.6, 100, 5)
+assert main(["verify", "--suite", "tilted", "--draws", "5"]) == 0
+"""
+
+
+def test_package_never_imports_scipy_stats():
+    # the binomial pmf and the normal kernels are the package's own, so no
+    # scheme loads scipy.stats, nor any other scipy module
+    run_without_scipy(EXERCISE_EVERY_SCHEME)
 
 
 CONVERSE_COMMANDS = """
@@ -714,20 +726,11 @@ from corrcomm.cli import main
 
 assert main(["bounds", "--k", "8", "--rho", "0.5"]) == 0
 assert main(["verify", "--suite", "tilted", "--draws", "5"]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
 """
 
 
 def test_bounds_and_verify_never_import_scipy():
-    # the converse half needs no scipy; only simulate and maxnormal load it
-    proc = subprocess.run(
-        [sys.executable, "-c", CONVERSE_COMMANDS],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_without_scipy(CONVERSE_COMMANDS)
 
 
 # Every caller of the max-normal quadrature: fast and literal cells of the
@@ -741,20 +744,13 @@ for scheme in ("max", "local", "two_way"):
     for use_batches in (False, True):
         estimate_risk(SchemeConfig(scheme, 6, use_batches=use_batches), 0.5, 100, 5)
 assert main(["maxnormal", "--n", "1,2,1024,65536"]) == 0
-assert "scipy.integrate" not in sys.modules, "scipy.integrate was imported"
 """
 
 
 def test_package_never_imports_scipy_integrate():
-    # the max-normal moments need only numpy's Gauss-Legendre nodes;
-    # importing scipy.integrate costs about 26 MiB resident and 0.2 s
-    proc = subprocess.run(
-        [sys.executable, "-c", EXERCISE_THE_QUADRATURE],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
+    # the max-normal moments need only numpy's Gauss-Legendre nodes and the
+    # package's own log_ndtr; neither scipy.integrate nor scipy.special loads
+    run_without_scipy(EXERCISE_THE_QUADRATURE)
 
 
 # ----------------------------------------------------------------------

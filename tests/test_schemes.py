@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr  # oracles: the package has its own
 
 from corrcomm import (
     CorrelationModel,
@@ -45,6 +45,9 @@ from corrcomm.schemes import (
     _local_threshold,
     _NORM_PDF_LOGC,
     _max_normal_moments,
+    _max_normal_panels,
+    _RULE_NODES,
+    _RULE_WEIGHTS,
     _sample_max_normal,
     _sample_tail_normal,
 )
@@ -78,8 +81,8 @@ def test_expected_max_normal_small_n():
     ],
 )
 def test_max_normal_moments_match_closed_forms(n, mean, second):
-    assert expected_max_normal(n) == pytest.approx(mean, rel=1e-14, abs=0)
-    assert var_max_normal(n) == pytest.approx(second - mean * mean, rel=1e-14, abs=0)
+    assert expected_max_normal(n) == pytest.approx(mean, rel=1e-15, abs=0)
+    assert var_max_normal(n) == pytest.approx(second - mean * mean, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 5, 8, 11, 16, 20, 26])
@@ -131,6 +134,37 @@ def test_max_normal_variance_is_central(bits):
     assert var_max_normal(2**bits) == pytest.approx(var, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "bits, dropped, panels",
+    [(1, 0, 30), (4, 6, 63), (8, 34, 92), (12, 52, 115), (20, 80, 155), (64, 191, 315),
+     (960, 1757, 2207)],
+)
+def test_max_normal_panels_drop_only_underflowed_ones(bits, dropped, panels):
+    n = 2**bits
+    mids, half = _max_normal_panels(n)
+    assert len(mids) == panels - dropped
+    assert mids[0] - half * (2 * dropped + 1) == pytest.approx(-12.0, abs=1e-12)
+
+    def log_density(x):
+        return math.log(n) + (-x**2 / 2.0 - _NORM_PDF_LOGC) + (n - 1) * log_ndtr(x)
+
+    # the dropped panels' right edges, and so all their nodes, underflow;
+    # the first kept panel's right edge does not (the Mills-ratio bounds
+    # are tight enough to keep no more than one panel too many)
+    edges = mids[0] - half - 2 * half * np.arange(dropped)
+    assert np.all(np.exp(log_density(edges)) == 0.0)
+    assert log_density(mids[:2] + half).max() >= -746.0
+
+
+def test_legendre_rules_are_numpys():
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(_RULE_NODES[:20], nodes)
+    assert np.array_equal(_RULE_WEIGHTS[:20], weights)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.array_equal(_RULE_NODES[20:], nodes)
+    assert np.array_equal(_RULE_WEIGHTS[20:], weights)
+
+
 def test_max_normal_trends():
     means = [expected_max_normal(2**k) for k in (4, 8, 12, 16)]
     assert all(b > a for a, b in zip(means, means[1:]))
@@ -169,16 +203,17 @@ def test_max_normal_quadrature_rejects_a_nan_error(monkeypatch):
     monkeypatch.setattr(corrcomm.schemes, "log_ndtr", nan_log_ndtr)
     with pytest.raises(ArithmeticError, match="error nan exceeds"):
         _max_normal_moments(12347)  # a pool no other test caches
-    assert len(calls) == 2  # the 20-node rule and the 10-node check
+    assert len(calls) == 1  # the 20-node rule and its 10-node check, side by side
 
 
 @pytest.mark.parametrize(
     "n, mean_hex, var_hex",
     [
-        (2, "0x1.20dd750429b6ep-1", "0x1.5d067c91b1bc0p-1"),
-        (1024, "0x1.9fc650b4bd5fdp+1", "0x1.f7f15fb84a60ap-4"),
-        (2**20, "0x1.37d3aa1918eafp+2", "0x1.f61f0e9f83d3cp-5"),
+        (2, "0x1.20dd750429b6fp-1", "0x1.5d067c91b1bc0p-1"),
+        (1024, "0x1.9fc650b4bd5fcp+1", "0x1.f7f15fb84a609p-4"),
+        (2**20, "0x1.37d3aa1918eaep+2", "0x1.f61f0e9f83d3ep-5"),
     ],
+    ids=["n=2", "n=1024", "n=2^20"],
 )
 def test_max_normal_quadrature_is_pinned(n, mean_hex, var_hex):
     # exact floats, so a change in the integrand's arithmetic shows in the
@@ -188,7 +223,7 @@ def test_max_normal_quadrature_is_pinned(n, mean_hex, var_hex):
 
 
 @pytest.mark.parametrize("n", [16, 32, 128, 200, 1000])
-@pytest.mark.parametrize("p", [0.05, 0.5, 0.55, 0.95])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.55, 0.95, 0.0, 1.0])  # 0 and 1: point masses
 def test_binom_pmf_matches_scipy_stats(n, p):
     from scipy.stats import binom  # the package itself must not import it
 
@@ -753,6 +788,18 @@ def test_local_marks_run_to_the_pool_bound(scheme, k, params, rho):
     raw = (report.mse, report.extras["raw_mean"], report.extras["raw_mse"])
     assert all(math.isfinite(value) for value in raw)
     assert 0.0 <= report.extras["decode_fail_rate"] <= 1.0
+
+
+def test_local_marks_with_a_lone_mate_that_is_always_marked():
+    # k = 600 at nominal -0.364 leaves one bucket mate (m = 599), marked with
+    # q = Phi(9.45), which rounds to 1.0; (mates - 1) log1p(-q) must read 0
+    # there, not 0 * -inf = nan. Bytes recorded with scipy's xlog1py.
+    assert _local_prefix_bits(600, -0.364) == 599
+    assert corrcomm.schemes.ndtr(-_local_threshold(600, -0.364)) == 1.0
+    report = estimate_risk(SchemeConfig("local", 600, {"rho_nominal": -0.364}), -0.364, 2000, 7)
+    assert report.mse.hex() == "0x1.ce79ee5f7159ep-4"
+    assert report.bias.hex() == "0x1.3bdebaa0cad8bp-2"
+    assert report.extras["decode_fail_rate"] == 0.1495
 
 
 # ----------------------------------------------------------------------
