@@ -14,6 +14,16 @@ Each scheme exists in two forms:
 
 Tests cross-validate the two forms against each other; risk sweeps default
 to the sampler so Monte Carlo sizes in the hundreds of thousands stay cheap.
+
+The pointer samplers work through a cell in chunks of ``_CHUNK`` = 8192
+trials (``_normal``'s ndtri block, a multiple of every SIMD width), so a
+cell holds a few trial-length arrays however many trials it runs. Chunking
+moves no stream: a numpy Generator gives the same values, and ends in the
+same state, whether n draws are one call or consecutive calls whose sizes
+sum to n, and each sampler keeps its draws in phase order (every trial's
+first draw, then every trial's second, and so on). Elementwise arithmetic
+gives the same floats chunk by chunk, and sums are never chunked, so no
+pairwise-summation order changes either.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._normal import log_ndtr, ndtr, ndtri
+from ._normal import _BLOCK, log_ndtr, ndtr, ndtri
 from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, gen_pairs
@@ -680,6 +690,14 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
 # vectorized trial samplers (sufficient statistics)
 # ----------------------------------------------------------------------
 
+_CHUNK = _BLOCK
+
+
+def _chunks(n: int):
+    """Consecutive slices of at most _CHUNK entries covering range(n)."""
+    return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+
+
 def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     # Uniform on (0, 1), bounded away from the endpoints for safe logs.
     return np.clip(rng.random(size), 1e-300, 1.0 - 1e-16)
@@ -687,58 +705,85 @@ def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
 
 def _sample_max_normal(n_pool: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Draw max of n_pool iid normals via X = Phi^{-1}(U^{1/n_pool})."""
-    u = _uniform_open(rng, trials)
-    upper_tail = -np.expm1(np.log(u) / n_pool)
-    upper_tail = np.clip(upper_tail, 1e-300, 1.0 - 1e-16)
-    return -ndtri(upper_tail)
+    out = np.empty(trials)
+    for sl in _chunks(trials):
+        u = _uniform_open(rng, sl.stop - sl.start)
+        upper_tail = -np.expm1(np.log(u) / n_pool)
+        out[sl] = -ndtri(np.clip(upper_tail, 1e-300, 1.0 - 1e-16))
+    return out
 
 
-def _sample_tail_normal(threshold: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw normals conditioned to exceed threshold."""
-    q = ndtr(-threshold)
-    u = _uniform_open(rng, count)
-    return -ndtri(np.clip(q * u, 1e-300, 1.0 - 1e-16))
+def _sample_tail_normal(q: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw count normals conditioned to exceed the threshold whose upper
+    tail mass is q."""
+    out = np.empty(count)
+    for sl in _chunks(count):
+        u = _uniform_open(rng, sl.stop - sl.start)
+        out[sl] = -ndtri(np.clip(q * u, 1e-300, 1.0 - 1e-16))
+    return out
+
+
+def _partner_in_place(x: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """x's partner at correlation rho, rho x + sqrt(1 - rho^2) Z for fresh
+    unit normals Z, written over x."""
+    scale = math.sqrt(1.0 - rho * rho)
+    for sl in _chunks(x.size):
+        noise = rng.standard_normal(sl.stop - sl.start)
+        noise *= scale
+        chunk = x[sl]
+        chunk *= rho
+        chunk += noise
+    return x
 
 
 def _naive_trials(k: int, rho: float, trials: int, rng: np.random.Generator):
-    agree = rng.binomial(k, (1.0 + rho) / 2.0, size=trials)
-    raw = (2.0 * agree - k) / k
-    return np.clip(raw, -1.0, 1.0), {"raw": raw}
+    raw = np.empty(trials)
+    for sl in _chunks(trials):
+        chunk = raw[sl]
+        np.multiply(rng.binomial(k, (1.0 + rho) / 2.0, size=chunk.size), 2.0, out=chunk)
+        chunk -= k
+        chunk /= k
+    # (2 agree - k) / k lies in [-1, 1] already: raw is its own clip
+    return raw, {"raw": raw}
 
 
 def _max_trials(k: int, rho: float, trials: int, rng: np.random.Generator):
     n_pool = 2**k
-    x_w = _sample_max_normal(n_pool, trials, rng)
-    noise = rng.standard_normal(trials)
-    raw = (rho * x_w + math.sqrt(1.0 - rho * rho) * noise) / expected_max_normal(n_pool)
+    raw = _partner_in_place(_sample_max_normal(n_pool, trials, rng), rho, rng)
+    raw /= expected_max_normal(n_pool)
     return np.clip(raw, -1.0, 1.0), {"raw": raw}
 
 
 def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
-                  rho_nominal):
-    """Local-scheme trials; rho_nominal may be a scalar or per-trial array.
+                  rho_nominal, codes=None):
+    """Local-scheme trials at nominal rho_nominal.
 
-    The caller has checked every nominal to lie inside (-1, 1). Mates are
-    marked with the unconditioned tail probability (see the module docstring).
+    Given codes, rho_nominal is an increasing array of distinct nominals
+    and trial i runs at rho_nominal[codes[i]]. The caller has checked every
+    nominal to lie inside (-1, 1). Mates are marked with the unconditioned
+    tail probability (see the module docstring).
     """
-    nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
     n_pool = 2**k
     mean_max = expected_max_normal(n_pool)
-    x_w = _sample_max_normal(n_pool, trials, rng)
-    y_w = rho * x_w + math.sqrt(1.0 - rho * rho) * rng.standard_normal(trials)
-
-    raw = np.array(nominal)  # fallback default
+    # x_w, then y_w in place; each group's estimates replace its y_w
+    raw = _partner_in_place(_sample_max_normal(n_pool, trials, rng), rho, rng)
     failed = np.zeros(trials, dtype=bool)
     # Trials share k but may differ in nominal rho; group identical
-    # nominals so thresholds and prefix widths stay scalar per group.
-    for value in np.unique(nominal):
-        sel = np.nonzero(nominal == value)[0]
-        m = _local_prefix_bits(k, float(value))
+    # nominals so thresholds and prefix widths stay scalar per group. A
+    # group no trial has draws nothing.
+    for code, value in enumerate(np.asarray(rho_nominal, dtype=float).reshape(-1).tolist()):
+        # the group's trials a chunk at a time: slices when it has them all
+        if codes is None:
+            parts = _chunks(trials)
+        else:
+            members = np.flatnonzero(codes == code)
+            parts = [members[sl] for sl in _chunks(members.size)]
+        m = _local_prefix_bits(k, value)
         if m == k:
-            raw[sel] = y_w[sel] / mean_max
+            for part in parts:
+                raw[part] /= mean_max
             continue
-        threshold = _local_threshold(k, float(value))
-        marked_w = y_w[sel] > threshold
+        threshold = _local_threshold(k, value)
         # None or one of the marked mates: the first two steps of numpy's
         # binomial inversion, which reads this uniform for q <= 1/2, B q <= 30
         mates = 2.0 ** (k - m) - 1.0
@@ -748,15 +793,21 @@ def _local_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
         log_miss = np.log1p(-q) if q < 1.0 else -np.inf
         p_none = np.exp(mates * log_miss)
         p_one = mates * q * (np.exp((mates - 1.0) * log_miss) if mates > 1.0 else 1.0)
-        u = rng.random(sel.size)
-        success = marked_w & (u <= p_none)
-        wrong = ~marked_w & (u > p_none) & (u - p_none <= p_one)
-        fail = ~(success | wrong)
-        raw[sel[success]] = y_w[sel[success]] / mean_max
-        n_wrong = int(wrong.sum())
-        if n_wrong:
-            raw[sel[wrong]] = _sample_tail_normal(threshold, n_wrong, rng) / mean_max
-        failed[sel[fail]] = True
+        # trials that decode a wrong mate take its y from the tail, drawn
+        # after every mark of the group
+        wrong_at = []
+        for part in parts:
+            y_w = raw[part]
+            marked_w = y_w > threshold
+            u = rng.random(y_w.size)
+            success = marked_w & (u <= p_none)
+            wrong = ~marked_w & (u > p_none) & (u - p_none <= p_one)
+            failed[part] = ~(success | wrong)
+            raw[part] = np.where(success, y_w / mean_max, value)
+            if wrong.any():
+                wrong_at.append(np.flatnonzero(wrong) + part.start if codes is None else part[wrong])
+        for at in wrong_at:
+            raw[at] = _sample_tail_normal(q, at.size, rng) / mean_max
     return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
 
 
@@ -917,17 +968,25 @@ def _block_trials(
 def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
                     k1: int):
     p_agree = 0.5 + math.asin(rho) / math.pi
-    agrees = rng.binomial(k1, p_agree, size=trials)
-    mean_products = (2.0 * agrees - k1) / k1
-    rho0 = np.clip(
-        np.sin(0.5 * math.pi * mean_products),
-        -TWO_WAY_NOMINAL_CAP,
-        TWO_WAY_NOMINAL_CAP,
+    chunks = _chunks(trials)
+    codes = np.empty(trials, dtype=np.min_scalar_type(k1))
+    for sl in chunks:
+        codes[sl] = rng.binomial(k1, p_agree, size=sl.stop - sl.start)
+    # rho0 rises with the agreement count, so np.unique keeps the counts'
+    # order and merges the counts that the cap makes equal
+    lo = int(codes.min())
+    mean_products = (2.0 * np.arange(lo, int(codes.max()) + 1) - k1) / k1
+    rho0, group = np.unique(
+        np.clip(
+            np.sin(0.5 * math.pi * mean_products),
+            -TWO_WAY_NOMINAL_CAP,
+            TWO_WAY_NOMINAL_CAP,
+        ),
+        return_inverse=True,
     )
-    rho_hat, aux = _local_trials(k - k1, rho, trials, rng, rho0)
-    aux = dict(aux)
-    aux["rho0_hat"] = rho0
-    return rho_hat, aux
+    for sl in chunks:  # agreement count -> its group, in place
+        codes[sl] = group[codes[sl] - lo]
+    return _local_trials(k - k1, rho, trials, rng, rho0, codes)
 
 
 # ----------------------------------------------------------------------
@@ -1113,6 +1172,30 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
 _FLAGS = ("decode_failed", "exist_failed")
 
 
+def _sample_moments(values: np.ndarray, center: float, work: np.ndarray):
+    """Moments of values and of its squared errors e^2, e = values - center.
+
+    Returns (mean of values, sum of squared deviations from that mean,
+    mean of e, mean of e^2, sum of squared deviations of e^2 from its mean),
+    each a float. work is a scratch array of the same length. Every sum is
+    np.add.reduce over a whole array, as ndarray.mean, var and std reduce,
+    so the moments and the variances and deviations taken from them are
+    the floats those methods give, to the bit.
+    """
+    n = values.size
+    mean = float(np.add.reduce(values) / n)
+    np.subtract(values, mean, out=work)
+    work *= work
+    spread = float(np.add.reduce(work))
+    np.subtract(values, center, out=work)
+    error_mean = float(np.add.reduce(work) / n)
+    work *= work
+    sq_mean = float(np.add.reduce(work) / n)
+    work -= sq_mean
+    work *= work
+    return mean, spread, error_mean, sq_mean, float(np.add.reduce(work))
+
+
 def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                   master_seed: int) -> RiskReport:
     """Monte Carlo squared-error risk of a scheme at one (k, rho) cell.
@@ -1153,21 +1236,18 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
         )
         rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, params)
 
-    errors = rho_hats - rho_true
-    sq = errors**2
-    mse = float(sq.mean())
-    bias = float(errors.mean())
-    variance = float(rho_hats.var())
-    ci95 = float(1.96 * sq.std(ddof=1) / math.sqrt(trials))
+    work = np.empty(trials)
+    _, spread, bias, mse, sq_spread = _sample_moments(rho_hats, rho_true, work)
+    variance = spread / trials
+    ci95 = 1.96 * math.sqrt(sq_spread / (trials - 1)) / math.sqrt(trials)
     extras = {}
     raw = aux.get("raw")
     if raw is not None:
-        extras["raw_mean"] = float(np.mean(raw))
-        extras["raw_mse"] = float(np.mean((raw - rho_true) ** 2))
-        extras["raw_se_mean"] = float(np.std(raw, ddof=1) / math.sqrt(trials))
-        extras["raw_mse_ci95"] = float(
-            1.96 * np.std((raw - rho_true) ** 2, ddof=1) / math.sqrt(trials)
-        )
+        mean, spread, _, sq_mean, sq_spread = _sample_moments(raw, rho_true, work)
+        extras["raw_mean"] = mean
+        extras["raw_mse"] = sq_mean
+        extras["raw_se_mean"] = math.sqrt(spread / (trials - 1)) / math.sqrt(trials)
+        extras["raw_mse_ci95"] = 1.96 * math.sqrt(sq_spread / (trials - 1)) / math.sqrt(trials)
     for flag in _FLAGS:
         if flag in aux:
             extras[f"{flag.removesuffix('ed')}_rate"] = float(np.mean(aux[flag]))

@@ -7,7 +7,9 @@ one fails loudly.
 """
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -712,12 +714,15 @@ def test_two_way_sampler_matches_batch():
     assert_compatible(slow, fast, 3000, 100_000)
 
 
-def local_trials_by_count(k, rho, trials, rng, rho_nominal):
+def local_trials_by_count(k, rho, trials, rng, rho_nominal, codes=None):
     """The fast local sampler with its marks drawn as one binomial count.
 
     Reference for the sampler's single-uniform mark draw; exact only while
-    the 2^(k - m) - 1 bucket mates fit numpy's int64 count.
+    the 2^(k - m) - 1 bucket mates fit numpy's int64 count. It draws each
+    phase for the whole cell at once, where the sampler draws in chunks.
     """
+    if codes is not None:
+        rho_nominal = rho_nominal[codes]
     nominal = np.broadcast_to(np.asarray(rho_nominal, dtype=float), (trials,))
     n_pool = 2**k
     mean_max = expected_max_normal(n_pool)
@@ -741,7 +746,8 @@ def local_trials_by_count(k, rho, trials, rng, rho_nominal):
         raw[sel[success]] = y_w[sel[success]] / mean_max
         n_wrong = int(wrong.sum())
         if n_wrong:
-            raw[sel[wrong]] = _sample_tail_normal(threshold, n_wrong, rng) / mean_max
+            q = corrcomm.schemes.ndtr(-threshold)
+            raw[sel[wrong]] = _sample_tail_normal(q, n_wrong, rng) / mean_max
         failed[sel[fail]] = True
     return np.clip(raw, -1.0, 1.0), {"raw": raw, "decode_failed": failed}
 
@@ -1093,3 +1099,126 @@ def test_estimate_risk_batch_and_fast_validate_alike():
         )
         with pytest.raises(ValueError):
             estimate_risk(config, 0.0, 200, SEED)
+
+
+# ----------------------------------------------------------------------
+# chunked fast samplers and the risk statistics
+# ----------------------------------------------------------------------
+
+# One short of a chunk, one past it, and twelve chunks with a remainder
+# that is no multiple of any SIMD width.
+PIN_TRIALS = (8191, 8193, 100_003)
+PIN_POOL_BITS = (1, 8, 20, 64, 600)
+PIN_RHOS = (-0.364, 0.0, 0.6, 0.9)
+# Recorded by running test_fast_sampler_streams_are_pinned's code on the
+# samplers as they were before they drew in chunks, each phase of a cell in
+# one call: chunking moves no byte of any estimate, flag or stream.
+STREAM_DIGESTS = {
+    "naive": "11b40d18b505c7e710a628b9001907a6260f8923b8e6fb757fbd1bdb6552ba03",
+    "max": "98aace721ce89d2bba7138c1fa8bc2bbe860fa4e6867db45e3e31447099fc45f",
+    "local": "0eaafb39360cbf6b75d42c98677045fe6ed11d94b7ab2c6417d161b9723f1fc3",
+    "two_way": "4178b5c17d5f36e9b4c75eb3fe71cae0e986b2b240408d9641b251b349379446",
+}
+
+
+def pinned_cells(scheme):
+    for bits in PIN_POOL_BITS:
+        for rho in PIN_RHOS:
+            if scheme == "two_way":
+                # at k1 = 20 three agreement counts at each end clip to the
+                # same nominal, +-0.95, and share one group
+                for k1 in (3, 20):
+                    yield k1 + bits, rho, {"k1": k1}
+            else:
+                yield bits, rho, {"rho_nominal": rho} if scheme == "local" else {}
+
+
+@pytest.mark.parametrize("scheme", sorted(STREAM_DIGESTS))
+def test_fast_sampler_streams_are_pinned(scheme):
+    digest = hashlib.sha256()
+    for trials in PIN_TRIALS:
+        for index, (k, rho, params) in enumerate(pinned_cells(scheme)):
+            rng = np.random.default_rng([trials, index])
+            rho_hats, aux = SCHEMES[scheme].sample(k, rho, trials, rng, params)
+            digest.update(rho_hats.tobytes())
+            for key in ("raw", "decode_failed"):
+                if key in aux:
+                    digest.update(aux[key].tobytes())
+            digest.update(rng.random(4).tobytes())  # where the cell left the stream
+    assert digest.hexdigest() == STREAM_DIGESTS[scheme]
+
+
+SAMPLERS = {
+    "naive": "_naive_trials",
+    "max": "_max_trials",
+    "local": "_local_trials",
+    "two_way": "_two_way_trials",
+    "binary_block": "_block_trials",
+}
+STATISTICS_CELLS = [
+    (SchemeConfig("naive", 12), 0.3, 20_003),
+    (SchemeConfig("max", 12), 0.6, 20_003),
+    (SchemeConfig("local", 12), 0.6, 20_003),
+    (SchemeConfig("two_way", 12), 0.6, 20_003),
+    (SchemeConfig("binary_block", 12, {"rho_tilde": 0.2, "n_block": 200,
+                                       "rho_nominal": 0.9}), 0.6, 20_003),
+    (SchemeConfig("max", 6, use_batches=True), 0.6, 301),
+]
+
+
+@pytest.mark.parametrize("config, rho, trials", STATISTICS_CELLS)
+def test_risk_statistics_are_the_numpy_reductions(monkeypatch, config, rho, trials):
+    # every float of the report is what ndarray.mean, var and std give on
+    # the cell's estimates and raw values, to the bit
+    seen = []
+    name = "run_max_scheme" if config.use_batches else SAMPLERS[config.scheme]
+    original = getattr(corrcomm.schemes, name)
+
+    def spy(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(corrcomm.schemes, name, spy)
+    report = estimate_risk(config, rho, trials, SEED)
+    if config.use_batches:
+        rho_hats = np.array([result.rho_hat for result in seen])
+        aux = {"raw": np.array([result.aux["raw"] for result in seen])}
+    else:
+        ((rho_hats, aux),) = seen
+    raw, root = aux["raw"], math.sqrt(trials)
+    assert rho_hats.size == raw.size == trials
+    errors = rho_hats - rho
+    raw_sq = (raw - rho) ** 2
+    expected = {
+        "mse": (errors**2).mean(),
+        "bias": errors.mean(),
+        "variance": rho_hats.var(),
+        "ci95_halfwidth": 1.96 * (errors**2).std(ddof=1) / root,
+        "raw_mean": raw.mean(),
+        "raw_mse": raw_sq.mean(),
+        "raw_se_mean": raw.std(ddof=1) / root,
+        "raw_mse_ci95": 1.96 * raw_sq.std(ddof=1) / root,
+    }
+    for flag in ("decode_failed", "exist_failed"):
+        if flag in aux:
+            expected[flag.removesuffix("ed") + "_rate"] = aux[flag].mean()
+    got = {**dataclasses.asdict(report), **report.extras}
+    assert {key: float(got[key]).hex() for key in expected} == {
+        key: float(value).hex() for key, value in expected.items()
+    }
+    assert set(report.extras) <= set(expected)
+
+
+@pytest.mark.parametrize("scheme", ["naive", "max", "local", "two_way"])
+def test_fast_cell_holds_few_trial_length_arrays(scheme):
+    # its estimates, its raw values and one scratch array for the
+    # statistics, besides flags and chunk-sized temporaries; drawing each
+    # phase of the cell in one call held 6 to 8 such arrays (45.8-59.1 MiB)
+    trials = 10**6
+    tracemalloc.start()
+    try:
+        estimate_risk(SchemeConfig(scheme, 12), 0.6, trials, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * trials
