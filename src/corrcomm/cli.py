@@ -110,8 +110,11 @@ def _write(columns, rows, seed, fmt: str | None, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def _note(message: str) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 from ._normal import _BLOCK, log_ndtr, ndtr, ndtri
 from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
-from .sources import CorrelationModel, PairBatch, gen_pairs
+from .sources import CorrelationModel, PairBatch, _draw_pairs
 
 __all__ = [
     "Message",
@@ -524,12 +524,12 @@ def block_layout(
         raise ValueError(f"anchor correlation must lie in (0, 1], got {rho_tilde}")
     if n_block < 2:
         raise ValueError(f"block size must be at least 2, got {n_block}")
+    if guard_bits < 0:
+        raise ValueError(f"guard bits must be nonnegative, got {guard_bits}")
     target = rho_tilde * n_block
     target_int = round(target)
-    if abs(target - target_int) > 1e-9:
-        raise ValueError(
-            f"n_block * rho_tilde = {target} must be an integer"
-        )
+    if target_int < 1 or abs(target - target_int) > 1e-9:
+        raise ValueError(f"n_block * rho_tilde = {target} must be a positive integer")
     if (target_int - n_block) % 2 != 0:
         raise ValueError(
             f"sum {target_int} unreachable for blocks of {n_block} signs "
@@ -1200,9 +1200,10 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                   master_seed: int) -> RiskReport:
     """Monte Carlo squared-error risk of a scheme at one (k, rho) cell.
 
-    Every trial sees fresh samples from a dedicated substream, so results
-    are reproducible bit-for-bit for a fixed (config, seed) and independent
-    of any execution interleaving.
+    The cell draws from one substream, tagged by scheme, k, rho and whether
+    it runs the literal protocol, so its report is reproducible bit-for-bit
+    for a fixed (config, rho_true, trials, seed). Literal trial t runs on
+    the t-th consecutive batch of pairs drawn from it.
     """
     if not _is_number(trials, integral=True):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -1210,6 +1211,8 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     scheme, params, needed = _resolve(config, rho_true)
+    mode = "literal/" if config.use_batches else ""
+    rng = substream(master_seed, f"risk/{mode}{config.scheme}/k={config.k}/rho={rho_true!r}")
 
     if config.use_batches:
         model = CorrelationModel(scheme.family, rho_true)
@@ -1219,7 +1222,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
         flags = None  # flag name -> column, for the flags the first run reports
         try:
             for trial in range(trials):
-                result = run(k, gen_pairs(model, needed, master_seed, trial), params)
+                result = run(k, _draw_pairs(model, needed, rng), params)
                 aux = result.aux
                 if flags is None:
                     flags = {f: np.zeros(trials, dtype=bool) for f in _FLAGS if f in aux}
@@ -1231,9 +1234,6 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
             raise ValueError(f"trial {trial}: {exc}") from exc
         aux = {"raw": raws, **flags}
     else:
-        rng = substream(
-            master_seed, f"risk/{config.scheme}/k={config.k}/rho={rho_true!r}"
-        )
         rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, params)
 
     work = np.empty(trials)

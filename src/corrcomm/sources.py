@@ -102,7 +102,11 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int, trial: int = 0) -> Pai
     """
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
-    rng = substream(seed, f"gen_pairs/{model.family}", trial)
+    return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}", trial))
+
+
+def _draw_pairs(model: CorrelationModel, n: int, rng: np.random.Generator) -> PairBatch:
+    """gen_pairs' recipe for n > 0 pairs, drawn from rng where it stands."""
     if model.family == "binary":
         x = _SIGNS.take(rng.integers(0, 2, size=n))
         agree = rng.random(n) < (1.0 + model.rho) / 2.0

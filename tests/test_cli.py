@@ -99,6 +99,25 @@ def test_bounds_out_file(tmp_path, capsys):
     assert target.read_bytes() == GOLDEN_BOUNDS.encode("ascii")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--k", "4", "--rho", "0.5"],
+        # exit 2 even where a written report would exit 1
+        ["verify", "--selftest", "--format", "json"],
+    ],
+)
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, argv):
+    # an --out that cannot be opened once ended in a traceback and exit 1,
+    # the code of a verification failure
+    target = tmp_path / "missing" / "report"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "cannot write output" in json.loads(err.strip().splitlines()[-1])["error"]
+    assert not target.parent.exists()
+
+
 # ----------------------------------------------------------------------
 # maxnormal
 # ----------------------------------------------------------------------
@@ -195,6 +214,10 @@ def test_simulate_grid_is_sorted_and_unique(tmp_path, capsys):
         {"k_grid": [10**20]},  # past the naive binomial's int64 count
         # past 2^960 pointers the fast max-normal draw leaves its law
         {"scheme": "max", "k_grid": [1000], "rho_grid": [0.5]},
+        # an anchor sum of 0 once divided Bob's sum by 3.2e-299
+        {"scheme": "binary_block", "params": {"rho_tilde": 1e-300, "n_block": 32}},
+        {"scheme": "binary_block", "params": {"rho_tilde": 0.5, "n_block": 32,
+                                              "guard_bits": -100}},
     ],
 )
 def test_simulate_config_errors(tmp_path, capsys, overrides):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corrcomm import check_seed, substream
-from corrcomm.rng import _BLOCK, _key_table, _tag_words
+from corrcomm.rng import _tag_words
 
 
 def test_same_coordinates_same_stream():
@@ -37,17 +37,13 @@ def test_substream_rejects_negative_index():
 
 RANDOM_SEEDS = [int(s) for s in np.random.default_rng(20191).integers(0, 2**63, 3)]
 TAGS = ["demo", "gen_pairs/binary", "gen_pairs/gaussian", "risk/naive/k=8/rho=0.5", ""]
-# 0 and 1 on either side of the index-0 rule; 1023/1024/1025 and 2047/2048
-# on either side of a key-table block edge; 2**32 - 1/2**32 where the index
-# gains a word; 2**70 with three words
+# 2**32 - 1/2**32 where the index gains a word; 2**70 with three words
 INDICES = [0, 1, 2, 1023, 1024, 1025, 2047, 2048, 2**32 - 1, 2**32, 2**70]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, *RANDOM_SEEDS])
 def test_substream_is_the_seed_sequence_of_its_coordinates(seed):
-    # substream seeds from precomputed uint32 words, and trial streams take
-    # their Philox key from a table; both must give the stream SeedSequence
-    # derives from the list [seed, *tag words, index] itself
+    # the stream SeedSequence derives from the list [seed, *tag words, index]
     for tag in TAGS:
         for index in INDICES:
             entropy = [seed, *_tag_words(tag), index]
@@ -58,19 +54,7 @@ def test_substream_is_the_seed_sequence_of_its_coordinates(seed):
             )
 
 
-def test_key_table_rows_are_the_seed_sequence_keys():
-    seed, tag, block = 2**32 + 5, "gen_pairs/binary", 2**22 - 1  # its last index is 2**32 - 1
-    keys = _key_table(seed, tag, block)
-    assert keys.shape == (_BLOCK, 2) and keys.dtype == np.uint64
-    assert not keys.flags.writeable
-    for row in range(_BLOCK):
-        entropy = [seed, *_tag_words(tag), block * _BLOCK + row]
-        np.testing.assert_array_equal(
-            keys[row], np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-        )
-
-
-def test_generators_from_one_table_are_independent():
+def test_generators_of_one_coordinate_are_independent():
     a, b = substream(5, "demo", 7), substream(5, "demo", 8)
     again = substream(5, "demo", 7)
     assert a.bit_generator is not again.bit_generator

@@ -36,6 +36,7 @@ from corrcomm import (
     run_max_scheme,
     run_naive,
     run_two_way,
+    substream,
     var_max_normal,
 )
 import corrcomm.schemes
@@ -438,6 +439,11 @@ def test_block_layout_validation():
         block_layout(0.5, 32, 1.5)  # 33 above fails on its sum first
     with pytest.raises(ValueError, match="block size"):
         block_layout(1.0, 1, 0.0)
+    with pytest.raises(ValueError, match="positive integer"):
+        block_layout(1e-300, 32, 0.0)  # 3.2e-299 is within 1e-9 of a sum of 0
+    with pytest.raises(ValueError, match="guard bits"):
+        block_layout(0.5, 32, 0.0, guard_bits=-100)
+    assert block_layout(0.5, 32, 0.0, guard_bits=0).prefix_bits >= 1
     with pytest.raises(ValueError):
         block_layout(0.5, 120, 0.0)  # needs > 1e8 samples
 
@@ -947,6 +953,8 @@ RUNNER_CELLS = [
     ("binary_block", 5, {**BLOCK, "rho_nominal": 1.5}),
     ("binary_block", 8, {**BLOCK, "rho_tilde": 0.3, "n_block": 32}),  # no integer sum
     ("binary_block", 8, {**BLOCK, "rho_tilde": 1.0, "n_block": 1}),
+    ("binary_block", 8, {**BLOCK, "rho_tilde": 1e-300, "n_block": 32}),  # sum 0
+    ("binary_block", 8, {**BLOCK, "guard_bits": -100}),
 ]
 
 
@@ -1017,7 +1025,7 @@ def test_scheme_table_calls_through_module_attributes(
 
     runners = [name for name in corrcomm.schemes.__all__ if name.startswith("run_")]
     calls = []
-    for name in (*runners, sampler, "gen_pairs"):
+    for name in (*runners, sampler, "substream", "_draw_pairs"):
         original = getattr(corrcomm.schemes, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -1026,13 +1034,54 @@ def test_scheme_table_calls_through_module_attributes(
 
         monkeypatch.setattr(corrcomm.schemes, name, spy)
     estimate_risk(SchemeConfig(scheme, k, params, use_batches=True), 0.5, 100, SEED)
-    # one batch and one runner call per trial (two_way's phase 2 included)
-    assert calls.count("gen_pairs") == 100
+    # one stream per cell, then one batch and one runner call per trial
+    # (two_way's phase 2 included)
+    assert calls[0] == "substream"
+    assert calls.count("_draw_pairs") == 100
     assert calls.count(runner) == 100
-    assert len(calls) == 200
+    assert len(calls) == 201
+    calls.clear()
     estimate_risk(SchemeConfig(scheme, k, params), 0.5, 100, SEED)
-    assert calls.count("gen_pairs") == 100
-    assert calls.count(sampler) == 1
+    assert calls == ["substream", sampler]
+
+
+@pytest.mark.parametrize(
+    "scheme, k, params, runner",
+    [
+        ("naive", 8, {}, "run_naive"),
+        ("max", 6, {}, "run_max_scheme"),
+    ],
+)
+def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
+    monkeypatch, scheme, k, params, runner
+):
+    # trial t runs on the t-th batch of gen_pairs' recipe drawn in turn
+    # from the cell's one substream, whatever the runner does with it
+    import corrcomm.schemes
+
+    original = getattr(corrcomm.schemes, runner)
+    batches = []
+
+    def spy(k, batch, **kwargs):
+        batches.append((batch.x.copy(), batch.y.copy()))
+        return original(k, batch, **kwargs)
+
+    monkeypatch.setattr(corrcomm.schemes, runner, spy)
+    config = SchemeConfig(scheme, k, params, use_batches=True)
+    estimate_risk(config, 0.5, 100, SEED)
+    needed = check_preconditions(config, 0.5)
+    rng = substream(SEED, f"risk/literal/{scheme}/k={k}/rho=0.5")
+    assert len(batches) == 100
+    for x, y in batches:
+        if SCHEMES[scheme].family == "binary":
+            want_x = rng.integers(0, 2, size=needed) * 2.0 - 1.0
+            agree = rng.random(needed) < 0.75
+            want_y = np.where(agree, want_x, -want_x)
+        else:
+            want_x, z = rng.standard_normal((2, needed))
+            want_y = 0.5 * want_x + math.sqrt(0.75) * z
+        np.testing.assert_array_equal(x, want_x)
+        np.testing.assert_array_equal(y, want_y)
 
 
 def test_scheme_config_validation():
