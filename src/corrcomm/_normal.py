@@ -91,10 +91,6 @@ _FAR_TAIL_DEN = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
                  1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
                  1.42151175831644588870e-7, 2.04426310338993978564e-15)
 
-# ndtri works through long arrays in blocks of this many entries, so each
-# branch's temporaries stay in cache
-_BLOCK = 1 << 13
-
 
 def _poly(coeffs, x: np.ndarray) -> np.ndarray:
     """sum(coeffs[j] * x**j) by Horner's rule, in place on one new array
@@ -181,13 +177,8 @@ def ndtri(p):
     """Phi^-1(p), elementwise: -inf at 0, inf at 1, nan outside [0, 1]."""
     p = np.asarray(p, dtype=float)
     flat = p.reshape(-1)
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start : start + _BLOCK]
-        q = block - 0.5
-        out[start : start + _BLOCK] = _split(
-            np.abs(q) <= 0.425, (q, block), _ndtri_central, _ndtri_tail
-        )
+    q = flat - 0.5
+    out = _split(np.abs(q) <= 0.425, (q, flat), _ndtri_central, _ndtri_tail)
     return out.reshape(p.shape)[()]
 
 

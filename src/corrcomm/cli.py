@@ -173,8 +173,6 @@ def cmd_simulate(args) -> int:
     if scheme not in SCHEME_NAMES:
         raise ConfigError(f"scheme must be one of {SCHEME_NAMES}, got {scheme!r}")
     params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a JSON object")
     k_grid = _as_grid(cfg.get("k_grid"), "k_grid", _integer)
     rho_grid = _as_grid(cfg.get("rho_grid"), "rho_grid", _number)
     trials = args.trials if args.trials is not None else cfg.get("trials")

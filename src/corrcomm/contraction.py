@@ -516,8 +516,6 @@ def verify_tilted_contraction(
 
 def _tilted_batch(records: list) -> list[CheckResult]:
     """verify_tilted_contraction of each record, stacked."""
-    if not records:
-        return []
     f = [np.asarray(r["f"], dtype=float) for r in records]
     g = [np.asarray(r["g"], dtype=float) for r in records]
     if any(w.shape != (2,) for w in (*f, *g)):
@@ -532,7 +530,7 @@ def _tilted_batch(records: list) -> list[CheckResult]:
     tilted = f[:, :, None] * g[:, None, :] * np.reshape(
         [bases[r["rho"]] for r in records], (-1, 2, 2)
     )
-    mass = tilted.reshape(len(records), -1).sum(axis=1)
+    mass = tilted.reshape(-1, 4).sum(axis=1)
     if np.any(mass <= 0):
         raise ValueError("tilt removes all probability mass")
     tilted /= mass[:, None, None]

@@ -16,14 +16,15 @@ Tests cross-validate the two forms against each other; risk sweeps default
 to the sampler so Monte Carlo sizes in the hundreds of thousands stay cheap.
 
 The pointer samplers work through a cell in chunks of ``_CHUNK`` = 8192
-trials (``_normal``'s ndtri block, a multiple of every SIMD width), so a
-cell holds a few trial-length arrays however many trials it runs. Chunking
-moves no stream: a numpy Generator gives the same values, and ends in the
-same state, whether n draws are one call or consecutive calls whose sizes
-sum to n, and each sampler keeps its draws in phase order (every trial's
-first draw, then every trial's second, and so on). Elementwise arithmetic
-gives the same floats chunk by chunk, and sums are never chunked, so no
-pairwise-summation order changes either.
+trials (a multiple of every SIMD width, small enough that a chunk's
+temporaries stay in cache), so a cell holds a few trial-length arrays
+however many trials it runs, and ndtri never sees more than one chunk.
+Chunking moves no stream: a numpy Generator gives the same values, and
+ends in the same state, whether n draws are one call or consecutive calls
+whose sizes sum to n, and each sampler keeps its draws in phase order
+(every trial's first draw, then every trial's second, and so on).
+Elementwise arithmetic gives the same floats chunk by chunk, and sums are
+never chunked, so no pairwise-summation order changes either.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._normal import _BLOCK, log_ndtr, ndtr, ndtri
+from ._normal import log_ndtr, ndtr, ndtri
 from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, _draw_pairs
@@ -436,6 +437,22 @@ def _local_threshold(k: int, rho_nominal: float) -> float:
     return rho_nominal * math.sqrt(2.0 * k * LN2) * (1.0 - C_THRESHOLD)
 
 
+def _decode(anchor: int, suffix: int, marks: Callable[[slice], np.ndarray]) -> int | None:
+    """Bob's decode of the prefix of anchor's index that leaves suffix bits out.
+
+    With the full index (suffix 0) he has the anchor. Otherwise he decodes to
+    the one index of the anchor's prefix bucket that marks(bucket slice)
+    flags, or to None when none or several are flagged.
+    """
+    if suffix == 0:
+        return anchor
+    lo = anchor >> suffix << suffix
+    marked = marks(slice(lo, lo + (1 << suffix)))
+    if np.count_nonzero(marked) != 1:
+        return None
+    return lo + int(marked.argmax())
+
+
 def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
     """The local scheme on a checked pool of 2^k pairs: (message, rho_hat, aux).
 
@@ -443,16 +460,8 @@ def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
     """
     winner = int(x.argmax())
     m = _local_prefix_bits(k, rho_nominal)
-    prefix = winner >> (k - m)
-    if m == k:
-        decoded: int | None = winner
-    else:
-        lo = prefix << (k - m)
-        marked = y[lo : lo + (1 << (k - m))] > _local_threshold(k, rho_nominal)
-        if np.count_nonzero(marked) == 1:
-            decoded = lo + int(marked.argmax())
-        else:
-            decoded = None
+    threshold = _local_threshold(k, rho_nominal)
+    decoded = _decode(winner, k - m, lambda bucket: y[bucket] > threshold)
 
     if decoded is None:
         raw = rho_hat = rho_nominal
@@ -465,7 +474,7 @@ def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
         "winner": winner,
         "decoded": decoded,
     }
-    return Message("alice", _bits(prefix, m)), rho_hat, aux
+    return Message("alice", _bits(winner >> (k - m), m)), rho_hat, aux
 
 
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
@@ -600,17 +609,10 @@ def run_binary_block(
     j_star = int(hits.argmax())  # 0 when no block hits
     exist_failed = not hits[j_star]
 
-    decoded: int | None = None
-    if not exist_failed:
-        if shift == 0:
-            decoded = j_star
-        else:
-            # only the blocks of the anchor's prefix bucket can match
-            lo = j_star >> shift << shift
-            sums_b = ys[lo : lo + (1 << shift)].sum(axis=1)
-            marked = np.abs(sums_b - layout.center) <= layout.window
-            if np.count_nonzero(marked) == 1:
-                decoded = lo + int(marked.argmax())
+    decoded = None if exist_failed else _decode(
+        j_star, shift,
+        lambda bucket: np.abs(ys[bucket].sum(axis=1) - layout.center) <= layout.window,
+    )
     decode_failed = not exist_failed and decoded is None
 
     if decoded is None:
@@ -690,7 +692,7 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
 # vectorized trial samplers (sufficient statistics)
 # ----------------------------------------------------------------------
 
-_CHUNK = _BLOCK
+_CHUNK = 1 << 13
 
 
 def _chunks(n: int):
@@ -1093,8 +1095,8 @@ SCHEME_NAMES = tuple(SCHEMES)
 class SchemeConfig:
     """Which scheme to run and with what knobs.
 
-    k is an integer budget (a numpy integer is stored as int). params
-    takes, by scheme: local rho_nominal (default rho); two_way k1 (default
+    k is an integer budget (a numpy integer is stored as int). The params
+    dict takes, by scheme: local rho_nominal (default rho); two_way k1 (default
     ceil(sqrt(k))); binary_block rho_tilde and n_block (both required),
     rho_nominal (default rho) and guard_bits (default GUARD_BITS). A value
     of None means the default. Setting use_batches runs the literal batch
@@ -1117,6 +1119,8 @@ class SchemeConfig:
         if self.k < 1:
             raise ValueError(f"bit budget must be positive, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict, got {type(self.params).__name__}")
         if not isinstance(self.use_batches, bool):
             raise ValueError(f"use_batches must be True or False, got {self.use_batches!r}")
 
@@ -1200,10 +1204,11 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                   master_seed: int) -> RiskReport:
     """Monte Carlo squared-error risk of a scheme at one (k, rho) cell.
 
-    The cell draws from one substream, tagged by scheme, k, rho and whether
-    it runs the literal protocol, so its report is reproducible bit-for-bit
-    for a fixed (config, rho_true, trials, seed). Literal trial t runs on
-    the t-th consecutive batch of pairs drawn from it.
+    The cell draws from one substream, tagged by scheme, k, rho's float
+    value (0, 0.0 and np.float64(0.0) share it) and whether it runs the
+    literal protocol, so its report is reproducible bit-for-bit for a fixed
+    (config, rho_true, trials, seed). Literal trial t runs on the t-th
+    consecutive batch of pairs drawn from it.
     """
     if not _is_number(trials, integral=True):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -1212,7 +1217,8 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
         raise ValueError(f"need at least 100 trials, got {trials}")
     scheme, params, needed = _resolve(config, rho_true)
     mode = "literal/" if config.use_batches else ""
-    rng = substream(master_seed, f"risk/{mode}{config.scheme}/k={config.k}/rho={rho_true!r}")
+    tag = f"risk/{mode}{config.scheme}/k={config.k}/rho={float(rho_true)!r}"
+    rng = substream(master_seed, tag)
 
     if config.use_batches:
         model = CorrelationModel(scheme.family, rho_true)
@@ -1227,7 +1233,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                 if flags is None:
                     flags = {f: np.zeros(trials, dtype=bool) for f in _FLAGS if f in aux}
                 rho_hats[trial] = result.rho_hat
-                raws[trial] = aux.get("raw", result.rho_hat)
+                raws[trial] = aux["raw"]
                 for name, column in flags.items():
                     column[trial] = aux[name]
         except ValueError as exc:
@@ -1240,14 +1246,13 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     _, spread, bias, mse, sq_spread = _sample_moments(rho_hats, rho_true, work)
     variance = spread / trials
     ci95 = 1.96 * math.sqrt(sq_spread / (trials - 1)) / math.sqrt(trials)
-    extras = {}
-    raw = aux.get("raw")
-    if raw is not None:
-        mean, spread, _, sq_mean, sq_spread = _sample_moments(raw, rho_true, work)
-        extras["raw_mean"] = mean
-        extras["raw_mse"] = sq_mean
-        extras["raw_se_mean"] = math.sqrt(spread / (trials - 1)) / math.sqrt(trials)
-        extras["raw_mse_ci95"] = 1.96 * math.sqrt(sq_spread / (trials - 1)) / math.sqrt(trials)
+    mean, spread, _, sq_mean, sq_spread = _sample_moments(aux["raw"], rho_true, work)
+    extras = {
+        "raw_mean": mean,
+        "raw_mse": sq_mean,
+        "raw_se_mean": math.sqrt(spread / (trials - 1)) / math.sqrt(trials),
+        "raw_mse_ci95": 1.96 * math.sqrt(sq_spread / (trials - 1)) / math.sqrt(trials),
+    }
     for flag in _FLAGS:
         if flag in aux:
             extras[f"{flag.removesuffix('ed')}_rate"] = float(np.mean(aux[flag]))

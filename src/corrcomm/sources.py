@@ -2,7 +2,8 @@
 
 Two source families are supported: ``binary`` (uniform +-1 coordinates that
 agree with probability (1 + rho) / 2) and ``gaussian`` (unit-variance jointly
-normal coordinates with E[XY] = rho).
+normal coordinates with E[XY] = rho). Each operation draws from the stream
+named by (seed, tag), the tag fixed per operation and family.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class PairBatch:
             raise ValueError(f"column length mismatch: {x.shape} vs {y.shape}")
         if x.size < 1:
             raise ValueError("batch must contain at least one pair")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("samples must be finite numbers")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.family == "binary" and (
@@ -72,8 +75,8 @@ class PairBatch:
     def _trusted(cls, x: np.ndarray, y: np.ndarray, family: str) -> PairBatch:
         """A batch of columns that pass __post_init__'s checks as they are.
 
-        The caller guarantees 1-D float64 columns of one nonzero length, a
-        known family and +-1 values in a binary batch; nothing is re-checked.
+        The caller guarantees finite 1-D float64 columns of one nonzero
+        length, a known family and +-1 binary values; nothing is re-checked.
         """
         batch = object.__new__(cls)
         vars(batch).update(x=x, y=y, family=family)
@@ -91,18 +94,17 @@ class PairBatch:
         return float(np.corrcoef(self.x, self.y)[0, 1])
 
 
-def gen_pairs(model: CorrelationModel, n: int, seed: int, trial: int = 0) -> PairBatch:
+def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
     """Draw n correlated pairs from the model's joint law.
 
-    The stream is derived from (seed, "gen_pairs/<family>", trial), so
-    distinct trials of one experiment never share randomness. A binary
-    batch draws n integers, then n uniforms; a gaussian one draws x's n
-    normals, then the n normals z that y = rho x + sqrt(1 - rho^2) z mixes
-    in (one call of 2n normals is the same stream as two calls of n).
+    The stream is that of (seed, "gen_pairs/<family>"). A binary batch
+    draws n integers, then n uniforms; a gaussian one draws x's n normals,
+    then the n normals z that y = rho x + sqrt(1 - rho^2) z mixes in (one
+    call of 2n normals is the same stream as two calls of n).
     """
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
-    return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}", trial))
+    return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}"))
 
 
 def _draw_pairs(model: CorrelationModel, n: int, rng: np.random.Generator) -> PairBatch:
@@ -171,8 +173,7 @@ def shift_params(family: str, rho0: float, rho1: float) -> ShiftParams:
     return ShiftParams(family=family, rho0=rho0, rho1=rho1, alpha=alpha, s=s)
 
 
-def shift_correlation(batch: PairBatch, params: ShiftParams, seed: int,
-                      trial: int = 0) -> PairBatch:
+def shift_correlation(batch: PairBatch, params: ShiftParams, seed: int) -> PairBatch:
     """Mix shared noise into both columns, preserving the marginals.
 
     For gaussian batches X' = alpha Z + sqrt(1 - alpha^2) X and
@@ -188,7 +189,7 @@ def shift_correlation(batch: PairBatch, params: ShiftParams, seed: int,
             f"batch family {batch.family!r} does not match shift family "
             f"{params.family!r}"
         )
-    rng = substream(seed, f"shift_correlation/{params.family}", trial)
+    rng = substream(seed, f"shift_correlation/{params.family}")
     n = len(batch)
     if params.family == "binary":
         mask = rng.random(n) < params.alpha
@@ -204,7 +205,7 @@ def shift_correlation(batch: PairBatch, params: ShiftParams, seed: int,
 
 
 def binary_to_gaussian(batch: PairBatch, t: int, a_t: float | None = None,
-                       seed: int = 0, trial: int = 0) -> PairBatch:
+                       seed: int = 0) -> PairBatch:
     """Aggregate binary pairs into near-gaussian pairs by the CLT.
 
     Consecutive groups of t rows are summed and scaled by 1/sqrt(t), then
@@ -230,7 +231,7 @@ def binary_to_gaussian(batch: PairBatch, t: int, a_t: float | None = None,
     scale = 1.0 / math.sqrt(t)
     x = batch.x[:used].reshape(n_out, t).sum(axis=1) * scale
     y = batch.y[:used].reshape(n_out, t).sum(axis=1) * scale
-    rng = substream(seed, "binary_to_gaussian", trial)
+    rng = substream(seed, "binary_to_gaussian")
     x = x + a_t * rng.standard_normal(n_out)
     y = y + a_t * rng.standard_normal(n_out)
     return PairBatch(x=x, y=y, family="gaussian")

@@ -40,6 +40,7 @@ from corrcomm import (
     var_max_normal,
 )
 import corrcomm.schemes
+from corrcomm.rng import _tag_words
 from corrcomm.schemes import (
     MAX_POINTER_BITS,
     SCHEMES,
@@ -54,6 +55,7 @@ from corrcomm.schemes import (
     _sample_max_normal,
     _sample_tail_normal,
 )
+from corrcomm.sources import _draw_pairs
 
 SEED = 411
 
@@ -525,6 +527,14 @@ def block_scheme_by_full_scan(rho_tilde, n_block, batch, rho_nominal):
     return anchor, decoded, float(ys.sum(axis=1)[decoded] / (n * rho_tilde))
 
 
+def numbered_pairs(model, n, trial):
+    """gen_pairs' recipe for n pairs of model, drawn from the stream of
+    SeedSequence([SEED, *tag words, trial]): one batch per trial number."""
+    entropy = [SEED, *_tag_words(f"gen_pairs/{model.family}"), trial]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _draw_pairs(model, n, rng)
+
+
 @pytest.mark.parametrize(
     "rho_tilde, n_block, rho_nominal",
     [(0.5, 4, 0.9), (0.5, 8, 1.0), (0.5, 16, 0.5), (1.0, 2, 0.9), (1.0, 3, 0.5)],
@@ -537,7 +547,7 @@ def test_block_scheme_matches_a_full_scan(rho_tilde, n_block, rho_nominal):
     decoded = 0
     for trial in range(60):
         model = CorrelationModel("binary", (-0.9, 0.3, 0.8)[trial % 3])
-        batch = gen_pairs(model, layout.samples_needed, SEED, trial)
+        batch = numbered_pairs(model, layout.samples_needed, trial)
         result = run_binary_block(k, rho_tilde, n_block, batch, rho_nominal, 0)
         anchor, want, raw = block_scheme_by_full_scan(
             rho_tilde, n_block, batch, rho_nominal
@@ -552,10 +562,10 @@ def test_block_scheme_matches_a_full_scan(rho_tilde, n_block, rho_nominal):
 def test_sign_means_are_the_float_mean_of_the_products():
     # runners count sign agreements instead of averaging the products
     for trial in range(50):
-        batch = gen_pairs(CorrelationModel("binary", 0.3), 41, SEED, trial)
+        batch = numbered_pairs(CorrelationModel("binary", 0.3), 41, trial)
         raw = run_naive(41, batch).aux["raw"]
         assert raw == float(np.mean(batch.x * batch.y)) and type(raw) is float
-        gauss = gen_pairs(CorrelationModel("gaussian", 0.3), 7 + 2**3, SEED, trial)
+        gauss = numbered_pairs(CorrelationModel("gaussian", 0.3), 7 + 2**3, trial)
         sign_x = np.where(gauss.x[:7] >= 0, 1.0, -1.0)
         signs = sign_x * np.where(gauss.y[:7] >= 0, 1.0, -1.0)
         rho0 = min(0.95, max(-0.95, math.sin(0.5 * math.pi * float(np.mean(signs)))))
@@ -1093,6 +1103,21 @@ def test_scheme_config_validation():
     for flag in ("yes", 1, None):
         with pytest.raises(ValueError, match="use_batches must be True or False"):
             SchemeConfig("max", 8, use_batches=flag)
+
+
+def test_scheme_config_params_must_be_a_dict():
+    # each once constructed, then failed in the cell checks with AttributeError
+    for params in (None, [("k1", 3)], "k1=3"):
+        with pytest.raises(ValueError, match="params must be a dict"):
+            SchemeConfig("two_way", 10, params)
+
+
+@pytest.mark.parametrize("use_batches", [False, True])
+def test_the_value_of_rho_alone_picks_the_cell_stream(use_batches):
+    # the stream's tag once read np.float64(0.5) and 0 where the CLI passes 0.5, 0.0
+    config = SchemeConfig("naive", 8, use_batches=use_batches)
+    for rho, same in ((0.5, np.float64(0.5)), (0.0, 0)):
+        assert estimate_risk(config, same, 100, 1) == estimate_risk(config, rho, 100, 1)
 
 
 def test_scheme_config_budget_must_be_an_integer():
