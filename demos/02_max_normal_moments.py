@@ -17,10 +17,17 @@ from corrcomm._normal import ndtri
 from corrcomm.rng import substream
 
 
+# uniforms drawn per piece: the stream is the same as one draw of them all
+CHUNK = 1 << 13
+
+
 def mc_mean(n: int, draws: int, seed: int = 5) -> float:
     rng = substream(seed, "demo/max-normal-mc")
-    u = rng.random(draws)
-    return float(ndtri(u ** (1.0 / n)).mean())
+    sums = [
+        float(ndtri(rng.random(min(CHUNK, draws - start)) ** (1.0 / n)).sum())
+        for start in range(0, draws, CHUNK)
+    ]
+    return math.fsum(sums) / draws
 
 
 def main() -> None:

@@ -869,12 +869,15 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
 
     # I(U; transcript) with U the uniform hypothesis bit
     table = 0.5 * np.stack([t.T.copy().sum(axis=1) for t in (with_x_plus, with_x_minus)])
+    del with_x_plus, with_x_minus, with_x_null  # each a 2^n x |U| table
     i_u_pi = mutual_info(table)
 
     # I(transcript; X,Y) under the mixture, H(U^r) - H(U^r | X,Y), where
     # H(U^r | X,Y) = -2^-n sum [A log A T_mix B + A T_mix (B log B)]
     p_u = table.sum(axis=0)  # mutual_info checked table, so p_u is a pmf
-    mixed = 0.5 * (noised + noised[::-1])
+    mixed = noised + noised[::-1]
+    del noised
+    mixed *= 0.5
     h_u_given_xy = -scale * float(
         (_xlog2x(alice) * mixed[:, :cols] + alice * mixed[:, cols:]).sum()
     )

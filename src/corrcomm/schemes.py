@@ -354,6 +354,13 @@ def _mean_sign_product(a: np.ndarray, b: np.ndarray) -> float:
     return (2 * int(np.count_nonzero(a == b)) - n) / n
 
 
+def _sent(k: int, payloads, rho_hat: float, aux: dict) -> EstimateResult:
+    """A run's result: Alice sent payloads, one message each, under budget k."""
+    messages = tuple([Message("alice", payload) for payload in payloads])
+    return EstimateResult(rho_hat=rho_hat, aux=aux,
+                          transcript=Transcript(budget=k, messages=messages))
+
+
 def _checked_scheme(scheme: str, k: int, batch: PairBatch) -> Scheme:
     """SCHEMES[scheme], checked to read batch's family at a positive budget k."""
     entry = SCHEMES[scheme]
@@ -381,13 +388,7 @@ def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     _checked_pairs("naive", k, {}, batch)
     x = batch.x[:k]
     raw = _mean_sign_product(x, batch.y[:k])
-    payload = _mask_bits(x > 0)
-    transcript = Transcript(budget=k, messages=(Message("alice", payload),))
-    return EstimateResult(
-        rho_hat=_clamp(raw),
-        aux={"raw": raw},
-        transcript=transcript,
-    )
+    return _sent(k, (_mask_bits(x > 0),), _clamp(raw), {"raw": raw})
 
 
 def _pool(bits: int, literal: bool) -> int:
@@ -416,14 +417,7 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     n = _checked_pairs("max", k, {}, batch)
     winner = int(batch.x[:n].argmax())
     raw = float(batch.y[winner] / expected_max_normal(n))
-    transcript = Transcript(
-        budget=k, messages=(Message("alice", _bits(winner, k)),)
-    )
-    return EstimateResult(
-        rho_hat=_clamp(raw),
-        aux={"raw": raw, "winner": winner},
-        transcript=transcript,
-    )
+    return _sent(k, (_bits(winner, k),), _clamp(raw), {"raw": raw, "winner": winner})
 
 
 def _local_prefix_bits(k: int, rho_nominal: float) -> int:
@@ -454,7 +448,7 @@ def _decode(anchor: int, suffix: int, marks: Callable[[slice], np.ndarray]) -> i
 
 
 def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
-    """The local scheme on a checked pool of 2^k pairs: (message, rho_hat, aux).
+    """The local scheme on a checked pool of 2^k pairs: (payload, rho_hat, aux).
 
     run_local_scheme sends this round alone; run_two_way sends it as phase 2.
     """
@@ -474,7 +468,7 @@ def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
         "winner": winner,
         "decoded": decoded,
     }
-    return Message("alice", _bits(winner >> (k - m), m)), rho_hat, aux
+    return _bits(winner >> (k - m), m), rho_hat, aux
 
 
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
@@ -488,12 +482,8 @@ def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateRe
     match he falls back to rho_nominal and sets aux["decode_failed"].
     """
     n = _checked_pairs("local", k, {"rho_nominal": rho_nominal}, batch)
-    message, rho_hat, aux = _local_round(k, rho_nominal, batch.x[:n], batch.y[:n])
-    return EstimateResult(
-        rho_hat=rho_hat,
-        aux=aux,
-        transcript=Transcript(budget=k, messages=(message,)),
-    )
+    payload, rho_hat, aux = _local_round(k, rho_nominal, batch.x[:n], batch.y[:n])
+    return _sent(k, (payload,), rho_hat, aux)
 
 
 # ----------------------------------------------------------------------
@@ -512,6 +502,10 @@ class BlockLayout:
     window: float
     center: float
     samples_needed: int
+
+    def marks(self, bob_sums):
+        """Bob's marks: which of his block sums lie within window of center."""
+        return np.abs(bob_sums - self.center) <= self.window
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -610,8 +604,7 @@ def run_binary_block(
     exist_failed = not hits[j_star]
 
     decoded = None if exist_failed else _decode(
-        j_star, shift,
-        lambda bucket: np.abs(ys[bucket].sum(axis=1) - layout.center) <= layout.window,
+        j_star, shift, lambda bucket: layout.marks(ys[bucket].sum(axis=1))
     )
     decode_failed = not exist_failed and decoded is None
 
@@ -620,21 +613,13 @@ def run_binary_block(
     else:
         raw = float(ys[decoded].sum() / (n * rho_tilde))
 
-    bits = layout.prefix_bits
-    transcript = Transcript(
-        budget=k, messages=(Message("alice", _bits(j_star >> shift, bits)),)
-    )
-    return EstimateResult(
-        rho_hat=_clamp(raw),
-        aux={
-            "raw": raw,
-            "exist_failed": exist_failed,
-            "decode_failed": decode_failed,
-            "anchor_block": j_star,
-            "decoded": decoded,
-        },
-        transcript=transcript,
-    )
+    return _sent(k, (_bits(j_star >> shift, layout.prefix_bits),), _clamp(raw), {
+        "raw": raw,
+        "exist_failed": exist_failed,
+        "decode_failed": decode_failed,
+        "anchor_block": j_star,
+        "decoded": decoded,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -646,9 +631,15 @@ def default_phase1_bits(k: int) -> int:
     return math.ceil(math.sqrt(k))
 
 
-def _phase1_estimate(mean_product: float) -> float:
-    # E[sign(X) sign(Y)] = (2/pi) arcsin(rho) for unit normals; invert it.
-    return math.sin(0.5 * math.pi * mean_product)
+def _phase1_nominal(agree: int, k1: int) -> float:
+    """The nominal rho0 that phase 1 gives Bob: agree of k1 signs agreed.
+
+    E[sign(X) sign(Y)] = (2/pi) arcsin(rho) for unit normals; the mean sign
+    product (2 agree - k1) / k1 is inverted through it, then capped at
+    +-TWO_WAY_NOMINAL_CAP.
+    """
+    rho0 = math.sin(0.5 * math.pi * ((2 * agree - k1) / k1))
+    return min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
 
 
 def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
@@ -668,24 +659,16 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
     n2 = _checked_pairs("two_way", k, {"k1": k1}, batch) - k1
     k2 = k - k1
     sign_x = batch.x[:k1] >= 0
-    rho0 = _phase1_estimate(_mean_sign_product(sign_x, batch.y[:k1] >= 0))
-    rho0 = min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
+    rho0 = _phase1_nominal(int(np.count_nonzero(sign_x == (batch.y[:k1] >= 0))), k1)
 
-    message, rho_hat, local = _local_round(
+    payload, rho_hat, local = _local_round(
         k2, rho0, batch.x[k1 : k1 + n2], batch.y[k1 : k1 + n2]
     )
-    transcript = Transcript(
-        budget=k, messages=(Message("alice", _mask_bits(sign_x)), message)
-    )
-    return EstimateResult(
-        rho_hat=rho_hat,
-        aux={
-            "raw": local["raw"],
-            "rho0_hat": rho0,
-            "decode_failed": local["decode_failed"],
-        },
-        transcript=transcript,
-    )
+    return _sent(k, (_mask_bits(sign_x), payload), rho_hat, {
+        "raw": local["raw"],
+        "rho0_hat": rho0,
+        "decode_failed": local["decode_failed"],
+    })
 
 
 # ----------------------------------------------------------------------
@@ -700,29 +683,29 @@ def _chunks(n: int):
     return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
 
-def _uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    # Uniform on (0, 1), bounded away from the endpoints for safe logs.
-    return np.clip(rng.random(size), 1e-300, 1.0 - 1e-16)
+def _tail_inverted(count: int, rng: np.random.Generator,
+                   tail: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """count normals X = -Phi^{-1}(tail(U)), so tail(U) is X's upper tail mass.
+
+    U is uniform, clipped into (0, 1) for safe logs, and so is tail(U)
+    before it is inverted.
+    """
+    out = np.empty(count)
+    for sl in _chunks(count):
+        u = np.clip(rng.random(sl.stop - sl.start), 1e-300, 1.0 - 1e-16)
+        out[sl] = -ndtri(np.clip(tail(u), 1e-300, 1.0 - 1e-16))
+    return out
 
 
 def _sample_max_normal(n_pool: int, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Draw max of n_pool iid normals via X = Phi^{-1}(U^{1/n_pool})."""
-    out = np.empty(trials)
-    for sl in _chunks(trials):
-        u = _uniform_open(rng, sl.stop - sl.start)
-        upper_tail = -np.expm1(np.log(u) / n_pool)
-        out[sl] = -ndtri(np.clip(upper_tail, 1e-300, 1.0 - 1e-16))
-    return out
+    return _tail_inverted(trials, rng, lambda u: -np.expm1(np.log(u) / n_pool))
 
 
 def _sample_tail_normal(q: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count normals conditioned to exceed the threshold whose upper
     tail mass is q."""
-    out = np.empty(count)
-    for sl in _chunks(count):
-        u = _uniform_open(rng, sl.stop - sl.start)
-        out[sl] = -ndtri(np.clip(q * u, 1e-300, 1.0 - 1e-16))
-    return out
+    return _tail_inverted(count, rng, lambda u: q * u)
 
 
 def _partner_in_place(x: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -913,7 +896,7 @@ def _block_trials(
         _binom_pmf(a_hit, p_keep), _binom_pmf(n - a_hit, 1.0 - p_keep)
     )
     bob_miss = np.clip(pmf_all - p_hit * bob_hit, 0.0, None)
-    marked = np.abs((2 * counts - n) - layout.center) <= layout.window
+    marked = layout.marks(2 * counts - n)
 
     first_hit = np.floor(np.log1p(-rng.random(trials)) / np.log1p(-p_hit))
     exists = first_hit < m
@@ -977,13 +960,8 @@ def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
     # rho0 rises with the agreement count, so np.unique keeps the counts'
     # order and merges the counts that the cap makes equal
     lo = int(codes.min())
-    mean_products = (2.0 * np.arange(lo, int(codes.max()) + 1) - k1) / k1
     rho0, group = np.unique(
-        np.clip(
-            np.sin(0.5 * math.pi * mean_products),
-            -TWO_WAY_NOMINAL_CAP,
-            TWO_WAY_NOMINAL_CAP,
-        ),
+        [_phase1_nominal(agree, k1) for agree in range(lo, int(codes.max()) + 1)],
         return_inverse=True,
     )
     for sl in chunks:  # agreement count -> its group, in place
