@@ -2,8 +2,14 @@
 
 Each scheme exists in two forms:
 
-* a batch runner (``run_*``) that executes the protocol literally on a
-  ``PairBatch``, producing a ``Transcript`` with exact bit accounting, and
+* the literal protocol on real samples, written once as a kernel
+  (``_naive_stack`` ... ``_two_way_stack``) that carries it out on every
+  row of a stack, a 2-D block of whole trials' batches, in one numpy pass.
+  The batch runner (``run_*``) is its one-row case on a ``PairBatch``,
+  producing a ``Transcript`` with exact bit accounting; a literal cell of
+  ``estimate_risk`` runs its trials in stacks of as many as fit in
+  ``_STACK`` = 2^14 pairs per column (at least one), and each row's values
+  are the ones the runner gives on that row's batch, to the bit.
 * a vectorized trial sampler used by ``estimate_risk`` that draws the
   scheme's sufficient statistics directly (for example the maximum of
   2^k unit normals via its inverse CDF) at a fraction of the cost. It
@@ -24,7 +30,10 @@ ends in the same state, whether n draws are one call or consecutive calls
 whose sizes sum to n, and each sampler keeps its draws in phase order
 (every trial's first draw, then every trial's second, and so on).
 Elementwise arithmetic gives the same floats chunk by chunk, and sums are
-never chunked, so no pairwise-summation order changes either.
+never chunked, so no pairwise-summation order changes either. Literal
+stacks move no stream for the same reason: a gaussian stack is one call of
+normals, a binary stack keeps each trial's integers-then-uniforms calls in
+turn, and a kernel's arithmetic is elementwise per row or counts exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ import numpy as np
 from ._normal import log_ndtr, ndtr, ndtri
 from .infotheory import _check_correlation, _is_number, binary_entropy
 from .rng import substream
-from .sources import CorrelationModel, PairBatch, _draw_pairs
+from .sources import CorrelationModel, PairBatch, _draw_stack
 
 __all__ = [
     "Message",
@@ -324,10 +333,6 @@ class RiskReport:
             )
 
 
-def _clamp(value: float) -> float:
-    return float(min(1.0, max(-1.0, value)))
-
-
 def _bits(value: int, width: int) -> str:
     return format(int(value), f"0{width}b")
 
@@ -341,24 +346,45 @@ def _mask_bits(mask: np.ndarray) -> str:
 
 
 # ----------------------------------------------------------------------
-# batch runners
+# literal runners and their stacked kernels
 # ----------------------------------------------------------------------
+# A kernel runs its protocol on each row of a stack (x[t], y[t] is trial
+# t's batch) and returns columns: rho_hat, raw, the flags and the other aux
+# values, with -1 for a decoded index of None.
 
-def _mean_sign_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean of a * b over two sign columns (+-1 floats, or booleans for +-1).
+def _one_row(batch: PairBatch):
+    """batch's columns as a one-row stack."""
+    return batch.x[None], batch.y[None]
+
+
+def _sent(k: int, payloads, stack: dict, keys) -> EstimateResult:
+    """A one-row stack's run: Alice sent payloads, one message each, under
+    budget k; aux holds the row's entries of keys as Python values."""
+    aux = {key: stack[key][0].item() for key in keys}
+    if aux.get("decoded", 0) < 0:
+        aux["decoded"] = None
+    messages = tuple([Message("alice", payload) for payload in payloads])
+    return EstimateResult(rho_hat=stack["rho_hat"][0].item(), aux=aux,
+                          transcript=Transcript(budget=k, messages=messages))
+
+
+def _within_budget(k: int, bits):
+    """bits, each row's transcript width (or one width for every row),
+    checked against the budget k as Transcript checks it."""
+    spent = int(np.max(bits))
+    if spent > k:
+        raise ValueError(f"transcript spends {spent} bits, budget is {k}")
+    return bits
+
+
+def _mean_sign_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's mean of a * b, for two rows x n arrays of +-1 floats.
 
     The products sum to 2 agreements - n exactly, so this is the float that
-    np.mean(a * b) gives, without the products.
+    np.mean(a * b) gives for the row, without the products.
     """
-    n = len(a)
-    return (2 * int(np.count_nonzero(a == b)) - n) / n
-
-
-def _sent(k: int, payloads, rho_hat: float, aux: dict) -> EstimateResult:
-    """A run's result: Alice sent payloads, one message each, under budget k."""
-    messages = tuple([Message("alice", payload) for payload in payloads])
-    return EstimateResult(rho_hat=rho_hat, aux=aux,
-                          transcript=Transcript(budget=k, messages=messages))
+    n = a.shape[1]
+    return (2 * np.count_nonzero(a == b, axis=1) - n) / n
 
 
 def _checked_scheme(scheme: str, k: int, batch: PairBatch) -> Scheme:
@@ -383,12 +409,17 @@ def _checked_pairs(scheme: str, k: int, p: dict, batch: PairBatch) -> int:
     return _fits(_checked_scheme(scheme, k, batch).samples_needed(k, p, True), batch)
 
 
+def _naive_stack(k: int, x: np.ndarray, y: np.ndarray) -> dict:
+    # (2 agree - k) / k lies in [-1, 1] already: raw is its own clip
+    raw = _mean_sign_products(x[:, :k], y[:, :k])
+    return {"rho_hat": raw, "raw": raw}
+
+
 def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     """Send k raw signs; estimate by the mean of the k products."""
     _checked_pairs("naive", k, {}, batch)
-    x = batch.x[:k]
-    raw = _mean_sign_product(x, batch.y[:k])
-    return _sent(k, (_mask_bits(x > 0),), _clamp(raw), {"raw": raw})
+    stack = _naive_stack(k, *_one_row(batch))
+    return _sent(k, (_mask_bits(batch.x[:k] > 0),), stack, ("raw",))
 
 
 def _pool(bits: int, literal: bool) -> int:
@@ -406,6 +437,13 @@ def _pool(bits: int, literal: bool) -> int:
     return 2**bits
 
 
+def _max_stack(k: int, x: np.ndarray, y: np.ndarray) -> dict:
+    n = 2**k
+    winner = x[:, :n].argmax(axis=1)
+    raw = y[np.arange(len(y)), winner] / expected_max_normal(n)
+    return {"rho_hat": np.clip(raw, -1.0, 1.0), "raw": raw, "winner": winner}
+
+
 def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     """Point at the largest of 2^k x-samples; estimate from its y-partner.
 
@@ -414,10 +452,9 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     it to [-1, 1], which can only shrink the squared error. The exact raw
     value is kept in aux["raw"].
     """
-    n = _checked_pairs("max", k, {}, batch)
-    winner = int(batch.x[:n].argmax())
-    raw = float(batch.y[winner] / expected_max_normal(n))
-    return _sent(k, (_bits(winner, k),), _clamp(raw), {"raw": raw, "winner": winner})
+    _checked_pairs("max", k, {}, batch)
+    stack = _max_stack(k, *_one_row(batch))
+    return _sent(k, (_bits(stack["winner"][0], k),), stack, ("raw", "winner"))
 
 
 def _local_prefix_bits(k: int, rho_nominal: float) -> int:
@@ -431,44 +468,44 @@ def _local_threshold(k: int, rho_nominal: float) -> float:
     return rho_nominal * math.sqrt(2.0 * k * LN2) * (1.0 - C_THRESHOLD)
 
 
-def _decode(anchor: int, suffix: int, marks: Callable[[slice], np.ndarray]) -> int | None:
-    """Bob's decode of the prefix of anchor's index that leaves suffix bits out.
+def _decode(lo: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """Bob's decode in each row's prefix bucket, whose marks are the row of
+    marks for the indices from lo on: the one marked index, or -1 when none
+    or several are marked."""
+    return np.where(np.count_nonzero(marks, axis=1) == 1, lo + marks.argmax(axis=1), -1)
 
-    With the full index (suffix 0) he has the anchor. Otherwise he decodes to
-    the one index of the anchor's prefix bucket that marks(bucket slice)
-    flags, or to None when none or several are flagged.
+
+def _local_round(k: int, m: int, rho_nominal: float, x: np.ndarray,
+                 y: np.ndarray) -> dict:
+    """The local scheme with an m-bit prefix on each row's pool of 2^k pairs.
+
+    _local_stack runs this round alone; _two_way_stack runs it as phase 2.
+    With the full index (m = k) Bob has the winner, and marks nothing.
     """
-    if suffix == 0:
-        return anchor
-    lo = anchor >> suffix << suffix
-    marked = marks(slice(lo, lo + (1 << suffix)))
-    if np.count_nonzero(marked) != 1:
-        return None
-    return lo + int(marked.argmax())
-
-
-def _local_round(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray):
-    """The local scheme on a checked pool of 2^k pairs: (payload, rho_hat, aux).
-
-    run_local_scheme sends this round alone; run_two_way sends it as phase 2.
-    """
-    winner = int(x.argmax())
-    m = _local_prefix_bits(k, rho_nominal)
-    threshold = _local_threshold(k, rho_nominal)
-    decoded = _decode(winner, k - m, lambda bucket: y[bucket] > threshold)
-
-    if decoded is None:
-        raw = rho_hat = rho_nominal
-    else:
-        raw = float(y[decoded] / expected_max_normal(len(x)))
-        rho_hat = _clamp(raw)
-    aux = {
+    rows = np.arange(len(x))
+    winner = x.argmax(axis=1)
+    suffix = k - m
+    decoded = winner
+    if suffix:
+        bucket = y.reshape(len(y), 1 << m, 1 << suffix)[rows, winner >> suffix]
+        decoded = _decode(winner >> suffix << suffix,
+                          bucket > _local_threshold(k, rho_nominal))
+    failed = decoded < 0  # where y[rows, -1] is read, and dropped
+    raw = np.where(failed, rho_nominal, y[rows, decoded] / expected_max_normal(2**k))
+    return {
+        "rho_hat": np.clip(raw, -1.0, 1.0),
         "raw": raw,
-        "decode_failed": decoded is None,
+        "decode_failed": failed,
         "winner": winner,
         "decoded": decoded,
+        "prefix": winner >> suffix,
+        "prefix_bits": np.full(len(x), m),
     }
-    return _bits(winner >> (k - m), m), rho_hat, aux
+
+
+def _local_stack(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray) -> dict:
+    m = _within_budget(k, _local_prefix_bits(k, rho_nominal))
+    return _local_round(k, m, rho_nominal, x[:, : 2**k], y[:, : 2**k])
 
 
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
@@ -481,9 +518,10 @@ def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateRe
     is the full index the marking step is bypassed. On a zero or multiple
     match he falls back to rho_nominal and sets aux["decode_failed"].
     """
-    n = _checked_pairs("local", k, {"rho_nominal": rho_nominal}, batch)
-    payload, rho_hat, aux = _local_round(k, rho_nominal, batch.x[:n], batch.y[:n])
-    return _sent(k, (payload,), rho_hat, aux)
+    _checked_pairs("local", k, {"rho_nominal": rho_nominal}, batch)
+    stack = _local_stack(k, rho_nominal, *_one_row(batch))
+    return _sent(k, (_bits(stack["prefix"][0], stack["prefix_bits"][0]),), stack,
+                 ("raw", "decode_failed", "winner", "decoded"))
 
 
 # ----------------------------------------------------------------------
@@ -573,6 +611,38 @@ def _fitted_layout(k: int, rho_tilde: float, n_block: int, rho_nominal: float,
     return layout
 
 
+def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
+                 y: np.ndarray) -> dict:
+    n, m = layout.n_block, layout.m_blocks
+    rows = np.arange(len(x))
+    xs = x[:, : n * m].reshape(len(x), m, n)
+    ys = y[:, : n * m].reshape(len(y), m, n)
+    hits = np.einsum("tij->ti", xs) == layout.target_sum
+    j_star = hits.argmax(axis=1)  # 0 when no block hits
+    exists = hits[rows, j_star]
+    shift = layout.index_bits - layout.prefix_bits
+    decoded = j_star
+    if shift:
+        lo = j_star >> shift << shift
+        # the bucket's blocks, padded past the last block with unmarked ones
+        at = lo[:, None] + np.arange(1 << shift)
+        sums = np.einsum("tij->ti", ys[rows[:, None], np.minimum(at, m - 1)])
+        decoded = _decode(lo, layout.marks(sums) & (at < m))
+    decoded = np.where(exists, decoded, -1)
+    failed = decoded < 0
+    raw = np.where(failed, _mean_sign_products(xs[:, 0], ys[:, 0]),
+                   np.einsum("ti->t", ys[rows, decoded]) / (n * rho_tilde))
+    return {
+        "rho_hat": np.clip(raw, -1.0, 1.0),
+        "raw": raw,
+        "exist_failed": ~exists,
+        "decode_failed": exists & failed,
+        "anchor_block": j_star,
+        "decoded": decoded,
+        "prefix": j_star >> shift,
+    }
+
+
 def run_binary_block(
     k: int,
     rho_tilde: float,
@@ -595,31 +665,9 @@ def run_binary_block(
     _checked_scheme("binary_block", k, batch)
     layout = _fitted_layout(k, rho_tilde, n_block, rho_nominal, guard_bits)
     _fits(layout.samples_needed, batch)
-    n, m = layout.n_block, layout.m_blocks
-    shift = layout.index_bits - layout.prefix_bits
-    xs = batch.x[: n * m].reshape(m, n)
-    ys = batch.y[: n * m].reshape(m, n)
-    hits = np.einsum("ij->i", xs) == layout.target_sum
-    j_star = int(hits.argmax())  # 0 when no block hits
-    exist_failed = not hits[j_star]
-
-    decoded = None if exist_failed else _decode(
-        j_star, shift, lambda bucket: layout.marks(ys[bucket].sum(axis=1))
-    )
-    decode_failed = not exist_failed and decoded is None
-
-    if decoded is None:
-        raw = _mean_sign_product(xs[0], ys[0])
-    else:
-        raw = float(ys[decoded].sum() / (n * rho_tilde))
-
-    return _sent(k, (_bits(j_star >> shift, layout.prefix_bits),), _clamp(raw), {
-        "raw": raw,
-        "exist_failed": exist_failed,
-        "decode_failed": decode_failed,
-        "anchor_block": j_star,
-        "decoded": decoded,
-    })
+    stack = _block_stack(layout, rho_tilde, *_one_row(batch))
+    return _sent(k, (_bits(stack["prefix"][0], layout.prefix_bits),), stack,
+                 ("raw", "exist_failed", "decode_failed", "anchor_block", "decoded"))
 
 
 # ----------------------------------------------------------------------
@@ -642,6 +690,23 @@ def _phase1_nominal(agree: int, k1: int) -> float:
     return min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
 
 
+def _two_way_stack(k: int, k1: int, x: np.ndarray, y: np.ndarray) -> dict:
+    k2 = k - k1
+    pool = slice(k1, k1 + 2**k2)
+    agree = np.count_nonzero((x[:, :k1] >= 0) == (y[:, :k1] >= 0), axis=1)
+    # phase 2 runs once per agreement count that occurs, at its nominal
+    counts, group = np.unique(agree, return_inverse=True)
+    rho0 = [_phase1_nominal(count, k1) for count in counts.tolist()]
+    bits = [_local_prefix_bits(k2, value) for value in rho0]
+    _within_budget(k, k1 + np.array(bits)[group])  # each row's signs and prefix
+    stack = {"rho0_hat": np.array(rho0)[group]}
+    for g, (value, m) in enumerate(zip(rho0, bits)):
+        at = np.flatnonzero(group == g)
+        for key, column in _local_round(k2, m, value, x[at, pool], y[at, pool]).items():
+            stack.setdefault(key, np.empty(len(x), column.dtype))[at] = column
+    return stack
+
+
 def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
     """Coarse sign exchange, then the local scheme at the estimated rho.
 
@@ -656,19 +721,11 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
     ceil(log2(k1 + 1)) bits, his agreement count (3 bits at the default
     k1 = 4 of k = 10).
     """
-    n2 = _checked_pairs("two_way", k, {"k1": k1}, batch) - k1
-    k2 = k - k1
-    sign_x = batch.x[:k1] >= 0
-    rho0 = _phase1_nominal(int(np.count_nonzero(sign_x == (batch.y[:k1] >= 0))), k1)
-
-    payload, rho_hat, local = _local_round(
-        k2, rho0, batch.x[k1 : k1 + n2], batch.y[k1 : k1 + n2]
-    )
-    return _sent(k, (_mask_bits(sign_x), payload), rho_hat, {
-        "raw": local["raw"],
-        "rho0_hat": rho0,
-        "decode_failed": local["decode_failed"],
-    })
+    _checked_pairs("two_way", k, {"k1": k1}, batch)
+    stack = _two_way_stack(k, k1, *_one_row(batch))
+    payloads = (_mask_bits(batch.x[:k1] >= 0),
+                _bits(stack["prefix"][0], stack["prefix_bits"][0]))
+    return _sent(k, payloads, stack, ("raw", "rho0_hat", "decode_failed"))
 
 
 # ----------------------------------------------------------------------
@@ -676,11 +733,14 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
 # ----------------------------------------------------------------------
 
 _CHUNK = 1 << 13
+# pairs per column of a literal stack: a stack holds the whole trials that
+# fit, and at least one
+_STACK = 1 << 14
 
 
-def _chunks(n: int):
-    """Consecutive slices of at most _CHUNK entries covering range(n)."""
-    return [slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
+def _chunks(n: int, size: int = _CHUNK):
+    """Consecutive slices of at most size entries covering range(n)."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def _tail_inverted(count: int, rng: np.random.Generator,
@@ -1007,16 +1067,17 @@ class Scheme:
     fields take a cell's budget k and its resolved params p:
     samples_needed(k, p, literal) validates the cell and returns the pairs
     one literal trial reads (each runner checks its own cell through it,
-    with family), run(k, batch, p) is the literal runner and
-    sample(k, rho, trials, rng, p) the fast sampler. The table's entries
-    look their runners and samplers up when called, so wrappers installed
-    on this module's functions see every call.
+    with family), stack(k, x, y, p) is the literal kernel, returning the
+    columns of a stack whose row t holds trial t's batch in x[t] and y[t],
+    and sample(k, rho, trials, rng, p) is the fast sampler. The table's
+    entries look their kernels and samplers up when called, so wrappers
+    installed on this module's functions see every call.
     """
 
     family: str
     params: dict
     samples_needed: Callable[[int, dict, bool], int]
-    run: Callable[[int, PairBatch, dict], EstimateResult]
+    stack: Callable[[int, np.ndarray, np.ndarray, dict], dict]
     sample: Callable[..., tuple]
 
 
@@ -1029,21 +1090,21 @@ SCHEMES = {
         family="binary",
         params={},
         samples_needed=_naive_pairs,
-        run=lambda k, batch, p: run_naive(k, batch),
+        stack=lambda k, x, y, p: _naive_stack(k, x, y),
         sample=lambda k, rho, trials, rng, p: _naive_trials(k, rho, trials, rng),
     ),
     "max": Scheme(
         family="gaussian",
         params={},
         samples_needed=lambda k, p, literal: _pool(k, literal),
-        run=lambda k, batch, p: run_max_scheme(k, batch),
+        stack=lambda k, x, y, p: _max_stack(k, x, y),
         sample=lambda k, rho, trials, rng, p: _max_trials(k, rho, trials, rng),
     ),
     "local": Scheme(
         family="gaussian",
         params={"rho_nominal": _at_rho},
         samples_needed=_local_pairs,
-        run=lambda k, batch, p: run_local_scheme(k, batch=batch, **p),
+        stack=lambda k, x, y, p: _local_stack(k, p["rho_nominal"], x, y),
         sample=lambda k, rho, trials, rng, p: _local_trials(k, rho, trials, rng, **p),
     ),
     "binary_block": Scheme(
@@ -1055,14 +1116,14 @@ SCHEMES = {
             "guard_bits": GUARD_BITS,
         },
         samples_needed=lambda k, p, literal: _fitted_layout(k, **p).samples_needed,
-        run=lambda k, batch, p: run_binary_block(k, batch=batch, **p),
+        stack=lambda k, x, y, p: _block_stack(_fitted_layout(k, **p), p["rho_tilde"], x, y),
         sample=lambda k, rho, trials, rng, p: _block_trials(rho, trials, rng, **p),
     ),
     "two_way": Scheme(
         family="gaussian",
         params={"k1": lambda k, rho: default_phase1_bits(k)},
         samples_needed=_two_way_pairs,
-        run=lambda k, batch, p: run_two_way(k, batch=batch, **p),
+        stack=lambda k, x, y, p: _two_way_stack(k, p["k1"], x, y),
         sample=lambda k, rho, trials, rng, p: _two_way_trials(k, rho, trials, rng, **p),
     ),
 }
@@ -1077,9 +1138,10 @@ class SchemeConfig:
     dict takes, by scheme: local rho_nominal (default rho); two_way k1 (default
     ceil(sqrt(k))); binary_block rho_tilde and n_block (both required),
     rho_nominal (default rho) and guard_bits (default GUARD_BITS). A value
-    of None means the default. Setting use_batches runs the literal batch
-    protocol per trial instead of the sufficient-statistic sampler (much
-    slower; the same law but for the local marks, see the module docstring).
+    of None means the default. Setting use_batches runs the literal
+    protocol on drawn samples, a stack of whole trials at a time, instead
+    of the sufficient-statistic sampler (much slower; the same law but for
+    the local marks, see the module docstring).
     """
 
     scheme: str
@@ -1186,7 +1248,9 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     value (0, 0.0 and np.float64(0.0) share it) and whether it runs the
     literal protocol, so its report is reproducible bit-for-bit for a fixed
     (config, rho_true, trials, seed). Literal trial t runs on the t-th
-    consecutive batch of pairs drawn from it.
+    consecutive batch of pairs drawn from it. Literal trials run in stacks,
+    each one draw and one kernel call, and an error raised inside a stack
+    names the stack's trials ("trials 16-31: ...").
     """
     if not _is_number(trials, integral=True):
         raise ValueError(f"trials must be an integer, got {trials!r}")
@@ -1200,22 +1264,21 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
 
     if config.use_batches:
         model = CorrelationModel(scheme.family, rho_true)
-        run, k = scheme.run, config.k
         rho_hats = np.empty(trials)
         raws = np.empty(trials)
-        flags = None  # flag name -> column, for the flags the first run reports
-        try:
-            for trial in range(trials):
-                result = run(k, _draw_pairs(model, needed, rng), params)
-                aux = result.aux
-                if flags is None:
-                    flags = {f: np.zeros(trials, dtype=bool) for f in _FLAGS if f in aux}
-                rho_hats[trial] = result.rho_hat
-                raws[trial] = aux["raw"]
-                for name, column in flags.items():
-                    column[trial] = aux[name]
-        except ValueError as exc:
-            raise ValueError(f"trial {trial}: {exc}") from exc
+        flags = None  # flag name -> column, for the flags the kernel reports
+        for sl in _chunks(trials, max(1, _STACK // needed)):
+            try:
+                x, y = _draw_stack(model, needed, sl.stop - sl.start, rng)
+                stack = scheme.stack(config.k, x, y, params)
+            except ValueError as exc:
+                raise ValueError(f"trials {sl.start}-{sl.stop - 1}: {exc}") from exc
+            if flags is None:
+                flags = {f: np.empty(trials, dtype=bool) for f in _FLAGS if f in stack}
+            rho_hats[sl] = stack["rho_hat"]
+            raws[sl] = stack["raw"]
+            for name, column in flags.items():
+                column[sl] = stack[name]
         aux = {"raw": raws, **flags}
     else:
         rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, params)

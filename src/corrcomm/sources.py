@@ -109,16 +109,32 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
 
 def _draw_pairs(model: CorrelationModel, n: int, rng: np.random.Generator) -> PairBatch:
     """gen_pairs' recipe for n > 0 pairs, drawn from rng where it stands."""
+    x, y = _draw_stack(model, n, 1, rng)
+    return PairBatch._trusted(x[0], y[0], model.family)
+
+
+def _draw_stack(model: CorrelationModel, n: int, rows: int, rng: np.random.Generator):
+    """(x, y), each rows x n: row t is the t-th batch of n pairs that
+    gen_pairs' recipe draws in turn from rng where it stands.
+
+    A gaussian stack is one call of 2 n rows normals, row t's x then its z.
+    A binary stack keeps each batch's integers-then-uniforms order, a call
+    of each per row, and maps signs and agreements once for the stack.
+    """
     if model.family == "binary":
-        x = _SIGNS.take(rng.integers(0, 2, size=n))
-        agree = rng.random(n) < (1.0 + model.rho) / 2.0
-        y = np.where(agree, x, -x)
+        bits = np.empty((rows, n), dtype=np.int64)
+        uniforms = np.empty((rows, n))
+        for t in range(rows):
+            bits[t] = rng.integers(0, 2, size=n)
+            rng.random(out=uniforms[t])
+        x = _SIGNS.take(bits)
+        y = np.where(uniforms < (1.0 + model.rho) / 2.0, x, -x)
     else:
-        normals = rng.standard_normal(2 * n)
-        x, y = normals[:n], normals[n:]
+        normals = rng.standard_normal(2 * n * rows).reshape(rows, 2 * n)
+        x, y = normals[:, :n], normals[:, n:]
         y *= math.sqrt(1.0 - model.rho**2)  # z scaled in place, then + rho x
         y += model.rho * x
-    return PairBatch._trusted(x, y, model.family)
+    return x, y
 
 
 @dataclass(frozen=True)

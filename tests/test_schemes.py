@@ -42,6 +42,7 @@ from corrcomm import (
 import corrcomm.schemes
 from corrcomm.rng import _tag_words
 from corrcomm.schemes import (
+    _STACK,
     MAX_POINTER_BITS,
     SCHEMES,
     _binom_pmf,
@@ -996,22 +997,51 @@ def test_runners_reject_the_cells_check_preconditions_rejects(scheme, k, params)
 
 
 def test_estimate_risk_names_the_failing_trial(monkeypatch):
-    # a runner that raises mid-loop is reported with its trial index
+    # a kernel that raises mid-cell is reported with its stack's trial range:
+    # naive at k = 8 runs all 100 trials in one stack, max at k = 12 four
+    # trials (2^14 pairs) per stack, so its third stack holds trials 8-11
     import corrcomm.schemes
 
-    original = corrcomm.schemes.run_naive
-    calls = []
+    for scheme, k, kernel, fail_at, first, last in (
+        ("naive", 8, "_naive_stack", 1, 0, 99),
+        ("max", 12, "_max_stack", 3, 8, 11),
+    ):
+        original = getattr(corrcomm.schemes, kernel)
+        rows = []  # the rows of each stack the kernel is called on
 
-    def fail_third(k, batch):
-        calls.append(k)
-        if len(calls) == 3:
-            raise ValueError("planted")
-        return original(k, batch)
+        def fail(*args, _original=original):
+            rows.append(len(args[1]))
+            if len(rows) == fail_at:
+                raise ValueError("planted")
+            return _original(*args)
 
-    monkeypatch.setattr(corrcomm.schemes, "run_naive", fail_third)
-    with pytest.raises(ValueError, match="^trial 2: planted$"):
-        estimate_risk(SchemeConfig("naive", 8, use_batches=True), 0.5, 100, SEED)
-    assert len(calls) == 3
+        monkeypatch.setattr(corrcomm.schemes, kernel, fail)
+        with pytest.raises(ValueError, match=f"^trials {first}-{last}: planted$"):
+            estimate_risk(SchemeConfig(scheme, k, use_batches=True), 0.5, 100, SEED)
+        assert rows == [last - first + 1] * fail_at
+
+
+KERNELS = {
+    "naive": "_naive_stack",
+    "max": "_max_stack",
+    "local": "_local_stack",
+    "two_way": "_two_way_stack",
+    "binary_block": "_block_stack",
+}
+
+
+def spy_kernel(monkeypatch, scheme):
+    """The list that each stack's columns go to as scheme's kernel returns them."""
+    name = KERNELS[scheme]
+    original = getattr(corrcomm.schemes, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(corrcomm.schemes, name, spy)
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -1034,8 +1064,9 @@ def test_scheme_table_calls_through_module_attributes(
     import corrcomm.schemes
 
     runners = [name for name in corrcomm.schemes.__all__ if name.startswith("run_")]
+    assert runner in runners
     calls = []
-    for name in (*runners, sampler, "substream", "_draw_pairs"):
+    for name in (*runners, *KERNELS.values(), sampler, "substream", "_draw_stack"):
         original = getattr(corrcomm.schemes, name)
 
         def spy(*args, _name=name, _original=original, **kwargs):
@@ -1043,13 +1074,13 @@ def test_scheme_table_calls_through_module_attributes(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(corrcomm.schemes, name, spy)
-    estimate_risk(SchemeConfig(scheme, k, params, use_batches=True), 0.5, 100, SEED)
-    # one stream per cell, then one batch and one runner call per trial
-    # (two_way's phase 2 included)
-    assert calls[0] == "substream"
-    assert calls.count("_draw_pairs") == 100
-    assert calls.count(runner) == 100
-    assert len(calls) == 201
+    config = SchemeConfig(scheme, k, params, use_batches=True)
+    estimate_risk(config, 0.5, 100, SEED)
+    # one stream per cell, then one draw and one kernel call per stack
+    # (two_way's phase 2 included); the runners are its one-row case
+    stacks = math.ceil(100 / max(1, _STACK // check_preconditions(config, 0.5)))
+    assert stacks > 1 if scheme == "binary_block" else stacks == 1
+    assert calls == ["substream", *["_draw_stack", KERNELS[scheme]] * stacks]
     calls.clear()
     estimate_risk(SchemeConfig(scheme, k, params), 0.5, 100, SEED)
     assert calls == ["substream", sampler]
@@ -1060,29 +1091,36 @@ def test_scheme_table_calls_through_module_attributes(
     [
         ("naive", 8, {}, "run_naive"),
         ("max", 6, {}, "run_max_scheme"),
+        ("max", 12, {}, "run_max_scheme"),
+        ("binary_block", 8, {"rho_tilde": 0.5, "n_block": 16, "rho_nominal": 0.5},
+         "run_binary_block"),
     ],
 )
 def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
     monkeypatch, scheme, k, params, runner
 ):
-    # trial t runs on the t-th batch of gen_pairs' recipe drawn in turn
-    # from the cell's one substream, whatever the runner does with it
+    # row t of the cell's stacks is the t-th batch of gen_pairs' recipe drawn
+    # in turn from the cell's one substream, and the runner on that batch
+    # gives the cell's t-th estimate
     import corrcomm.schemes
 
-    original = getattr(corrcomm.schemes, runner)
-    batches = []
+    original = corrcomm.schemes._draw_stack
+    rows = []
 
-    def spy(k, batch, **kwargs):
-        batches.append((batch.x.copy(), batch.y.copy()))
-        return original(k, batch, **kwargs)
+    def spy(*args):
+        x, y = original(*args)
+        rows.extend(zip(x.copy(), y.copy()))
+        return x, y
 
-    monkeypatch.setattr(corrcomm.schemes, runner, spy)
+    monkeypatch.setattr(corrcomm.schemes, "_draw_stack", spy)
+    seen = spy_kernel(monkeypatch, scheme)
     config = SchemeConfig(scheme, k, params, use_batches=True)
     estimate_risk(config, 0.5, 100, SEED)
+    rho_hats = np.concatenate([stack["rho_hat"] for stack in seen])
     needed = check_preconditions(config, 0.5)
     rng = substream(SEED, f"risk/literal/{scheme}/k={k}/rho=0.5")
-    assert len(batches) == 100
-    for x, y in batches:
+    assert len(rows) == 100
+    for (x, y), rho_hat in zip(rows, rho_hats):
         if SCHEMES[scheme].family == "binary":
             want_x = rng.integers(0, 2, size=needed) * 2.0 - 1.0
             agree = rng.random(needed) < 0.75
@@ -1092,6 +1130,103 @@ def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
             want_y = 0.5 * want_x + math.sqrt(0.75) * z
         np.testing.assert_array_equal(x, want_x)
         np.testing.assert_array_equal(y, want_y)
+        batch = PairBatch(x=x, y=y, family=SCHEMES[scheme].family)
+        result = getattr(corrcomm.schemes, runner)(k, batch=batch, **params)
+        assert result.rho_hat.hex() == rho_hat.item().hex()
+
+
+SMALL_BUCKETS = {"rho_tilde": 0.5, "n_block": 16, "rho_nominal": 0.9, "guard_bits": 0}
+PARTIAL_PREFIX = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
+
+
+@pytest.mark.parametrize(
+    "scheme, k, params, trials",
+    [
+        # 256 trials a stack, then 45
+        ("naive", 64, {}, 301),
+        # 16 trials a stack, then 13
+        ("max", 10, {}, 301),
+        ("local", 10, {"rho_nominal": 0.6}, 301),
+        # 240 trials a stack, each holding several agreement counts
+        ("two_way", 10, {"k1": 4}, 601),
+        # 952k pairs a trial, past a stack's 2^14: one trial a stack
+        ("binary_block", 12, PARTIAL_PREFIX, 100),
+        # 195 blocks in 4-block buckets, the last of 3 blocks: anchors there
+        # are rare (p ~ 3.6e-4 a trial), and trial 1369 of this cell has one;
+        # 400 stacks of 5 trials, then 1
+        ("binary_block", 8, SMALL_BUCKETS, 2001),
+    ],
+)
+def test_literal_stacks_match_a_loop_of_the_runners(monkeypatch, scheme, k, params, trials):
+    # every estimate, raw value and flag of a literal cell is, to the bit,
+    # what the public runner gives on the cell's consecutive batches
+    config = SchemeConfig(scheme, k, params, use_batches=True)
+    needed = check_preconditions(config, 0.6)
+    model = CorrelationModel(SCHEMES[scheme].family, 0.6)
+    rng = substream(SEED, f"risk/literal/{scheme}/k={k}/rho=0.6")
+    runs = [RUNNERS[scheme](k, batch=_draw_pairs(model, needed, rng), **params)
+            for _ in range(trials)]
+    seen = spy_kernel(monkeypatch, scheme)
+    estimate_risk(config, 0.6, trials, SEED)
+
+    per_stack = max(1, _STACK // needed)
+    assert [len(stack["raw"]) for stack in seen[:-1]] == [per_stack] * (len(seen) - 1)
+    assert 0 < len(seen[-1]["raw"]) <= per_stack
+    assert trials % per_stack != 0 or per_stack == 1
+    flags = [flag for flag in ("decode_failed", "exist_failed") if flag in runs[0].aux]
+    for key in ("raw", *flags):
+        want = np.array([run.aux[key] for run in runs])
+        got = np.concatenate([stack[key] for stack in seen])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+    want = np.array([run.rho_hat for run in runs])
+    assert np.concatenate([stack["rho_hat"] for stack in seen]).tobytes() == want.tobytes()
+    if scheme == "two_way":
+        assert all(len(set(stack["rho0_hat"])) >= 3 for stack in seen)
+    if params is SMALL_BUCKETS:
+        assert any(run.aux["anchor_block"] >= 192 and not run.aux["exist_failed"]
+                   for run in runs)
+
+
+def test_block_stack_decodes_in_the_short_last_bucket():
+    # 195 blocks in 4-block buckets: the last bucket holds blocks 192-194,
+    # so a stack's bucket window there must not count a fourth block. Alice
+    # hits the target sum 8 first in block 192, 193 or 194 of each row
+    layout = block_layout(0.5, 16, 0.9, guard_bits=0)
+    rows = 60
+    x = np.ones((rows, layout.samples_needed))  # blocks of sum 16
+    anchors = 192 + np.arange(rows) % 3
+    for t, anchor in enumerate(anchors):
+        x[t, anchor * 16 : anchor * 16 + 4] = -1.0
+    y = np.where(np.random.default_rng(SEED).random(x.shape) < 0.8, 1.0, -1.0)
+    stack = corrcomm.schemes._block_stack(layout, 0.5, x, y)
+    marked_last = 0
+    for t in range(rows):
+        batch = binary_batch(x[t], y[t])
+        anchor, decoded, raw = block_scheme_by_full_scan(0.5, 16, batch, 0.9)
+        assert stack["anchor_block"][t] == anchor == anchors[t]
+        assert stack["decoded"][t] == (-1 if decoded is None else decoded)
+        assert stack["raw"][t] == raw
+        marked_last += decoded is not None and bool(layout.marks(y[t, -16:].sum()))
+    assert marked_last > 0  # block 194 decoded, or marked beside the decode
+
+
+@pytest.mark.parametrize("scheme", ["local", "two_way"])
+def test_literal_cells_check_each_trials_width_against_the_budget(monkeypatch, scheme):
+    # a prefix one bit past the budget is refused before Bob decodes, with
+    # Transcript's message, naming the trials of the stack that sent it
+    import corrcomm.schemes
+
+    monkeypatch.setattr(corrcomm.schemes, "_local_prefix_bits", lambda k, rho: k + 1)
+    trials = "0-15" if scheme == "local" else "0-99"
+    with pytest.raises(ValueError,
+                       match=f"^trials {trials}: transcript spends 11 bits, budget is 10$"):
+        estimate_risk(SchemeConfig(scheme, 10, use_batches=True), 0.6, 100, SEED)
+    batch = gen_pairs(CorrelationModel("gaussian", 0.6), 2**10, SEED)
+    with pytest.raises(ValueError, match="^transcript spends 11 bits, budget is 10$"):
+        if scheme == "local":
+            run_local_scheme(10, 0.6, batch)
+        else:
+            run_two_way(10, 4, batch)
 
 
 def test_scheme_config_validation():
@@ -1244,19 +1379,22 @@ STATISTICS_CELLS = [
 def test_risk_statistics_are_the_numpy_reductions(monkeypatch, config, rho, trials):
     # every float of the report is what ndarray.mean, var and std give on
     # the cell's estimates and raw values, to the bit
-    seen = []
-    name = "run_max_scheme" if config.use_batches else SAMPLERS[config.scheme]
-    original = getattr(corrcomm.schemes, name)
+    if config.use_batches:
+        seen = spy_kernel(monkeypatch, config.scheme)
+    else:
+        seen = []
+        original = getattr(corrcomm.schemes, SAMPLERS[config.scheme])
 
-    def spy(*args, **kwargs):
-        seen.append(original(*args, **kwargs))
-        return seen[-1]
+        def spy(*args, **kwargs):
+            seen.append(original(*args, **kwargs))
+            return seen[-1]
 
-    monkeypatch.setattr(corrcomm.schemes, name, spy)
+        monkeypatch.setattr(corrcomm.schemes, SAMPLERS[config.scheme], spy)
     report = estimate_risk(config, rho, trials, SEED)
     if config.use_batches:
-        rho_hats = np.array([result.rho_hat for result in seen])
-        aux = {"raw": np.array([result.aux["raw"] for result in seen])}
+        rho_hats, raw = (np.concatenate([stack[key] for stack in seen])
+                         for key in ("rho_hat", "raw"))
+        aux = {"raw": raw}
     else:
         ((rho_hats, aux),) = seen
     raw, root = aux["raw"], math.sqrt(trials)
