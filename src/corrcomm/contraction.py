@@ -260,26 +260,21 @@ def compute_info_split(spec: InteractiveSpec) -> InfoSplit:
     return _info_splits([spec.source.probs], [spec.channels])[0]
 
 
-def _info_splits(sources, channels: list) -> list[InfoSplit]:
+def _info_splits(sources: list, channels: list) -> list[InfoSplit]:
     """compute_info_split of each (source table, channel tuple) pair, stacked.
 
-    sources holds (nx, ny) joint tables, as a list or as one (B, nx, ny)
-    stack. Pairs with the same source and message shapes form one stack:
-    its sources, channels and joints are checked once, and each round's
-    informations come from one call.
+    sources is a list of (nx, ny) joint tables. Pairs with the same source
+    and message shapes form one stack: its sources, channels and joints are
+    checked once, and each round's informations come from one call.
     """
-    stacked = isinstance(sources, np.ndarray)
     groups: dict[tuple, list[int]] = {}
     for b, chans in enumerate(channels):
         key = tuple([chan.shape for chan in chans])
-        groups.setdefault(key if stacked else (sources[b].shape, key), []).append(b)
+        groups.setdefault((sources[b].shape, key), []).append(b)
     splits: list = [None] * len(channels)
     for members in groups.values():
-        if stacked:
-            group_sources = np.ascontiguousarray(sources[members])
-        else:
-            # np.array stacks same-shape arrays as np.stack does, at a third of its cost
-            group_sources = np.array([sources[b] for b in members])
+        # np.array stacks same-shape arrays as np.stack does, at a third of its cost
+        group_sources = np.array([sources[b] for b in members])
         stacks = [np.array(round_chans)
                   for round_chans in zip(*[channels[b] for b in members])]
         _check_joints(group_sources)
@@ -536,10 +531,10 @@ def _tilted_batch(records: list) -> list[CheckResult]:
     tilted /= mass[:, None, None]
 
     # one-round specs: U drawn from x, and V drawn from y on the transposed tables
-    sides_u = _info_splits(tilted, [(np.asarray(r["channel_u"], dtype=float),) for r in records])
+    sides_u = _info_splits(list(tilted), [(np.asarray(r["channel_u"], dtype=float),) for r in records])
     with_v = [b for b, r in enumerate(records) if r.get("channel_v") is not None]
     sides_v = dict(zip(with_v, _info_splits(
-        tilted[with_v].transpose(0, 2, 1),
+        list(tilted[with_v].transpose(0, 2, 1)),
         [(np.asarray(records[b]["channel_v"], dtype=float),) for b in with_v],
     )))
     return [_tilted_result(r, f[b], g[b], sides_u[b], sides_v.get(b))
@@ -599,7 +594,7 @@ def _binary_input_batch(records: list) -> list[CheckResult]:
         coeffs = 1.0 - affinity * affinity
         # A is the x side and B the y side of a one-round spec that reads A
         channels = [np.asarray(records[b]["channel"], dtype=float) for b in members]
-        splits = _info_splits(pa[:, :, None] * np.stack([p, q], axis=1),
+        splits = _info_splits(list(pa[:, :, None] * np.stack([p, q], axis=1)),
                               [(chan,) for chan in channels])
         for row, (b, coeff, split) in enumerate(zip(members, coeffs.tolist(), splits)):
             results[b] = _binary_input_result(

@@ -1,6 +1,10 @@
 """One-way and two-way estimation schemes under a k-bit budget.
 
-Each scheme exists in two forms:
+A scheme is its row of ``SCHEMES``: its params, its plan (the cell's
+checks, worked out once per cell), its literal kernel, Alice's messages,
+the aux keys a runner reports and its fast sampler. ``check_preconditions``,
+the runners and ``estimate_risk`` all read a cell through the row's plan,
+so they accept and reject the same cells. Each scheme exists in two forms:
 
 * the literal protocol on real samples, written once as a kernel
   (``_naive_stack`` ... ``_two_way_stack``) that carries it out on every
@@ -352,22 +356,6 @@ def _mask_bits(mask: np.ndarray) -> str:
 # t's batch) and returns columns: rho_hat, raw, the flags and the other aux
 # values, with -1 for a decoded index of None.
 
-def _one_row(batch: PairBatch):
-    """batch's columns as a one-row stack."""
-    return batch.x[None], batch.y[None]
-
-
-def _sent(k: int, payloads, stack: dict, keys) -> EstimateResult:
-    """A one-row stack's run: Alice sent payloads, one message each, under
-    budget k; aux holds the row's entries of keys as Python values."""
-    aux = {key: stack[key][0].item() for key in keys}
-    if aux.get("decoded", 0) < 0:
-        aux["decoded"] = None
-    messages = tuple([Message("alice", payload) for payload in payloads])
-    return EstimateResult(rho_hat=stack["rho_hat"][0].item(), aux=aux,
-                          transcript=Transcript(budget=k, messages=messages))
-
-
 def _within_budget(k: int, bits):
     """bits, each row's transcript width (or one width for every row),
     checked against the budget k as Transcript checks it."""
@@ -387,28 +375,6 @@ def _mean_sign_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (2 * np.count_nonzero(a == b, axis=1) - n) / n
 
 
-def _checked_scheme(scheme: str, k: int, batch: PairBatch) -> Scheme:
-    """SCHEMES[scheme], checked to read batch's family at a positive budget k."""
-    entry = SCHEMES[scheme]
-    if batch.family != entry.family:
-        raise ValueError(f"{scheme} expects a {entry.family} batch, got {batch.family}")
-    if k < 1:
-        raise ValueError(f"bit budget must be positive, got {k}")
-    return entry
-
-
-def _fits(needed: int, batch: PairBatch) -> int:
-    """needed, checked to be at most the pairs batch holds."""
-    if len(batch) < needed:
-        raise ValueError(f"need at least {needed} pairs, batch has {len(batch)}")
-    return needed
-
-
-def _checked_pairs(scheme: str, k: int, p: dict, batch: PairBatch) -> int:
-    """The pairs a literal run of SCHEMES[scheme] reads, checked against batch."""
-    return _fits(_checked_scheme(scheme, k, batch).samples_needed(k, p, True), batch)
-
-
 def _naive_stack(k: int, x: np.ndarray, y: np.ndarray) -> dict:
     # (2 agree - k) / k lies in [-1, 1] already: raw is its own clip
     raw = _mean_sign_products(x[:, :k], y[:, :k])
@@ -417,9 +383,7 @@ def _naive_stack(k: int, x: np.ndarray, y: np.ndarray) -> dict:
 
 def run_naive(k: int, batch: PairBatch) -> EstimateResult:
     """Send k raw signs; estimate by the mean of the k products."""
-    _checked_pairs("naive", k, {}, batch)
-    stack = _naive_stack(k, *_one_row(batch))
-    return _sent(k, (_mask_bits(batch.x[:k] > 0),), stack, ("raw",))
+    return _run("naive", k, batch, {})
 
 
 def _pool(bits: int, literal: bool) -> int:
@@ -452,9 +416,7 @@ def run_max_scheme(k: int, batch: PairBatch) -> EstimateResult:
     it to [-1, 1], which can only shrink the squared error. The exact raw
     value is kept in aux["raw"].
     """
-    _checked_pairs("max", k, {}, batch)
-    stack = _max_stack(k, *_one_row(batch))
-    return _sent(k, (_bits(stack["winner"][0], k),), stack, ("raw", "winner"))
+    return _run("max", k, batch, {})
 
 
 def _local_prefix_bits(k: int, rho_nominal: float) -> int:
@@ -518,10 +480,7 @@ def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateRe
     is the full index the marking step is bypassed. On a zero or multiple
     match he falls back to rho_nominal and sets aux["decode_failed"].
     """
-    _checked_pairs("local", k, {"rho_nominal": rho_nominal}, batch)
-    stack = _local_stack(k, rho_nominal, *_one_row(batch))
-    return _sent(k, (_bits(stack["prefix"][0], stack["prefix_bits"][0]),), stack,
-                 ("raw", "decode_failed", "winner", "decoded"))
+    return _run("local", k, batch, {"rho_nominal": rho_nominal})
 
 
 # ----------------------------------------------------------------------
@@ -602,15 +561,6 @@ def block_layout(
     )
 
 
-def _fitted_layout(k: int, rho_tilde: float, n_block: int, rho_nominal: float,
-                   guard_bits: int) -> BlockLayout:
-    """The block layout, checked to fit a k-bit budget."""
-    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)
-    if layout.prefix_bits > k:
-        raise ValueError(f"scheme needs {layout.prefix_bits} bits, budget is {k}")
-    return layout
-
-
 def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
                  y: np.ndarray) -> dict:
     n, m = layout.n_block, layout.m_blocks
@@ -661,13 +611,9 @@ def run_binary_block(
     or decoding is ambiguous, the fallback estimate is the empirical
     correlation of block 1 with the failure flagged in aux.
     """
-    # _checked_pairs, keeping the layout that the scheme's samples_needed reads
-    _checked_scheme("binary_block", k, batch)
-    layout = _fitted_layout(k, rho_tilde, n_block, rho_nominal, guard_bits)
-    _fits(layout.samples_needed, batch)
-    stack = _block_stack(layout, rho_tilde, *_one_row(batch))
-    return _sent(k, (_bits(stack["prefix"][0], layout.prefix_bits),), stack,
-                 ("raw", "exist_failed", "decode_failed", "anchor_block", "decoded"))
+    return _run("binary_block", k, batch, {"rho_tilde": rho_tilde, "n_block": n_block,
+                                           "rho_nominal": rho_nominal,
+                                           "guard_bits": guard_bits})
 
 
 # ----------------------------------------------------------------------
@@ -721,11 +667,7 @@ def run_two_way(k: int, k1: int, batch: PairBatch) -> EstimateResult:
     ceil(log2(k1 + 1)) bits, his agreement count (3 bits at the default
     k1 = 4 of k = 10).
     """
-    _checked_pairs("two_way", k, {"k1": k1}, batch)
-    stack = _two_way_stack(k, k1, *_one_row(batch))
-    payloads = (_mask_bits(batch.x[:k1] >= 0),
-                _bits(stack["prefix"][0], stack["prefix_bits"][0]))
-    return _sent(k, payloads, stack, ("raw", "rho0_hat", "decode_failed"))
+    return _run("two_way", k, batch, {"k1": k1})
 
 
 # ----------------------------------------------------------------------
@@ -898,16 +840,10 @@ def _draw_from_weights(weights: np.ndarray, size: int,
     return np.minimum(idx, np.flatnonzero(weights)[-1])
 
 
-def _block_trials(
-    rho: float,
-    trials: int,
-    rng: np.random.Generator,
-    rho_tilde: float,
-    n_block: int,
-    rho_nominal: float,
-    guard_bits: int,
-):
-    """Block-scheme trials in O(1) draws each, whatever the block count m.
+def _block_trials(rho: float, trials: int, rng: np.random.Generator,
+                  layout: BlockLayout, rho_tilde: float):
+    """Block-scheme trials on layout in O(1) draws each, whatever its block
+    count m.
 
     A block is summarized by (alice sum A, bob sum B, agreement count):
     alice has a = (n + A)/2 ~ Bin(n, 1/2) plus-ones, bob agrees with
@@ -941,7 +877,6 @@ def _block_trials(
     and Bin(n - a*, 1 - p); given A != t it is their difference,
     P(B) - p_hit P(B | A = t), over 1 - p_hit.
     """
-    layout = block_layout(rho_tilde, n_block, rho_nominal, guard_bits)
     n, m, t = layout.n_block, layout.m_blocks, layout.target_sum
     p_keep = (1.0 + rho) / 2.0
     a_hit = (n + t) // 2
@@ -1033,79 +968,105 @@ def _two_way_trials(k: int, rho: float, trials: int, rng: np.random.Generator,
 # risk estimation
 # ----------------------------------------------------------------------
 
-def _naive_pairs(k: int, p: dict, literal: bool) -> int:
+def _naive_plan(k: int, p: dict, literal: bool) -> dict:
     # a literal run materializes k pairs; the fast rng.binomial takes int64
     bound = 2**MAX_POINTER_BITS if literal else 2**63 - 1
     if k > bound:
         path = "literal" if literal else "fast"
         raise ValueError(f"a {path} naive budget is at most {bound} bits")
-    return k
+    return {"pairs": k}
 
 
-def _local_pairs(k: int, p: dict, literal: bool) -> int:
+def _local_plan(k: int, p: dict, literal: bool) -> dict:
     if not -1.0 < p["rho_nominal"] < 1.0:
         raise ValueError(
             f"nominal correlation must lie in (-1, 1), got {p['rho_nominal']}"
         )
-    return _pool(k, literal)
+    return {**p, "pairs": _pool(k, literal)}
 
 
-def _two_way_pairs(k: int, p: dict, literal: bool) -> int:
+def _block_plan(k: int, p: dict, literal: bool) -> dict:
+    layout = block_layout(p["rho_tilde"], p["n_block"], p["rho_nominal"], p["guard_bits"])
+    if layout.prefix_bits > k:
+        raise ValueError(f"scheme needs {layout.prefix_bits} bits, budget is {k}")
+    return {**p, "layout": layout, "pairs": layout.samples_needed}
+
+
+def _two_way_plan(k: int, p: dict, literal: bool) -> dict:
     if not 1 <= p["k1"] < k:
         raise ValueError(
             f"phase 1 budget must satisfy 1 <= k1 < k, got k1={p['k1']}, k={k}"
         )
-    return p["k1"] + _pool(k - p["k1"], literal)
+    return {**p, "pairs": p["k1"] + _pool(k - p["k1"], literal)}
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """Everything the risk harness needs to know about one scheme.
+    """One row of SCHEMES: everything each path needs to know about a scheme.
 
     params maps each parameter the scheme takes to its default: a number,
-    a function of (k, rho), or None for a required parameter. The other
-    fields take a cell's budget k and its resolved params p:
-    samples_needed(k, p, literal) validates the cell and returns the pairs
-    one literal trial reads (each runner checks its own cell through it,
-    with family), stack(k, x, y, p) is the literal kernel, returning the
-    columns of a stack whose row t holds trial t's batch in x[t] and y[t],
-    and sample(k, rho, trials, rng, p) is the fast sampler. The table's
-    entries look their kernels and samplers up when called, so wrappers
-    installed on this module's functions see every call.
+    a function of (k, rho), or None for a required parameter; counts names
+    the ones that are integer counts. The callables take a cell's budget k.
+    plan(k, p, literal) validates the cell with its resolved params p and
+    returns the cell's plan: p, "pairs" (the pairs one literal trial reads)
+    and what the kernel and sampler share (the block row's BlockLayout,
+    "layout"), so it is worked out once per cell. stack(k, x, y, plan) is
+    the literal kernel, returning the columns of a stack whose row t holds
+    trial t's batch in x[t] and y[t]. message(k, x, columns, plan) gives
+    Alice's payloads on a one-row stack whose batch has x-column x, and aux
+    names the columns a runner reports; the flags among them are the rates
+    a literal cell reports. sample(k, rho, trials, rng, plan) is the fast
+    sampler. The table's entries look their kernels and samplers up when
+    called, so wrappers installed on this module's functions see every call.
     """
 
     family: str
     params: dict
-    samples_needed: Callable[[int, dict, bool], int]
+    plan: Callable[[int, dict, bool], dict]
     stack: Callable[[int, np.ndarray, np.ndarray, dict], dict]
+    message: Callable[[int, np.ndarray, dict, dict], tuple]
+    aux: tuple
     sample: Callable[..., tuple]
+    counts: tuple = ()
 
 
 def _at_rho(k: int, rho: float) -> float:
     return rho
 
 
+def _prefix(columns: dict) -> str:
+    """A one-row stack's index prefix, at its own width."""
+    return _bits(columns["prefix"][0], columns["prefix_bits"][0])
+
+
 SCHEMES = {
     "naive": Scheme(
         family="binary",
         params={},
-        samples_needed=_naive_pairs,
-        stack=lambda k, x, y, p: _naive_stack(k, x, y),
-        sample=lambda k, rho, trials, rng, p: _naive_trials(k, rho, trials, rng),
+        plan=_naive_plan,
+        stack=lambda k, x, y, plan: _naive_stack(k, x, y),
+        message=lambda k, x, columns, plan: (_mask_bits(x[:k] > 0),),
+        aux=("raw",),
+        sample=lambda k, rho, trials, rng, plan: _naive_trials(k, rho, trials, rng),
     ),
     "max": Scheme(
         family="gaussian",
         params={},
-        samples_needed=lambda k, p, literal: _pool(k, literal),
-        stack=lambda k, x, y, p: _max_stack(k, x, y),
-        sample=lambda k, rho, trials, rng, p: _max_trials(k, rho, trials, rng),
+        plan=lambda k, p, literal: {"pairs": _pool(k, literal)},
+        stack=lambda k, x, y, plan: _max_stack(k, x, y),
+        message=lambda k, x, columns, plan: (_bits(columns["winner"][0], k),),
+        aux=("raw", "winner"),
+        sample=lambda k, rho, trials, rng, plan: _max_trials(k, rho, trials, rng),
     ),
     "local": Scheme(
         family="gaussian",
         params={"rho_nominal": _at_rho},
-        samples_needed=_local_pairs,
-        stack=lambda k, x, y, p: _local_stack(k, p["rho_nominal"], x, y),
-        sample=lambda k, rho, trials, rng, p: _local_trials(k, rho, trials, rng, **p),
+        plan=_local_plan,
+        stack=lambda k, x, y, plan: _local_stack(k, plan["rho_nominal"], x, y),
+        message=lambda k, x, columns, plan: (_prefix(columns),),
+        aux=("raw", "decode_failed", "winner", "decoded"),
+        sample=lambda k, rho, trials, rng, plan: _local_trials(
+            k, rho, trials, rng, plan["rho_nominal"]),
     ),
     "binary_block": Scheme(
         family="binary",
@@ -1115,19 +1076,38 @@ SCHEMES = {
             "rho_nominal": _at_rho,
             "guard_bits": GUARD_BITS,
         },
-        samples_needed=lambda k, p, literal: _fitted_layout(k, **p).samples_needed,
-        stack=lambda k, x, y, p: _block_stack(_fitted_layout(k, **p), p["rho_tilde"], x, y),
-        sample=lambda k, rho, trials, rng, p: _block_trials(rho, trials, rng, **p),
+        counts=("n_block", "guard_bits"),
+        plan=_block_plan,
+        stack=lambda k, x, y, plan: _block_stack(plan["layout"], plan["rho_tilde"], x, y),
+        message=lambda k, x, columns, plan: (
+            _bits(columns["prefix"][0], plan["layout"].prefix_bits),),
+        aux=("raw", "exist_failed", "decode_failed", "anchor_block", "decoded"),
+        sample=lambda k, rho, trials, rng, plan: _block_trials(
+            rho, trials, rng, plan["layout"], plan["rho_tilde"]),
     ),
     "two_way": Scheme(
         family="gaussian",
         params={"k1": lambda k, rho: default_phase1_bits(k)},
-        samples_needed=_two_way_pairs,
-        stack=lambda k, x, y, p: _two_way_stack(k, p["k1"], x, y),
-        sample=lambda k, rho, trials, rng, p: _two_way_trials(k, rho, trials, rng, **p),
+        counts=("k1",),
+        plan=_two_way_plan,
+        stack=lambda k, x, y, plan: _two_way_stack(k, plan["k1"], x, y),
+        message=lambda k, x, columns, plan: (_mask_bits(x[: plan["k1"]] >= 0),
+                                             _prefix(columns)),
+        aux=("raw", "rho0_hat", "decode_failed"),
+        sample=lambda k, rho, trials, rng, plan: _two_way_trials(
+            k, rho, trials, rng, plan["k1"]),
     ),
 }
 SCHEME_NAMES = tuple(SCHEMES)
+
+
+def _checked_budget(k) -> int:
+    """k as an int, checked to be a positive integer bit budget."""
+    if not _is_number(k, integral=True):
+        raise ValueError(f"bit budget must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"bit budget must be positive, got {k}")
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -1135,13 +1115,14 @@ class SchemeConfig:
     """Which scheme to run and with what knobs.
 
     k is an integer budget (a numpy integer is stored as int). The params
-    dict takes, by scheme: local rho_nominal (default rho); two_way k1 (default
-    ceil(sqrt(k))); binary_block rho_tilde and n_block (both required),
-    rho_nominal (default rho) and guard_bits (default GUARD_BITS). A value
-    of None means the default. Setting use_batches runs the literal
-    protocol on drawn samples, a stack of whole trials at a time, instead
-    of the sufficient-statistic sampler (much slower; the same law but for
-    the local marks, see the module docstring).
+    dict takes, by scheme, the parameters of its SCHEMES row: local
+    rho_nominal (default rho); two_way k1 (default ceil(sqrt(k)));
+    binary_block rho_tilde and n_block (both required), rho_nominal
+    (default rho) and guard_bits (default GUARD_BITS). A value of None
+    means the default. Setting use_batches runs the literal protocol on
+    drawn samples, a stack of whole trials at a time, instead of the
+    sufficient-statistic sampler (much slower; the same law but for the
+    local marks, see the module docstring).
     """
 
     scheme: str
@@ -1154,47 +1135,43 @@ class SchemeConfig:
             raise ValueError(
                 f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}"
             )
-        if not _is_number(self.k, integral=True):
-            raise ValueError(f"bit budget must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"bit budget must be positive, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _checked_budget(self.k))
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a dict, got {type(self.params).__name__}")
         if not isinstance(self.use_batches, bool):
             raise ValueError(f"use_batches must be True or False, got {self.use_batches!r}")
 
 
-_COUNT_PARAMS = ("n_block", "k1", "guard_bits")
+def _plan(name: str, k: int, given: dict, rho, literal: bool) -> dict:
+    """The plan of a cell of SCHEMES[name] at budget k (see Scheme.plan).
 
-
-def _resolve(config: SchemeConfig, rho_true: float) -> tuple[Scheme, dict, int]:
-    """The cell's scheme, its filled-in params and its pairs per literal trial."""
-    _check_correlation(rho_true)
-    scheme = SCHEMES[config.scheme]
-    for name, value in config.params.items():
-        integral = name in _COUNT_PARAMS
+    given holds the params set; one given as None, or left out, takes its
+    default at the true correlation rho. A runner's cell has no rho (None),
+    so it takes no defaults and must give every param.
+    """
+    if rho is not None:
+        _check_correlation(rho)
+    scheme = SCHEMES[name]
+    for key, value in given.items():
+        integral = key in scheme.counts
         if value is not None and not _is_number(value, integral):
             kind = "an integer" if integral else "a finite number"
-            raise ValueError(f"parameter {name!r} must be {kind}, got {value!r}")
-        if name not in scheme.params:
+            raise ValueError(f"parameter {key!r} must be {kind}, got {value!r}")
+        if key not in scheme.params:
             raise ValueError(
-                f"scheme {config.scheme!r} takes no parameter {name!r} "
+                f"scheme {name!r} takes no parameter {key!r} "
                 f"(it takes: {', '.join(scheme.params) or 'none'})"
             )
     params = {}
-    for name, default in scheme.params.items():
-        value = config.params.get(name)
+    for key, default in scheme.params.items():
+        value = given.get(key)
         if value is None:
-            if default is None:
-                raise ValueError(
-                    f"scheme {config.scheme!r} needs parameter {name!r}"
-                )
-            value = default(config.k, rho_true) if callable(default) else default
+            if default is None or rho is None:
+                raise ValueError(f"scheme {name!r} needs parameter {key!r}")
+            value = default(k, rho) if callable(default) else default
         # a numpy count would wrap in 2**(k - k1)
-        params[name] = int(value) if name in _COUNT_PARAMS else value
-    needed = scheme.samples_needed(config.k, params, config.use_batches)
-    return scheme, params, needed
+        params[key] = int(value) if key in scheme.counts else value
+    return scheme.plan(k, params, literal)
 
 
 def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
@@ -1203,14 +1180,38 @@ def check_preconditions(config: SchemeConfig, rho_true: float) -> int:
     Returns the pair count one batch-mode trial would consume. Raises
     ValueError whenever the cell cannot run: a true correlation that is
     not a finite number in [-1, 1], a missing or unknown parameter, a
-    value that is not a finite number (or not an integer, for n_block, k1
-    and guard_bits), nominal correlation outside (-1, 1), block layout
-    infeasible for the budget, phase-1 budget out of range, a pointer pool
-    past the MAX_POINTER_BITS guard (literal) or the MAX_FAST_POINTER_BITS
-    bound (fast sampler), or a naive budget past the same literal guard or
-    the int64 range of its fast binomial draw.
+    value that is not a finite number (or not an integer, for the counts
+    of the scheme's row: n_block, k1 and guard_bits), nominal correlation
+    outside (-1, 1), block layout infeasible for the budget, phase-1 budget
+    out of range, a pointer pool past the MAX_POINTER_BITS guard (literal)
+    or the MAX_FAST_POINTER_BITS bound (fast sampler), or a naive budget
+    past the same literal guard or the int64 range of its fast binomial
+    draw. The runners check their cells through the same plan, so they
+    reject the same cells and params.
     """
-    return _resolve(config, rho_true)[2]
+    return _plan(config.scheme, config.k, config.params, rho_true,
+                 config.use_batches)["pairs"]
+
+
+def _run(name: str, k: int, batch: PairBatch, given: dict) -> EstimateResult:
+    """The literal run of SCHEMES[name] at budget k with every param given:
+    the row's kernel on batch as a one-row stack, after the checks of its
+    family, its budget and its plan, and of the pairs the plan reads."""
+    scheme = SCHEMES[name]
+    if batch.family != scheme.family:
+        raise ValueError(f"{name} expects a {scheme.family} batch, got {batch.family}")
+    k = _checked_budget(k)
+    plan = _plan(name, k, given, None, True)
+    if len(batch) < plan["pairs"]:
+        raise ValueError(f"need at least {plan['pairs']} pairs, batch has {len(batch)}")
+    columns = scheme.stack(k, batch.x[None], batch.y[None], plan)
+    aux = {key: columns[key][0].item() for key in scheme.aux}
+    if aux.get("decoded", 0) < 0:
+        aux["decoded"] = None
+    messages = tuple([Message("alice", payload)
+                      for payload in scheme.message(k, batch.x, columns, plan)])
+    return EstimateResult(rho_hat=columns["rho_hat"][0].item(), aux=aux,
+                          transcript=Transcript(budget=k, messages=messages))
 
 
 _FLAGS = ("decode_failed", "exist_failed")
@@ -1257,7 +1258,8 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     trials = int(trials)
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    scheme, params, needed = _resolve(config, rho_true)
+    plan = _plan(config.scheme, config.k, config.params, rho_true, config.use_batches)
+    scheme = SCHEMES[config.scheme]
     mode = "literal/" if config.use_batches else ""
     tag = f"risk/{mode}{config.scheme}/k={config.k}/rho={float(rho_true)!r}"
     rng = substream(master_seed, tag)
@@ -1265,23 +1267,20 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     if config.use_batches:
         model = CorrelationModel(scheme.family, rho_true)
         rho_hats = np.empty(trials)
-        raws = np.empty(trials)
-        flags = None  # flag name -> column, for the flags the kernel reports
-        for sl in _chunks(trials, max(1, _STACK // needed)):
+        # the raw and flag columns among the row's aux
+        aux = {key: np.empty(trials, dtype=bool if key in _FLAGS else float)
+               for key in ("raw", *_FLAGS) if key in scheme.aux}
+        for sl in _chunks(trials, max(1, _STACK // plan["pairs"])):
             try:
-                x, y = _draw_stack(model, needed, sl.stop - sl.start, rng)
-                stack = scheme.stack(config.k, x, y, params)
+                x, y = _draw_stack(model, plan["pairs"], sl.stop - sl.start, rng)
+                stack = scheme.stack(config.k, x, y, plan)
             except ValueError as exc:
                 raise ValueError(f"trials {sl.start}-{sl.stop - 1}: {exc}") from exc
-            if flags is None:
-                flags = {f: np.empty(trials, dtype=bool) for f in _FLAGS if f in stack}
             rho_hats[sl] = stack["rho_hat"]
-            raws[sl] = stack["raw"]
-            for name, column in flags.items():
-                column[sl] = stack[name]
-        aux = {"raw": raws, **flags}
+            for key, column in aux.items():
+                column[sl] = stack[key]
     else:
-        rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, params)
+        rho_hats, aux = scheme.sample(config.k, rho_true, trials, rng, plan)
 
     work = np.empty(trials)
     _, spread, bias, mse, sq_spread = _sample_moments(rho_hats, rho_true, work)

@@ -500,12 +500,22 @@ def test_block_scheme_partial_prefix_run():
 
 
 def test_block_runner_resolves_its_layout_once():
+    # a runner, a literal cell of 300 trials (60 stacks) and a fast cell
+    # each look the layout up once: its plan carries it to every stack
     layout = block_layout(0.5, 16, 0.4)
     batch = gen_pairs(CorrelationModel("binary", 0.4), layout.samples_needed, SEED)
-    before = block_layout.cache_info()
-    run_binary_block(8, 0.5, 16, batch, rho_nominal=0.4)
-    after = block_layout.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+    params = {"rho_tilde": 0.5, "n_block": 16, "rho_nominal": 0.4}
+
+    def lookups(run):
+        before = block_layout.cache_info()
+        run()
+        after = block_layout.cache_info()
+        return (after.hits + after.misses) - (before.hits + before.misses)
+
+    assert lookups(lambda: run_binary_block(8, 0.5, 16, batch, rho_nominal=0.4)) == 1
+    for literal in (True, False):
+        config = SchemeConfig("binary_block", 8, params, use_batches=literal)
+        assert lookups(lambda: estimate_risk(config, 0.4, 300, SEED)) == 1
 
 
 def block_scheme_by_full_scan(rho_tilde, n_block, batch, rho_nominal):
@@ -966,6 +976,13 @@ RUNNER_CELLS = [
     ("binary_block", 8, {**BLOCK, "rho_tilde": 1.0, "n_block": 1}),
     ("binary_block", 8, {**BLOCK, "rho_tilde": 1e-300, "n_block": 32}),  # sum 0
     ("binary_block", 8, {**BLOCK, "guard_bits": -100}),
+    # counts given as floats or bools, a budget that is not an integer
+    ("two_way", 10, {"k1": True}),
+    ("two_way", 10, {"k1": 3.0}),
+    ("binary_block", 8, {**BLOCK, "n_block": 16.0}),
+    ("binary_block", 5, {**BLOCK, "guard_bits": True}),
+    ("naive", 8.0, {}),
+    ("max", True, {}),
 ]
 
 
@@ -994,6 +1011,43 @@ def test_runners_reject_the_cells_check_preconditions_rejects(scheme, k, params)
         runner(k, batch=constant_batch(needed - 1, family), **params)
     with pytest.raises(ValueError, match=f"expects a {family} batch"):
         runner(k, batch=constant_batch(needed, other), **params)
+
+
+@pytest.mark.parametrize(
+    "scheme, k, params",
+    [("local", 6, {"rho_nominal": 0.5}), ("two_way", 8, {"k1": 3}), ("binary_block", 5, BLOCK)],
+)
+def test_runners_take_no_default_for_a_param_given_as_none(scheme, k, params):
+    # a runner's cell has no true correlation to default at: None is refused
+    batch = constant_batch(2**PAST + 64, SCHEMES[scheme].family)
+    for key in params:
+        with pytest.raises(ValueError, match=f"needs parameter '{key}'"):
+            RUNNERS[scheme](k, batch=batch, **{**params, key: None})
+
+
+TABLE_CELLS = [
+    ("naive", 8, {}),
+    ("max", 6, {}),
+    ("local", 6, {}),
+    ("two_way", 8, {}),
+    ("binary_block", 8, {"rho_tilde": 0.5, "n_block": 16}),
+]
+
+
+@pytest.mark.parametrize("scheme, k, params", TABLE_CELLS)
+def test_each_rows_aux_names_the_flags_its_kernel_and_sampler_return(scheme, k, params):
+    # a literal cell rates the flags of its row's aux: a flag left out of
+    # aux would lose its rate, one aux names and the kernel lacks would fail
+    row = SCHEMES[scheme]
+    plan = corrcomm.schemes._plan(scheme, k, params, 0.5, True)
+    rng = np.random.default_rng(SEED)
+    x, y = corrcomm.schemes._draw_stack(CorrelationModel(row.family, 0.5),
+                                        plan["pairs"], 3, rng)
+    columns = row.stack(k, x, y, plan)
+    _, sampled = row.sample(k, 0.5, 100, rng, plan)
+    assert "raw" in row.aux and set(row.aux) <= set(columns)
+    flags = set(corrcomm.schemes._FLAGS)
+    assert flags & set(row.aux) == flags & set(columns) == flags & set(sampled)
 
 
 def test_estimate_risk_names_the_failing_trial(monkeypatch):

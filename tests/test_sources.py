@@ -107,6 +107,10 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, rho):
 def test_gen_pairs_rejects_empty():
     with pytest.raises(ValueError):
         gen_pairs(CorrelationModel("binary", 0.0), 0, SEED)
+    # a count that is not an integer fails at the boundary, not inside numpy
+    for n in (2.5, True, None):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            gen_pairs(CorrelationModel("binary", 0.0), n, SEED)
 
 
 def test_empirical_correlation_by_family():
@@ -236,6 +240,9 @@ def test_lift_requires_binary_and_divisibility():
     even = gen_pairs(CorrelationModel("binary", 0.0), 64, SEED)
     with pytest.raises(ValueError):
         binary_to_gaussian(even, 0)
+    for t in (2.0, True, None):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            binary_to_gaussian(even, t)
 
 
 def test_lift_moments_and_correlation():
