@@ -33,7 +33,7 @@ from .contraction import (
     sweep,
     verify_interactive_chain,
 )
-from .infotheory import BoundSet, risk_bounds
+from .infotheory import BoundSet, _count, risk_bounds
 from .rng import check_seed
 
 # `schemes` is imported inside the two commands that run the schemes, so
@@ -173,9 +173,8 @@ def cmd_simulate(args) -> int:
     params = cfg.get("params", {})
     k_grid = _as_grid(cfg.get("k_grid"), "k_grid", _integer)
     rho_grid = _as_grid(cfg.get("rho_grid"), "rho_grid", _number)
-    trials = args.trials if args.trials is not None else cfg.get("trials")
-    if not isinstance(trials, int) or trials < 100:
-        raise ConfigError(f"trials must be an integer >= 100, got {trials!r}")
+    trials = _count(args.trials if args.trials is not None else cfg.get("trials"),
+                    "trials", 100)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     check_seed(seed)
     fmt = args.format or cfg.get("format", "csv")

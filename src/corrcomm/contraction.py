@@ -31,7 +31,7 @@ from .infotheory import (
     _check_joints,
     _check_pmfs,
     _cond_mutual_info_rows,
-    _is_number,
+    _count,
     _mutual_info_rows,
     kl,
     mutual_info,
@@ -173,8 +173,7 @@ def _check_rounds(nx: int, ny: int, channels) -> None:
 
 def binary_symmetric_product(rho: float, n: int) -> FiniteJoint:
     """n independent copies of the +-1 symmetric pair, composite alphabets."""
-    if not _is_number(n, integral=True) or n < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
+    _count(n, "coordinate count")
     out = FiniteJoint.binary_symmetric(rho)
     for _ in range(n - 1):
         out = out.product(FiniteJoint.binary_symmetric(rho))
@@ -312,8 +311,8 @@ def random_spec(
 
 def _random_channels(nx: int, ny: int, r_max: int, u_max: int, rng) -> tuple:
     """random_spec's channels for nx x ny alphabets, from the same stream."""
-    if r_max < 1 or u_max < 2:
-        raise ValueError("need r_max >= 1 and u_max >= 2")
+    _count(r_max, "r_max")
+    _count(u_max, "u_max", 2)
     rounds = int(rng.integers(1, r_max + 1))
     sizes: list[int] = []
     channels = []
@@ -416,6 +415,8 @@ def search_max_ratio(
     batch of evaluated specs; it keeps the results up to and including the
     first that stop accepts.
     """
+    _count(restarts, "restarts", 0)
+    _count(ascent_steps, "ascent_steps", 0)
     rng = substream(seed, "search_max_ratio")
     evaluations = 0
     max_seen = 0.0
@@ -779,8 +780,7 @@ def verify_shift_reduction(rho0: float, rho1: float, spec_channels) -> CheckResu
 
 def majority_channel(n: int) -> np.ndarray:
     """Deterministic one-bit channel: 1 when most of the n signs are +1."""
-    if not _is_number(n, integral=True) or n < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
+    _count(n, "coordinate count")
     minus = np.zeros(1, dtype=np.int64)  # -1 signs per row; symbol 1 encodes -1
     for _ in range(n):
         minus = np.concatenate([minus, minus + 1])
@@ -831,9 +831,7 @@ def gap_hamming_demo(n: int, spec_channels, c: float = 1.0) -> CheckResult:
     built, and that size, read from the channel shapes before any entry
     is, is what JOINT_ENTRY_GUARD bounds.
     """
-    if not _is_number(n, integral=True) or n < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _count(n, "coordinate count")
     channels = [np.asarray(chan, dtype=float) for chan in spec_channels]
     sizes = [chan.shape[-1] for chan in channels if chan.ndim]  # _check_rounds rejects 0-d
     # 2^n |U|, with n clipped where any |U| >= 1 is over the guard already
@@ -1092,10 +1090,7 @@ def sweep(kind: str, draws: int, seed: int, **args) -> SweepOutcome:
     args go to the check's instance generator. Stats carry the worst
     margin over all checks, then whatever the generator reports.
     """
-    if not _is_number(draws, integral=True):
-        raise ValueError(f"draws must be an integer, got {draws!r}")
-    if draws < 0:
-        raise ValueError(f"draws must be nonnegative, got {draws}")
+    _count(draws, "draws", 0)
     check = CHECKS[kind]
     violations = []
     checks = 0
@@ -1127,13 +1122,16 @@ def replay_violation(record: dict) -> CheckResult:
     kind = record.get("check")
     if not isinstance(kind, str) or kind not in CHECKS:
         raise ValueError(f"unknown violation record kind: {kind!r}")
-    if _holds_bool(record):  # JSON true/false would pass as the numbers 1 and 0
-        raise TypeError("violation record fields hold numbers, not booleans")
+    # JSON true/false would pass as the numbers 1 and 0, and NaN or Infinity
+    # (which Python's json parses) as a verdict
+    if _holds_non_number(record):
+        raise TypeError("violation record fields hold finite numbers, "
+                        "not booleans, NaN or Infinity")
     return CHECKS[kind].verify([record])[0]
 
 
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is, or nests, a boolean."""
+def _holds_non_number(value) -> bool:
+    """Whether a JSON value is, or nests, a boolean or a non-finite float."""
     if isinstance(value, (dict, list)):
-        return any(map(_holds_bool, value.values() if isinstance(value, dict) else value))
-    return isinstance(value, bool)
+        return any(map(_holds_non_number, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))

@@ -45,6 +45,13 @@ def _is_number(value, integral: bool) -> bool:
     )
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int, checked to be an integer (not a bool) >= least."""
+    if not _is_number(value, integral=True) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_correlation(rho) -> None:
     """Raise ValueError unless rho is a finite real number in [-1, 1]."""
     if not _is_number(rho, integral=False):
@@ -283,7 +290,7 @@ class CosinePrior:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
+        if not self.half_width > 0:  # a nan width fails too
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
     @property
@@ -315,8 +322,7 @@ class CosinePrior:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse-CDF sampling on a dense monotone grid."""
-        if n <= 0:
-            raise ValueError(f"sample count must be positive, got {n}")
+        n = _count(n, "sample count")
         lo, hi = self.support
         grid = np.linspace(lo, hi, 16385)
         return np.interp(rng.random(n), self.cdf(grid), grid)
@@ -329,7 +335,7 @@ def cosine_prior(center: float, half_width: float) -> CosinePrior:
 
 def bayes_cr_bound(i_lambda: float, avg_fisher: float) -> float:
     """Bayesian Cramer-Rao lower bound 1 / (I_lambda + avg Fisher)."""
-    if i_lambda < 0 or avg_fisher < 0:
+    if not (i_lambda >= 0 and avg_fisher >= 0):  # a nan term fails too
         raise ValueError("information terms must be nonnegative")
     denom = i_lambda + avg_fisher
     if denom == 0:
@@ -362,13 +368,12 @@ def risk_bounds(k: int, rho: float) -> BoundSet:
     naive_risk is the k-sample sign-exchange baseline (1 - rho^2)/k and
     max_scheme_risk the one-way maximum-pointer level (1 - rho^2)/(2 k ln2).
     """
-    if not _is_number(k, integral=True) or k <= 0:
-        raise ValueError(f"bit budget must be a positive integer, got {k!r}")
+    k = _count(k, "bit budget")
     _check_correlation(rho)
     base = 1.0 / (2.0 * k * LN2)
     one_minus_sq = 1.0 - rho * rho
     return BoundSet(
-        k=int(k),
+        k=k,
         rho=float(rho),
         global_upper=base,
         local_upper=one_minus_sq**2 * base,

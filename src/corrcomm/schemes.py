@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._normal import log_ndtr, ndtr, ndtri
-from .infotheory import _check_correlation, _is_number, binary_entropy
+from .infotheory import LN2, _check_correlation, _count, _is_number, binary_entropy
 from .rng import substream
 from .sources import CorrelationModel, PairBatch, _draw_stack
 
@@ -78,7 +78,6 @@ __all__ = [
     "SCHEMES",
 ]
 
-LN2 = math.log(2.0)
 MAX_POINTER_BITS = 26  # batch runners materialize 2^k samples; keep that sane
 # The fast max-normal draw clips its upper tail at 1e-300, which moves about
 # 2^k * 1e-300 of the draws (1e-11 at k = 960, 1% at k = 990) off the law.
@@ -216,14 +215,13 @@ _MAX_POOL = 2**MAX_FAST_POINTER_BITS
 
 
 def _check_pool_size(n) -> int:
-    if not _is_number(n, integral=True) or n < 1:
-        raise ValueError(f"pool size must be a positive integer, got {n!r}")
+    n = _count(n, "pool size")
     if n > _MAX_POOL:
         raise ValueError(
             f"pool size must be at most 2^{MAX_FAST_POINTER_BITS}, "
             f"got about 2^{math.log2(n):.6g}"
         )
-    return int(n)
+    return n
 
 
 def expected_max_normal(n: int) -> float:
@@ -238,12 +236,15 @@ def var_max_normal(n: int) -> float:
 
 def naive_mse_exact(k: int, rho: float) -> float:
     """Exact risk of the k-sample sign-exchange estimator."""
+    k = _count(k, "bit budget")
+    _check_correlation(rho)
     return (1.0 - rho * rho) / k
 
 
 def max_scheme_mse_exact(k: int, rho: float) -> float:
     """Exact risk of the unclamped maximum-pointer estimator at budget k."""
-    n = 2**int(k)
+    n = 2 ** _count(k, "bit budget")
+    _check_correlation(rho)
     mean = expected_max_normal(n)
     return (1.0 - rho * rho + rho * rho * var_max_normal(n)) / (mean * mean)
 
@@ -284,8 +285,7 @@ class Transcript:
     bits_used: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError(f"bit budget must be positive, got {self.budget}")
+        _count(self.budget, "bit budget")
         if self.messages and self.messages[0].speaker != "alice":
             raise ValueError("round 1 belongs to alice")
         bits_used = sum(m.bit_count for m in self.messages)
@@ -522,10 +522,8 @@ def block_layout(
     """
     if not 0.0 < rho_tilde <= 1.0:
         raise ValueError(f"anchor correlation must lie in (0, 1], got {rho_tilde}")
-    if n_block < 2:
-        raise ValueError(f"block size must be at least 2, got {n_block}")
-    if guard_bits < 0:
-        raise ValueError(f"guard bits must be nonnegative, got {guard_bits}")
+    _count(n_block, "block size", 2)
+    _count(guard_bits, "guard bits", 0)
     target = rho_tilde * n_block
     target_int = round(target)
     if target_int < 1 or abs(target - target_int) > 1e-9:
@@ -1101,15 +1099,6 @@ SCHEMES = {
 SCHEME_NAMES = tuple(SCHEMES)
 
 
-def _checked_budget(k) -> int:
-    """k as an int, checked to be a positive integer bit budget."""
-    if not _is_number(k, integral=True):
-        raise ValueError(f"bit budget must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"bit budget must be positive, got {k}")
-    return int(k)
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which scheme to run and with what knobs.
@@ -1135,7 +1124,7 @@ class SchemeConfig:
             raise ValueError(
                 f"scheme must be one of {SCHEME_NAMES}, got {self.scheme!r}"
             )
-        object.__setattr__(self, "k", _checked_budget(self.k))
+        object.__setattr__(self, "k", _count(self.k, "bit budget"))
         if not isinstance(self.params, dict):
             raise ValueError(f"params must be a dict, got {type(self.params).__name__}")
         if not isinstance(self.use_batches, bool):
@@ -1200,7 +1189,7 @@ def _run(name: str, k: int, batch: PairBatch, given: dict) -> EstimateResult:
     scheme = SCHEMES[name]
     if batch.family != scheme.family:
         raise ValueError(f"{name} expects a {scheme.family} batch, got {batch.family}")
-    k = _checked_budget(k)
+    k = _count(k, "bit budget")
     plan = _plan(name, k, given, None, True)
     if len(batch) < plan["pairs"]:
         raise ValueError(f"need at least {plan['pairs']} pairs, batch has {len(batch)}")
@@ -1253,11 +1242,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     each one draw and one kernel call, and an error raised inside a stack
     names the stack's trials ("trials 16-31: ...").
     """
-    if not _is_number(trials, integral=True):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    trials = int(trials)
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    trials = _count(trials, "trials", 100)
     plan = _plan(config.scheme, config.k, config.params, rho_true, config.use_batches)
     scheme = SCHEMES[config.scheme]
     mode = "literal/" if config.use_batches else ""

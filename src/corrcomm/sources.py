@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .infotheory import _check_correlation, _is_number
+from .infotheory import _check_correlation, _count
 from .rng import substream
 
 __all__ = [
@@ -102,8 +102,7 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
     then the n normals z that y = rho x + sqrt(1 - rho^2) z mixes in (one
     call of 2n normals is the same stream as two calls of n).
     """
-    if not _is_number(n, integral=True) or n < 1:
-        raise ValueError(f"sample count must be a positive integer, got {n!r}")
+    _count(n, "sample count")
     return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}"))
 
 
@@ -232,8 +231,7 @@ def binary_to_gaussian(batch: PairBatch, t: int, a_t: float | None = None,
     """
     if batch.family != "binary":
         raise ValueError("CLT aggregation expects a binary batch")
-    if not _is_number(t, integral=True) or t < 1:
-        raise ValueError(f"group size must be a positive integer, got {t!r}")
+    _count(t, "group size")
     if len(batch) % t != 0:
         raise ValueError(
             f"batch length {len(batch)} is not divisible by group size {t}"

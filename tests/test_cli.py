@@ -10,6 +10,7 @@ running it through the current interpreter.
 
 import importlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -191,6 +192,14 @@ def test_simulate_trials_override_rescues_bad_config(tmp_path, capsys):
     assert code == 2
     code, _, _ = run(capsys, "simulate", "--config", cfg, "--trials", "200")
     assert code == 0
+
+
+@pytest.mark.parametrize("trials", [2.5, True, 99])
+def test_simulate_trials_is_a_count(tmp_path, capsys, trials):
+    cfg = write_config(tmp_path, trials=trials)
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"trials must be an integer >= 100, got {trials!r}"}
 
 
 def test_simulate_grid_is_sorted_and_unique(tmp_path, capsys):
@@ -388,7 +397,7 @@ def test_verify_negative_draws_rejected(capsys):
     for suite in ("tilted", "all"):
         code, out, err = run(capsys, "verify", "--suite", suite, "--draws", "-5")
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "draws must be nonnegative, got -5"}
+        assert json.loads(err) == {"error": "draws must be an integer >= 0, got -5"}
 
 
 @pytest.mark.parametrize("suite", ["shift", "chain", "tensor", "gaphamming"])
@@ -523,6 +532,26 @@ def test_verify_replay_rows_carry_ceiling_margins(tmp_path, capsys):
             record["ceiling"] - record["ratio"], abs=1e-12
         )
         assert row["worst_margin"] < 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rho", math.nan), ("ceiling", math.nan), ("ceiling", math.inf),
+])
+def test_verify_replay_rejects_non_finite_numbers(tmp_path, capsys, field, value):
+    # the CLI writes NaN and Infinity as null, but Python's json parses them,
+    # and they once replayed as verdicts: exit 1 (margin ~0 or nan) or 0
+    if field == "rho":
+        record = json.loads(SELFTEST_REPORT.read_text())["rows"][0]["records"][0]
+    else:
+        record = corrcomm.search_max_ratio(
+            corrcomm.FiniteJoint.binary_symmetric(0.6),
+            restarts=5, ascent_steps=0, seed=3, ceiling=0.01,
+        ).violations[0]
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{**record, field: value}]))
+    code, out, err = run(capsys, "verify", "--replay", str(path))
+    assert (code, out) == (2, "")
+    assert "NaN or Infinity" in json.loads(err.strip().splitlines()[-1])["error"]
 
 
 def test_verify_replay_margin_matches_the_selftest(tmp_path, capsys):

@@ -157,9 +157,9 @@ def test_info_split_chain_identities_on_random_specs():
 def test_random_spec_validation():
     rng = substream(SEED, "random-spec-validation")
     src = FiniteJoint.binary_symmetric(0.5)
-    with pytest.raises(ValueError, match="r_max >= 1"):
+    with pytest.raises(ValueError, match="r_max must be an integer >= 1, got 0"):
         random_spec(src, r_max=0, u_max=2, rng=rng)
-    with pytest.raises(ValueError, match="u_max >= 2"):
+    with pytest.raises(ValueError, match="u_max must be an integer >= 2, got 1"):
         random_spec(src, r_max=1, u_max=1, rng=rng)
 
 
@@ -406,7 +406,7 @@ def test_majority_channel_counts_every_row():
             minus = bin(idx).count("1")  # symbol 1 encodes -1
             table[idx, 1 if n - minus > minus else 0] = 1.0
         assert np.array_equal(majority_channel(n), table), n
-    for n in (0, -1, True):  # a bool is not a count
+    for n in (0, -1, 2.5, True):  # a bool is not a count
         with pytest.raises(ValueError, match="coordinate count"):
             majority_channel(n)
 
@@ -587,7 +587,7 @@ def test_sweep_suite_names_and_clean_runs():
 def test_sweep_rejects_negative_draws():
     # a negative count once ran no check and reported worst_margin inf
     for kind in ("tilted_contraction", "ratio_ceiling", "tensorization"):
-        with pytest.raises(ValueError, match="draws must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="draws must be an integer >= 0, got -1"):
             sweep(kind, -1, SEED, **CHECKS[kind].args)
 
 

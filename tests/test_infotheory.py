@@ -284,10 +284,19 @@ def test_cosine_prior_sampling():
         prior.sample(0, substream(5, "test/prior"))
 
 
+def test_cosine_prior_width_must_be_positive():
+    for half_width in (0.0, -0.1, math.nan):  # a nan width once built a prior
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            cosine_prior(0.0, half_width)
+
+
 def test_bayes_cr_bound_arithmetic():
     assert bayes_cr_bound(4.0, 6.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError):
         bayes_cr_bound(-1.0, 2.0)
+    for terms in ((math.nan, 1.0), (1.0, math.nan)):  # nan once returned nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            bayes_cr_bound(*terms)
     with pytest.raises(ValueError):
         bayes_cr_bound(0.0, 0.0)
 

@@ -9,6 +9,7 @@ one fails loudly.
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,14 @@ def test_exact_mse_formulas():
     n = 2**10
     expected = (1 - 0.25 + 0.25 * var_max_normal(n)) / expected_max_normal(n) ** 2
     assert max_scheme_mse_exact(10, 0.5) == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("oracle", [naive_mse_exact, max_scheme_mse_exact])
+def test_exact_mse_oracles_check_their_correlation(oracle):
+    # rho = 2 once gave a negative risk (-0.75 and -0.58 at k = 4)
+    for rho in (2.0, -1.5, math.nan, True):
+        with pytest.raises(ValueError, match="correlation must"):
+            oracle(4, rho)
 
 
 # ----------------------------------------------------------------------
@@ -1311,8 +1320,9 @@ def test_the_value_of_rho_alone_picks_the_cell_stream(use_batches):
 
 def test_scheme_config_budget_must_be_an_integer():
     # a fractional budget used to run and report k = 8.5, True ran as k = 1
-    for k in (8.5, 8.0, True, math.inf, math.nan, "8"):
-        with pytest.raises(ValueError, match="bit budget must be an integer"):
+    for k in (0, 8.5, 8.0, True, math.inf, math.nan, "8"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bit budget must be an integer >= 1, got {k!r}")):
             SchemeConfig("two_way", k)
     config = SchemeConfig("naive", np.int64(8))
     assert type(config.k) is int
@@ -1322,10 +1332,9 @@ def test_scheme_config_budget_must_be_an_integer():
 
 
 def test_estimate_risk_requires_100_trials():
-    with pytest.raises(ValueError):
-        estimate_risk(SchemeConfig("naive", 8), 0.0, 99, SEED)
-    for trials in (150.5, 200.0, True, "200", math.inf):
-        with pytest.raises(ValueError, match="trials must be an integer"):
+    for trials in (99, 150.5, 200.0, True, "200", math.inf):
+        with pytest.raises(ValueError, match=re.escape(
+                f"trials must be an integer >= 100, got {trials!r}")):
             estimate_risk(SchemeConfig("naive", 8), 0.0, trials, SEED)
     report = estimate_risk(SchemeConfig("naive", 8), 0.0, np.int64(200), SEED)
     assert type(report.trials) is int

@@ -1,6 +1,7 @@
 """Pair generation, correlation shifting, and the CLT lift."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,11 +106,10 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, rho):
 
 
 def test_gen_pairs_rejects_empty():
-    with pytest.raises(ValueError):
-        gen_pairs(CorrelationModel("binary", 0.0), 0, SEED)
     # a count that is not an integer fails at the boundary, not inside numpy
-    for n in (2.5, True, None):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+    for n in (0, 2.5, True, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample count must be an integer >= 1, got {n!r}")):
             gen_pairs(CorrelationModel("binary", 0.0), n, SEED)
 
 
@@ -238,10 +238,9 @@ def test_lift_requires_binary_and_divisibility():
     with pytest.raises(ValueError):
         binary_to_gaussian(binary, 8)
     even = gen_pairs(CorrelationModel("binary", 0.0), 64, SEED)
-    with pytest.raises(ValueError):
-        binary_to_gaussian(even, 0)
-    for t in (2.0, True, None):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+    for t in (0, 2.0, 2.5, True, None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"group size must be an integer >= 1, got {t!r}")):
             binary_to_gaussian(even, t)
 
 
