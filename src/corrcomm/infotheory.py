@@ -290,8 +290,12 @@ class CosinePrior:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:  # a nan width fails too
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not _is_number(self.center, integral=False):
+            raise ValueError(f"center must be a finite number, got {self.center!r}")
+        if not (_is_number(self.half_width, integral=False) and self.half_width > 0):
+            raise ValueError(
+                f"half_width must be positive and finite, got {self.half_width!r}"
+            )
 
     @property
     def i_lambda(self) -> float:
@@ -335,8 +339,9 @@ def cosine_prior(center: float, half_width: float) -> CosinePrior:
 
 def bayes_cr_bound(i_lambda: float, avg_fisher: float) -> float:
     """Bayesian Cramer-Rao lower bound 1 / (I_lambda + avg Fisher)."""
-    if not (i_lambda >= 0 and avg_fisher >= 0):  # a nan term fails too
-        raise ValueError("information terms must be nonnegative")
+    if not all(_is_number(term, integral=False) and term >= 0
+               for term in (i_lambda, avg_fisher)):
+        raise ValueError("information terms must be finite and nonnegative")
     denom = i_lambda + avg_fisher
     if denom == 0:
         raise ValueError("prior and average Fisher information are both zero")

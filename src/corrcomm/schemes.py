@@ -35,9 +35,11 @@ whose sizes sum to n, and each sampler keeps its draws in phase order
 (every trial's first draw, then every trial's second, and so on).
 Elementwise arithmetic gives the same floats chunk by chunk, and sums are
 never chunked, so no pairwise-summation order changes either. Literal
-stacks move no stream for the same reason: a gaussian stack is one call of
-normals, a binary stack keeps each trial's integers-then-uniforms calls in
-turn, and a kernel's arithmetic is elementwise per row or counts exactly.
+stacks move no stream for the same reason: a stack is one call of normals
+(gaussian) or of raw generator words, one per pair (binary), and a
+kernel's arithmetic is elementwise per row or counts exactly. Binary
+stacks hold int8 signs and a runner's batch float64 ones; the kernels
+count and sum them as integers, so either gives the same columns.
 """
 
 from __future__ import annotations
@@ -366,7 +368,8 @@ def _within_budget(k: int, bits):
 
 
 def _mean_sign_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's mean of a * b, for two rows x n arrays of +-1 floats.
+    """Each row's mean of a * b, for two rows x n arrays of +-1 values
+    (int8 or float64).
 
     The products sum to 2 agreements - n exactly, so this is the float that
     np.mean(a * b) gives for the row, without the products.
@@ -565,7 +568,8 @@ def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
     rows = np.arange(len(x))
     xs = x[:, : n * m].reshape(len(x), m, n)
     ys = y[:, : n * m].reshape(len(y), m, n)
-    hits = np.einsum("tij->ti", xs) == layout.target_sum
+    # .sum widens int8 signs to int64; an int8 einsum would wrap at 128
+    hits = xs.sum(axis=2) == layout.target_sum
     j_star = hits.argmax(axis=1)  # 0 when no block hits
     exists = hits[rows, j_star]
     shift = layout.index_bits - layout.prefix_bits
@@ -574,12 +578,12 @@ def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
         lo = j_star >> shift << shift
         # the bucket's blocks, padded past the last block with unmarked ones
         at = lo[:, None] + np.arange(1 << shift)
-        sums = np.einsum("tij->ti", ys[rows[:, None], np.minimum(at, m - 1)])
+        sums = ys[rows[:, None], np.minimum(at, m - 1)].sum(axis=2)
         decoded = _decode(lo, layout.marks(sums) & (at < m))
     decoded = np.where(exists, decoded, -1)
     failed = decoded < 0
     raw = np.where(failed, _mean_sign_products(xs[:, 0], ys[:, 0]),
-                   np.einsum("ti->t", ys[rows, decoded]) / (n * rho_tilde))
+                   ys[rows, decoded].sum(axis=1) / (n * rho_tilde))
     return {
         "rho_hat": np.clip(raw, -1.0, 1.0),
         "raw": raw,
@@ -1238,9 +1242,11 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     value (0, 0.0 and np.float64(0.0) share it) and whether it runs the
     literal protocol, so its report is reproducible bit-for-bit for a fixed
     (config, rho_true, trials, seed). Literal trial t runs on the t-th
-    consecutive batch of pairs drawn from it. Literal trials run in stacks,
-    each one draw and one kernel call, and an error raised inside a stack
-    names the stack's trials ("trials 16-31: ...").
+    consecutive batch of pairs drawn from it (a binary pair is one raw
+    generator word, a gaussian pair two normals), so the estimates do not
+    depend on the stack size. Literal trials run in stacks, each one draw
+    and one kernel call, and an error raised inside a stack names the
+    stack's trials ("trials 16-31: ...").
     """
     trials = _count(trials, "trials", 100)
     plan = _plan(config.scheme, config.k, config.params, rho_true, config.use_batches)

@@ -3,7 +3,9 @@
 Two source families are supported: ``binary`` (uniform +-1 coordinates that
 agree with probability (1 + rho) / 2) and ``gaussian`` (unit-variance jointly
 normal coordinates with E[XY] = rho). Each operation draws from the stream
-named by (seed, tag), the tag fixed per operation and family.
+named by (seed, tag), the tag fixed per operation and family. A binary
+pair costs one raw generator word: its bit 0 is x's sign and its high 53
+bits, the uniform numpy's random() would make of it, decide agreement.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
 ]
 
 FAMILIES = ("binary", "gaussian")
-_SIGNS = np.array([-1.0, 1.0])  # a sign by its bit
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,10 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
     """Draw n correlated pairs from the model's joint law.
 
     The stream is that of (seed, "gen_pairs/<family>"). A binary batch
-    draws n integers, then n uniforms; a gaussian one draws x's n normals,
-    then the n normals z that y = rho x + sqrt(1 - rho^2) z mixes in (one
-    call of 2n normals is the same stream as two calls of n).
+    draws n raw 64-bit words, one per pair (see _draw_stack); a gaussian
+    one draws x's n normals, then the n normals z that
+    y = rho x + sqrt(1 - rho^2) z mixes in (one call of 2n normals is the
+    same stream as two calls of n). Either way the columns are float64.
     """
     _count(n, "sample count")
     return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}"))
@@ -109,25 +111,40 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
 def _draw_pairs(model: CorrelationModel, n: int, rng: np.random.Generator) -> PairBatch:
     """gen_pairs' recipe for n > 0 pairs, drawn from rng where it stands."""
     x, y = _draw_stack(model, n, 1, rng)
-    return PairBatch._trusted(x[0], y[0], model.family)
+    return PairBatch._trusted(x[0].astype(float, copy=False),
+                              y[0].astype(float, copy=False), model.family)
 
 
 def _draw_stack(model: CorrelationModel, n: int, rows: int, rng: np.random.Generator):
     """(x, y), each rows x n: row t is the t-th batch of n pairs that
     gen_pairs' recipe draws in turn from rng where it stands.
 
-    A gaussian stack is one call of 2 n rows normals, row t's x then its z.
-    A binary stack keeps each batch's integers-then-uniforms order, a call
-    of each per row, and maps signs and agreements once for the stack.
+    A gaussian stack is one call of 2 n rows normals, row t's x then its z,
+    as float64. A binary stack is one call of n rows raw 64-bit words, one
+    word per pair, row t the words [t n, (t + 1) n), as int8 +-1: x is +1
+    where the word's bit 0 is set, and y agrees with x where the word's
+    high 53 bits w >> 11 lie below ceil(p 2^53), p = (1 + rho) / 2. As
+    rng.random() on a word is (w >> 11) 2^-53, that is exactly
+    random() < p: the same law for every rho, with y = x at rho = 1 and
+    y = -x at rho = -1. Either way a stack of r rows is r consecutive
+    one-row draws.
     """
     if model.family == "binary":
-        bits = np.empty((rows, n), dtype=np.int64)
-        uniforms = np.empty((rows, n))
-        for t in range(rows):
-            bits[t] = rng.integers(0, 2, size=n)
-            rng.random(out=uniforms[t])
-        x = _SIGNS.take(bits)
-        y = np.where(uniforms < (1.0 + model.rho) / 2.0, x, -x)
+        words = rng.bit_generator.random_raw((rows, n))
+        # random() < p iff (w >> 11) < ceil(p 2^53) iff w < limit
+        limit = math.ceil((1.0 + model.rho) / 2.0 * 2.0**53) << 11
+        if limit >> 64:  # p = 1: every word agrees
+            flip = np.zeros(words.shape, dtype=np.uint8)
+        else:
+            flip = (words >= limit).view(np.uint8)
+        x = words.astype(np.uint8)  # the low byte
+        x &= 1
+        y = x ^ flip
+        # a bit b to 2 b - 1 in uint8 (0 wraps to 255), viewed as int8 +-1
+        for sign in (x, y):
+            sign += sign
+            sign -= 1
+        x, y = x.view(np.int8), y.view(np.int8)
     else:
         normals = rng.standard_normal(2 * n * rows).reshape(rows, 2 * n)
         x, y = normals[:, :n], normals[:, n:]

@@ -285,17 +285,22 @@ def test_cosine_prior_sampling():
 
 
 def test_cosine_prior_width_must_be_positive():
-    for half_width in (0.0, -0.1, math.nan):  # a nan width once built a prior
+    # a nan width once built a prior, and an infinite one still did
+    for half_width in (0.0, -0.1, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="half_width must be positive"):
             cosine_prior(0.0, half_width)
+    for center in (math.nan, math.inf, -math.inf, "0.0"):  # these built priors too
+        with pytest.raises(ValueError, match="center must be a finite number"):
+            cosine_prior(center, 0.1)
 
 
 def test_bayes_cr_bound_arithmetic():
     assert bayes_cr_bound(4.0, 6.0) == pytest.approx(0.1, abs=1e-15)
     with pytest.raises(ValueError):
         bayes_cr_bound(-1.0, 2.0)
-    for terms in ((math.nan, 1.0), (1.0, math.nan)):  # nan once returned nan
-        with pytest.raises(ValueError, match="nonnegative"):
+    # nan once returned nan, and an infinite term 0.0
+    for terms in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             bayes_cr_bound(*terms)
     with pytest.raises(ValueError):
         bayes_cr_bound(0.0, 0.0)

@@ -57,7 +57,7 @@ from corrcomm.schemes import (
     _sample_max_normal,
     _sample_tail_normal,
 )
-from corrcomm.sources import _draw_pairs
+from corrcomm.sources import _draw_pairs, _draw_stack
 
 SEED = 411
 
@@ -1185,8 +1185,10 @@ def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
     assert len(rows) == 100
     for (x, y), rho_hat in zip(rows, rho_hats):
         if SCHEMES[scheme].family == "binary":
-            want_x = rng.integers(0, 2, size=needed) * 2.0 - 1.0
-            agree = rng.random(needed) < 0.75
+            # one raw word a pair: bit 0 is x's sign, random() of it < 0.75 agrees
+            words = rng.bit_generator.random_raw(needed)
+            want_x = np.where(words & 1, 1.0, -1.0)
+            agree = (words >> 11) * 2.0**-53 < 0.75
             want_y = np.where(agree, want_x, -want_x)
         else:
             want_x, z = rng.standard_normal((2, needed))
@@ -1215,7 +1217,7 @@ PARTIAL_PREFIX = {"rho_tilde": 0.2, "n_block": 200, "rho_nominal": 0.9}
         # 952k pairs a trial, past a stack's 2^14: one trial a stack
         ("binary_block", 12, PARTIAL_PREFIX, 100),
         # 195 blocks in 4-block buckets, the last of 3 blocks: anchors there
-        # are rare (p ~ 3.6e-4 a trial), and trial 1369 of this cell has one;
+        # are rare (p ~ 3.6e-4 a trial), and trial 417 of this cell has one;
         # 400 stacks of 5 trials, then 1
         ("binary_block", 8, SMALL_BUCKETS, 2001),
     ],
@@ -1271,6 +1273,37 @@ def test_block_stack_decodes_in_the_short_last_bucket():
         assert stack["raw"][t] == raw
         marked_last += decoded is not None and bool(layout.marks(y[t, -16:].sum()))
     assert marked_last > 0  # block 194 decoded, or marked beside the decode
+
+
+@pytest.mark.parametrize(
+    "layout_args",
+    [
+        (0.5, 16, 0.4),  # the full index: 8 bits
+        (0.2, 200, 0.9),  # a prefix of 12 of 13 index bits
+        (0.2, 200, 0.9, 13),  # the full index
+    ],
+)
+def test_kernels_give_int8_and_float_stacks_the_same_columns(layout_args):
+    # literal cells hand the binary kernels int8 stacks, the runners float64
+    # batches. Row 0's y is all +1, so its block sums are n_block: at 200
+    # they leave int8's range, and an int8 accumulator would wrap
+    rho_tilde = layout_args[0]
+    layout = block_layout(*layout_args)
+    x, y = _draw_stack(CorrelationModel("binary", 0.6), layout.samples_needed, 3,
+                       substream(SEED, "int8 stacks"))
+    assert x.dtype == y.dtype == np.int8
+    y[0] = 1
+    for kernel, args in ((corrcomm.schemes._naive_stack, (64,)),
+                         (corrcomm.schemes._block_stack, (layout, rho_tilde))):
+        want = kernel(*args, x.astype(float), y.astype(float))
+        got = kernel(*args, x, y)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+    if layout.prefix_bits == layout.index_bits:
+        # Bob reads the anchor block itself: n_block / (n_block rho_tilde)
+        assert got["decoded"][0] >= 0 and got["raw"][0] == 1 / rho_tilde
 
 
 @pytest.mark.parametrize("scheme", ["local", "two_way"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from corrcomm import (
     shift_params,
 )
 from corrcomm.rng import substream
+from corrcomm.sources import _draw_pairs, _draw_stack
 
 SEED = 20240817
 
@@ -89,8 +91,11 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, rho):
     # the recipe the stream was defined by, written out
     rng = substream(seed, f"gen_pairs/{family}")
     if family == "binary":
-        x = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        agree = rng.random(n) < (1.0 + rho) / 2.0
+        # one raw word a pair: bit 0 is x's sign, and the uniform numpy's
+        # random() makes of the word decides agreement
+        words = rng.bit_generator.random_raw(n)
+        x = np.where(words & 1, 1.0, -1.0)
+        agree = (words >> 11) * 2.0**-53 < (1.0 + rho) / 2.0
         y = np.where(agree, x, -x)
     else:
         x = rng.standard_normal(n)
@@ -103,6 +108,67 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, rho):
     rebuilt = PairBatch(x=batch.x, y=batch.y, family=family)
     assert np.array_equal(rebuilt.x, x) and np.array_equal(rebuilt.y, y)
     assert batch.family == family and len(batch) == n
+
+
+def _words(values):
+    """A stand-in generator whose raw words are values, in order."""
+    words = np.array(values, dtype=np.uint64)
+    return SimpleNamespace(bit_generator=SimpleNamespace(
+        random_raw=lambda size: words.reshape(size)))
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.6, 1.0])
+def test_binary_stack_is_one_raw_word_a_pair(rho):
+    # on twin generators: x's sign is bit 0 of each word, and the pair agrees
+    # exactly where random() on the same word lies below (1 + rho) / 2
+    model = CorrelationModel("binary", rho)
+    rows, n = 4, 25_000
+    x, y = _draw_stack(model, n, rows, substream(SEED, "twin"))
+    assert x.dtype == y.dtype == np.int8 and x.shape == y.shape == (rows, n)
+    words = substream(SEED, "twin").bit_generator.random_raw((rows, n))
+    assert np.array_equal(x, np.where(words & 1, 1, -1))
+    agree = substream(SEED, "twin").random((rows, n)) < (1.0 + rho) / 2.0
+    assert np.array_equal(x == y, agree)
+    if abs(rho) == 1.0:
+        assert np.array_equal(y, rho * x)
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 1.0])
+def test_binary_agreement_threshold_is_random_below_p(rho):
+    # words at and beside the threshold, and at both ends of the range:
+    # agreement is random() < p to the last word
+    p = (1.0 + rho) / 2.0
+    top = math.ceil(p * 2.0**53)  # random() < p iff (w >> 11) < top
+    mantissas = [0, 1, top - 1, top, top + 1, 2**53 - 1]
+    values = [(m << 11) | low for m in mantissas if 0 <= m < 2**53
+              for low in (0, 1, 2**11 - 2, 2**11 - 1)]
+    x, y = _draw_stack(CorrelationModel("binary", rho), len(values), 1, _words(values))
+    words = np.array(values, dtype=np.uint64)
+    assert np.array_equal(x[0], np.where(words & 1, 1, -1))
+    assert np.array_equal(x[0] == y[0], (words >> 11) * 2.0**-53 < p)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 256])
+def test_binary_stack_is_consecutive_one_row_draws(rows):
+    # a stack of r rows is r consecutive batches of gen_pairs' recipe, so a
+    # literal trial's batch does not depend on the stack it sits in
+    model = CorrelationModel("binary", 0.6)
+    x, y = _draw_stack(model, 64, rows, substream(SEED, "stack"))
+    rng = substream(SEED, "stack")
+    for t in range(rows):
+        batch = _draw_pairs(model, 64, rng)
+        assert batch.x.tobytes() == x[t].astype(float).tobytes()
+        assert batch.y.tobytes() == y[t].astype(float).tobytes()
+
+
+@pytest.mark.parametrize("rho", [-0.3, 0.6])
+def test_binary_pairs_follow_their_law(rho):
+    # agreement rate and x's mean on a million pairs, within 4 standard errors
+    n = 10**6
+    batch = gen_pairs(CorrelationModel("binary", rho), n, SEED)
+    p = (1.0 + rho) / 2.0
+    assert abs(np.mean(batch.x == batch.y) - p) < 4 * math.sqrt(p * (1 - p) / n)
+    assert abs(batch.x.mean()) < 4 / math.sqrt(n)
 
 
 def test_gen_pairs_rejects_empty():
