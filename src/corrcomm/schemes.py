@@ -35,11 +35,17 @@ whose sizes sum to n, and each sampler keeps its draws in phase order
 (every trial's first draw, then every trial's second, and so on).
 Elementwise arithmetic gives the same floats chunk by chunk, and sums are
 never chunked, so no pairwise-summation order changes either. Literal
-stacks move no stream for the same reason: a stack is one call of normals
-(gaussian) or of raw generator words, one per pair (binary), and a
-kernel's arithmetic is elementwise per row or counts exactly. Binary
-stacks hold int8 signs and a runner's batch float64 ones; the kernels
-count and sum them as integers, so either gives the same columns.
+stacks move no stream for the same reason: a stack is one call of raw
+generator words, one a pair (binary) or two (gaussian), and a kernel's
+arithmetic is elementwise per row or counts exactly. Binary stacks hold
+int8 signs and a runner's batch float64 ones; the kernels count and sum
+them as integers, so either gives the same columns. A gaussian kernel
+orders Alice's pool by the words (the normal's inverse CDF rises with
+them) and makes normals of only the pairs it reads, in one transform call
+a stack (two for two_way's phases); a runner's batch orders by x and
+reads by indexing, the same floats. The two orders part only where
+ndtri's rounding ties or swaps two of a row's words a few units of 2^-53
+apart at its top, about n 2^-50 a row of n.
 """
 
 from __future__ import annotations
@@ -404,10 +410,11 @@ def _pool(bits: int, literal: bool) -> int:
     return 2**bits
 
 
-def _max_stack(k: int, x: np.ndarray, y: np.ndarray) -> dict:
+def _max_stack(k: int, keys: np.ndarray, read) -> dict:
     n = 2**k
-    winner = x[:, :n].argmax(axis=1)
-    raw = y[np.arange(len(y)), winner] / expected_max_normal(n)
+    winner = keys[:, :n].argmax(axis=1)
+    _, y = read(np.arange(len(keys)), winner)
+    raw = y / expected_max_normal(n)
     return {"rho_hat": np.clip(raw, -1.0, 1.0), "raw": raw, "winner": winner}
 
 
@@ -440,23 +447,36 @@ def _decode(lo: np.ndarray, marks: np.ndarray) -> np.ndarray:
     return np.where(np.count_nonzero(marks, axis=1) == 1, lo + marks.argmax(axis=1), -1)
 
 
-def _local_round(k: int, m: int, rho_nominal: float, x: np.ndarray,
-                 y: np.ndarray) -> dict:
-    """The local scheme with an m-bit prefix on each row's pool of 2^k pairs.
+def _local_round(k: int, m: np.ndarray, rho_nominal: np.ndarray, keys: np.ndarray,
+                 read) -> dict:
+    """The local scheme on each row's pool of 2^k pairs, ordered by keys,
+    rows x 2^k, and read by read (see _draw_stack): row t with an m[t]-bit
+    prefix at nominal rho_nominal[t].
 
-    _local_stack runs this round alone; _two_way_stack runs it as phase 2.
-    With the full index (m = k) Bob has the winner, and marks nothing.
+    _local_stack runs this round alone, at one m and nominal; _two_way_stack
+    runs it as phase 2, at each row's own. Bob reads only the bucket of the
+    winner's prefix, 2^(k - m[t]) pairs, and decodes in it. With the full
+    index (m[t] = k) the bucket is the winner, and he marks nothing.
     """
-    rows = np.arange(len(x))
-    winner = x.argmax(axis=1)
+    rows = np.arange(len(keys))
+    winner = keys.argmax(axis=1)
     suffix = k - m
-    decoded = winner
-    if suffix:
-        bucket = y.reshape(len(y), 1 << m, 1 << suffix)[rows, winner >> suffix]
-        decoded = _decode(winner >> suffix << suffix,
-                          bucket > _local_threshold(k, rho_nominal))
-    failed = decoded < 0  # where y[rows, -1] is read, and dropped
-    raw = np.where(failed, rho_nominal, y[rows, decoded] / expected_max_normal(2**k))
+    lo = winner >> suffix << suffix
+    # every row's bucket, end to end: row t's from start[t] on
+    width = 1 << suffix
+    end = np.cumsum(width)
+    start = end - width
+    offset = np.arange(end[-1]) - np.repeat(start, width)
+    _, bucket = read(np.repeat(rows, width), np.repeat(lo, width) + offset)
+    marks = bucket > np.repeat(_local_threshold(k, rho_nominal), width)
+    # the one marked pair's offset, or -1 when none or several are marked
+    found = np.where(np.add.reduceat(marks, start) == 1,
+                     np.add.reduceat(np.where(marks, offset, 0), start), -1)
+    found[suffix == 0] = 0  # the full index: Bob has the winner
+    failed = found < 0
+    decoded = np.where(failed, -1, lo + found)
+    hit = bucket[start + np.maximum(found, 0)]  # the first y where failed, dropped
+    raw = np.where(failed, rho_nominal, hit / expected_max_normal(2**k))
     return {
         "rho_hat": np.clip(raw, -1.0, 1.0),
         "raw": raw,
@@ -464,13 +484,15 @@ def _local_round(k: int, m: int, rho_nominal: float, x: np.ndarray,
         "winner": winner,
         "decoded": decoded,
         "prefix": winner >> suffix,
-        "prefix_bits": np.full(len(x), m),
+        "prefix_bits": m,
     }
 
 
-def _local_stack(k: int, rho_nominal: float, x: np.ndarray, y: np.ndarray) -> dict:
+def _local_stack(k: int, rho_nominal: float, keys: np.ndarray, read) -> dict:
     m = _within_budget(k, _local_prefix_bits(k, rho_nominal))
-    return _local_round(k, m, rho_nominal, x[:, : 2**k], y[:, : 2**k])
+    rows = len(keys)
+    return _local_round(k, np.full(rows, m), np.full(rows, rho_nominal),
+                        keys[:, : 2**k], read)
 
 
 def run_local_scheme(k: int, rho_nominal: float, batch: PairBatch) -> EstimateResult:
@@ -562,14 +584,20 @@ def block_layout(
     )
 
 
+def _sign_sums(signs: np.ndarray) -> np.ndarray:
+    """Sums of +-1 signs (int8, or a runner's float64, which casts exactly)
+    over the last axis, accumulated in int32: int8 sums would wrap at 128,
+    and .sum's int64 ones take twice as long."""
+    return np.einsum("...i->...", signs, dtype=np.int32, casting="unsafe")
+
+
 def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
                  y: np.ndarray) -> dict:
     n, m = layout.n_block, layout.m_blocks
     rows = np.arange(len(x))
     xs = x[:, : n * m].reshape(len(x), m, n)
     ys = y[:, : n * m].reshape(len(y), m, n)
-    # .sum widens int8 signs to int64; an int8 einsum would wrap at 128
-    hits = xs.sum(axis=2) == layout.target_sum
+    hits = _sign_sums(xs) == layout.target_sum
     j_star = hits.argmax(axis=1)  # 0 when no block hits
     exists = hits[rows, j_star]
     shift = layout.index_bits - layout.prefix_bits
@@ -578,12 +606,12 @@ def _block_stack(layout: BlockLayout, rho_tilde: float, x: np.ndarray,
         lo = j_star >> shift << shift
         # the bucket's blocks, padded past the last block with unmarked ones
         at = lo[:, None] + np.arange(1 << shift)
-        sums = ys[rows[:, None], np.minimum(at, m - 1)].sum(axis=2)
+        sums = _sign_sums(ys[rows[:, None], np.minimum(at, m - 1)])
         decoded = _decode(lo, layout.marks(sums) & (at < m))
     decoded = np.where(exists, decoded, -1)
     failed = decoded < 0
     raw = np.where(failed, _mean_sign_products(xs[:, 0], ys[:, 0]),
-                   ys[rows, decoded].sum(axis=1) / (n * rho_tilde))
+                   _sign_sums(ys[rows, decoded]) / (n * rho_tilde))
     return {
         "rho_hat": np.clip(raw, -1.0, 1.0),
         "raw": raw,
@@ -638,20 +666,18 @@ def _phase1_nominal(agree: int, k1: int) -> float:
     return min(TWO_WAY_NOMINAL_CAP, max(-TWO_WAY_NOMINAL_CAP, rho0))
 
 
-def _two_way_stack(k: int, k1: int, x: np.ndarray, y: np.ndarray) -> dict:
-    k2 = k - k1
-    pool = slice(k1, k1 + 2**k2)
-    agree = np.count_nonzero((x[:, :k1] >= 0) == (y[:, :k1] >= 0), axis=1)
-    # phase 2 runs once per agreement count that occurs, at its nominal
+def _two_way_stack(k: int, k1: int, keys: np.ndarray, read) -> dict:
+    x, y = read(slice(None), slice(k1))  # phase 1's pairs
+    agree = np.count_nonzero((x >= 0) == (y >= 0), axis=1)
+    # phase 2 runs each row at the nominal of its agreement count
     counts, group = np.unique(agree, return_inverse=True)
-    rho0 = [_phase1_nominal(count, k1) for count in counts.tolist()]
-    bits = [_local_prefix_bits(k2, value) for value in rho0]
-    _within_budget(k, k1 + np.array(bits)[group])  # each row's signs and prefix
-    stack = {"rho0_hat": np.array(rho0)[group]}
-    for g, (value, m) in enumerate(zip(rho0, bits)):
-        at = np.flatnonzero(group == g)
-        for key, column in _local_round(k2, m, value, x[at, pool], y[at, pool]).items():
-            stack.setdefault(key, np.empty(len(x), column.dtype))[at] = column
+    rho0 = np.array([_phase1_nominal(count, k1) for count in counts.tolist()])
+    bits = np.array([_local_prefix_bits(k - k1, value) for value in rho0.tolist()])
+    rho0, bits = rho0[group], bits[group]
+    _within_budget(k, k1 + bits)  # each row's signs and prefix
+    stack = _local_round(k - k1, bits, rho0, keys[:, k1 : k1 + 2 ** (k - k1)],
+                         lambda rows, cols: read(rows, k1 + cols))
+    stack["rho0_hat"] = rho0
     return stack
 
 
@@ -1012,9 +1038,10 @@ class Scheme:
     plan(k, p, literal) validates the cell with its resolved params p and
     returns the cell's plan: p, "pairs" (the pairs one literal trial reads)
     and what the kernel and sampler share (the block row's BlockLayout,
-    "layout"), so it is worked out once per cell. stack(k, x, y, plan) is
-    the literal kernel, returning the columns of a stack whose row t holds
-    trial t's batch in x[t] and y[t]. message(k, x, columns, plan) gives
+    "layout"), so it is worked out once per cell. stack(k, a, b, plan) is
+    the literal kernel, returning the columns of a stack (a, b) whose row t
+    holds trial t's batch, as _draw_stack gives it: a binary stack's x and
+    y, a gaussian one's order keys and reader. message(k, x, columns, plan) gives
     Alice's payloads on a one-row stack whose batch has x-column x, and aux
     names the columns a runner reports; the flags among them are the rates
     a literal cell reports. sample(k, rho, trials, rng, plan) is the fast
@@ -1055,7 +1082,7 @@ SCHEMES = {
         family="gaussian",
         params={},
         plan=lambda k, p, literal: {"pairs": _pool(k, literal)},
-        stack=lambda k, x, y, plan: _max_stack(k, x, y),
+        stack=lambda k, keys, read, plan: _max_stack(k, keys, read),
         message=lambda k, x, columns, plan: (_bits(columns["winner"][0], k),),
         aux=("raw", "winner"),
         sample=lambda k, rho, trials, rng, plan: _max_trials(k, rho, trials, rng),
@@ -1064,7 +1091,7 @@ SCHEMES = {
         family="gaussian",
         params={"rho_nominal": _at_rho},
         plan=_local_plan,
-        stack=lambda k, x, y, plan: _local_stack(k, plan["rho_nominal"], x, y),
+        stack=lambda k, keys, read, plan: _local_stack(k, plan["rho_nominal"], keys, read),
         message=lambda k, x, columns, plan: (_prefix(columns),),
         aux=("raw", "decode_failed", "winner", "decoded"),
         sample=lambda k, rho, trials, rng, plan: _local_trials(
@@ -1092,7 +1119,7 @@ SCHEMES = {
         params={"k1": lambda k, rho: default_phase1_bits(k)},
         counts=("k1",),
         plan=_two_way_plan,
-        stack=lambda k, x, y, plan: _two_way_stack(k, plan["k1"], x, y),
+        stack=lambda k, keys, read, plan: _two_way_stack(k, plan["k1"], keys, read),
         message=lambda k, x, columns, plan: (_mask_bits(x[: plan["k1"]] >= 0),
                                              _prefix(columns)),
         aux=("raw", "rho0_hat", "decode_failed"),
@@ -1197,7 +1224,10 @@ def _run(name: str, k: int, batch: PairBatch, given: dict) -> EstimateResult:
     plan = _plan(name, k, given, None, True)
     if len(batch) < plan["pairs"]:
         raise ValueError(f"need at least {plan['pairs']} pairs, batch has {len(batch)}")
-    columns = scheme.stack(k, batch.x[None], batch.y[None], plan)
+    x, y = pairs = batch.x[None], batch.y[None]
+    if scheme.family == "gaussian":  # x orders itself; Bob reads by indexing
+        pairs = x, lambda rows, cols: (x[rows, cols], y[rows, cols])
+    columns = scheme.stack(k, *pairs, plan)
     aux = {key: columns[key][0].item() for key in scheme.aux}
     if aux.get("decoded", 0) < 0:
         aux["decoded"] = None
@@ -1243,7 +1273,7 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
     literal protocol, so its report is reproducible bit-for-bit for a fixed
     (config, rho_true, trials, seed). Literal trial t runs on the t-th
     consecutive batch of pairs drawn from it (a binary pair is one raw
-    generator word, a gaussian pair two normals), so the estimates do not
+    generator word, a gaussian pair two), so the estimates do not
     depend on the stack size. Literal trials run in stacks, each one draw
     and one kernel call, and an error raised inside a stack names the
     stack's trials ("trials 16-31: ...").
@@ -1263,8 +1293,8 @@ def estimate_risk(config: SchemeConfig, rho_true: float, trials: int,
                for key in ("raw", *_FLAGS) if key in scheme.aux}
         for sl in _chunks(trials, max(1, _STACK // plan["pairs"])):
             try:
-                x, y = _draw_stack(model, plan["pairs"], sl.stop - sl.start, rng)
-                stack = scheme.stack(config.k, x, y, plan)
+                drawn = _draw_stack(model, plan["pairs"], sl.stop - sl.start, rng)
+                stack = scheme.stack(config.k, *drawn, plan)
             except ValueError as exc:
                 raise ValueError(f"trials {sl.start}-{sl.stop - 1}: {exc}") from exc
             rho_hats[sl] = stack["rho_hat"]

@@ -5,7 +5,9 @@ agree with probability (1 + rho) / 2) and ``gaussian`` (unit-variance jointly
 normal coordinates with E[XY] = rho). Each operation draws from the stream
 named by (seed, tag), the tag fixed per operation and family. A binary
 pair costs one raw generator word: its bit 0 is x's sign and its high 53
-bits, the uniform numpy's random() would make of it, decide agreement.
+bits, the uniform numpy's random() would make of it, decide agreement. A
+gaussian pair costs two, x's and the noise z's, each made a normal by the
+inverse CDF of its high 53 bits (see _normals) only where it is read.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._normal import ndtri
 from .infotheory import _check_correlation, _count
 from .rng import substream
 
@@ -99,35 +102,45 @@ def gen_pairs(model: CorrelationModel, n: int, seed: int) -> PairBatch:
     """Draw n correlated pairs from the model's joint law.
 
     The stream is that of (seed, "gen_pairs/<family>"). A binary batch
-    draws n raw 64-bit words, one per pair (see _draw_stack); a gaussian
-    one draws x's n normals, then the n normals z that
-    y = rho x + sqrt(1 - rho^2) z mixes in (one call of 2n normals is the
-    same stream as two calls of n). Either way the columns are float64.
+    draws n raw 64-bit words, one per pair; a gaussian one draws 2n, x's n
+    words, then the n words of the noise z that y = rho x + sqrt(1 - rho^2) z
+    mixes in (see _draw_stack). Either way the columns are float64.
     """
     _count(n, "sample count")
     return _draw_pairs(model, n, substream(seed, f"gen_pairs/{model.family}"))
 
 
 def _draw_pairs(model: CorrelationModel, n: int, rng: np.random.Generator) -> PairBatch:
-    """gen_pairs' recipe for n > 0 pairs, drawn from rng where it stands."""
-    x, y = _draw_stack(model, n, 1, rng)
-    return PairBatch._trusted(x[0].astype(float, copy=False),
-                              y[0].astype(float, copy=False), model.family)
+    """gen_pairs' recipe for n > 0 pairs, drawn from rng where it stands:
+    the one-row stack, every pair of it read."""
+    a, b = _draw_stack(model, n, 1, rng)
+    if model.family == "binary":
+        x, y = a[0].astype(float), b[0].astype(float)
+    else:
+        x, y = b(0, slice(None))
+    return PairBatch._trusted(x, y, model.family)
 
 
 def _draw_stack(model: CorrelationModel, n: int, rows: int, rng: np.random.Generator):
-    """(x, y), each rows x n: row t is the t-th batch of n pairs that
-    gen_pairs' recipe draws in turn from rng where it stands.
+    """Row t of rows x n pairs is the t-th batch of n pairs that gen_pairs'
+    recipe draws in turn from rng where it stands, so a stack of r rows is
+    r consecutive one-row draws.
 
-    A gaussian stack is one call of 2 n rows normals, row t's x then its z,
-    as float64. A binary stack is one call of n rows raw 64-bit words, one
-    word per pair, row t the words [t n, (t + 1) n), as int8 +-1: x is +1
+    A binary stack is (x, y), int8 +-1, from one call of n rows raw 64-bit
+    words, one word per pair, row t the words [t n, (t + 1) n): x is +1
     where the word's bit 0 is set, and y agrees with x where the word's
     high 53 bits w >> 11 lie below ceil(p 2^53), p = (1 + rho) / 2. As
     rng.random() on a word is (w >> 11) 2^-53, that is exactly
     random() < p: the same law for every rho, with y = x at rho = 1 and
-    y = -x at rho = -1. Either way a stack of r rows is r consecutive
-    one-row draws.
+    y = -x at rho = -1.
+
+    A gaussian stack is (keys, read), from one call of 2 n rows words: word
+    i of row t is x_i's and word n + i the noise z_i's, and each is the
+    normal _normals makes of its high 53 bits. keys, rows x n, holds x's
+    high bits, which order the row as x does (Alice's argmax). read(rows,
+    cols) indexes the stack as numpy indexes a rows x n array and returns
+    float64 (x, y) there, y = rho x + sqrt(1 - rho^2) z: only the words read
+    become normals.
     """
     if model.family == "binary":
         words = rng.bit_generator.random_raw((rows, n))
@@ -144,13 +157,44 @@ def _draw_stack(model: CorrelationModel, n: int, rows: int, rng: np.random.Gener
         for sign in (x, y):
             sign += sign
             sign -= 1
-        x, y = x.view(np.int8), y.view(np.int8)
-    else:
-        normals = rng.standard_normal(2 * n * rows).reshape(rows, 2 * n)
-        x, y = normals[:, :n], normals[:, n:]
-        y *= math.sqrt(1.0 - model.rho**2)  # z scaled in place, then + rho x
-        y += model.rho * x
-    return x, y
+        return x.view(np.int8), y.view(np.int8)
+    high = rng.bit_generator.random_raw((rows, 2 * n))
+    high >>= 11
+    keys, noise = high[:, :n], high[:, n:]
+    scale, rho = math.sqrt(1.0 - model.rho**2), model.rho
+
+    def read(at, cols):
+        x, y = _normals(np.stack((keys[at, cols], noise[at, cols])))
+        y *= scale  # z scaled in place, then + rho x
+        y += rho * x
+        return x, y
+
+    return keys, read
+
+
+def _normals(high: np.ndarray) -> np.ndarray:
+    """The unit normals of raw 64-bit words, given their high 53 bits
+    j = w >> 11 (the numerator of numpy's random() on w), elementwise.
+
+    x = Phi^-1((j + 1/2) 2^-53), the normal quantile at the middle of j's
+    cell, evaluated through Phi^-1's symmetry: j and its mirror
+    2^53 - 1 - j share m, the lesser of the two, and x = ndtri(p) with
+    p = (m + 1/2) 2^-53, negated where j >= 2^52 (w's top bit set). p is
+    exact and lies in [2^-54, 1/2), so x is finite, |x| <= 8.3, x has the
+    sign of w's top bit, and the complement ~w gives -x exactly. x rises
+    with j, but for ndtri's rounding, which can tie or swap values of j a
+    few units apart. Uniform words give the normal's quantiles at 2^53
+    equally likely midpoints: a law whose CDF is within half a cell,
+    2^-54, of Phi's but for ndtri's rounding, cut at |x| = 8.29.
+    """
+    m = np.minimum(high, (2**53 - 1) - high)
+    p = m.astype(float)
+    p += 0.5
+    p *= 2.0**-53
+    x = ndtri(p)  # negative
+    sign = x.view(np.uint64)
+    sign ^= high >> 52 << 63  # j's top bit becomes x's sign bit
+    return x
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Shared test plumbing: the acceptance-criteria scoreboard and the
-environment for child interpreters.
+"""Shared test plumbing: the acceptance-criteria scoreboard, the
+environment for child interpreters, and the gaussian pair recipe written
+out.
 
 Acceptance tests report their verdict through record_criterion before
 asserting, so the terminal summary always carries one PASS/FAIL line per
@@ -9,7 +10,10 @@ criterion even when pytest captures stdout.
 import os
 from pathlib import Path
 
+import numpy as np
+
 import corrcomm
+from corrcomm._normal import ndtri
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
 
@@ -44,3 +48,13 @@ def child_env() -> dict[str, str]:
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([root, inherited]) if inherited else root
     return env
+
+
+def word_normals(words: np.ndarray) -> np.ndarray:
+    """The normals a gaussian stream makes of raw 64-bit words, written out:
+    Phi^-1((j + 1/2) 2^-53) of each word's high 53 bits j, through the mirror
+    min(j, 2^53 - 1 - j) that keeps ndtri's argument exact, with the sign of
+    the word's top bit."""
+    high = words >> 11
+    normals = ndtri((np.minimum(high, 2**53 - 1 - high) + 0.5) * 2.0**-53)
+    return np.where(high >> 52, -normals, normals)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr  # oracles: the package has its own
 
+from conftest import word_normals
 from corrcomm import (
     CorrelationModel,
     EstimateResult,
@@ -1171,9 +1172,11 @@ def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
     rows = []
 
     def spy(*args):
-        x, y = original(*args)
+        a, b = original(*args)
+        # a binary stack is (x, y); a gaussian one (keys, read), read whole
+        x, y = b(slice(None), slice(None)) if callable(b) else (a, b)
         rows.extend(zip(x.copy(), y.copy()))
-        return x, y
+        return a, b
 
     monkeypatch.setattr(corrcomm.schemes, "_draw_stack", spy)
     seen = spy_kernel(monkeypatch, scheme)
@@ -1191,13 +1194,66 @@ def test_literal_trials_read_consecutive_draws_of_the_cell_stream(
             agree = (words >> 11) * 2.0**-53 < 0.75
             want_y = np.where(agree, want_x, -want_x)
         else:
-            want_x, z = rng.standard_normal((2, needed))
+            # two raw words a pair, x's then z's, each made a normal
+            want_x, z = word_normals(rng.bit_generator.random_raw(2 * needed)).reshape(2, -1)
             want_y = 0.5 * want_x + math.sqrt(0.75) * z
         np.testing.assert_array_equal(x, want_x)
         np.testing.assert_array_equal(y, want_y)
         batch = PairBatch(x=x, y=y, family=SCHEMES[scheme].family)
         result = getattr(corrcomm.schemes, runner)(k, batch=batch, **params)
         assert result.rho_hat.hex() == rho_hat.item().hex()
+
+
+@pytest.mark.parametrize(
+    "scheme, k, params",
+    [("max", 10, {}), ("local", 10, {"rho_nominal": 0.6}), ("local", 4, {"rho_nominal": 0.1}),
+     ("two_way", 10, {"k1": 4})],
+)
+def test_gaussian_kernels_make_normals_of_only_the_pairs_they_read(
+    monkeypatch, scheme, k, params
+):
+    # per row, max turns 2 words into normals (its winner's x and z), local
+    # 2 per pair of the winner's bucket, two_way 2 per phase-1 pair and then
+    # its bucket's: one transform a stack, and one more for two_way's phase 2
+    # at every row's own prefix width
+    import corrcomm.sources
+
+    sizes = []
+    original = corrcomm.sources._normals
+
+    def spy(high):
+        sizes.append(high.size)
+        return original(high)
+
+    rows, rho = 48, 0.6
+    plan = corrcomm.schemes._plan(scheme, k, params, rho, True)
+    model = CorrelationModel("gaussian", rho)
+    monkeypatch.setattr(corrcomm.sources, "_normals", spy)
+    stack = SCHEMES[scheme].stack(k, *_draw_stack(model, plan["pairs"], rows,
+                                                  substream(SEED, "floor")), plan)
+    monkeypatch.undo()
+    k1 = params.get("k1", 0)
+    # max's bucket is its winner
+    suffix = k - k1 - stack.get("prefix_bits", np.full(rows, k))
+    assert sum(sizes) == 2 * k1 * rows + np.sum(2 << suffix)
+    assert len(sizes) == (2 if scheme == "two_way" else 1)
+    if scheme == "two_way":  # phase 1, then buckets of several widths
+        assert sizes[0] == 2 * k1 * rows and len(set(suffix)) >= 3
+    if scheme == "local" and k == 10:
+        assert len(set(stack["decode_failed"])) == 2  # both outcomes occur
+
+    # each runner gives its row's bits with +inf at every y it does not read
+    rng = substream(SEED, "floor")
+    for t in range(rows):
+        batch = _draw_pairs(model, plan["pairs"], rng)
+        lo = stack["winner"][t] >> suffix[t] << suffix[t]
+        read = np.concatenate((np.arange(k1), k1 + lo + np.arange(1 << suffix[t])))
+        y = np.full(len(batch), np.inf)
+        y[read] = batch.y[read]
+        result = RUNNERS[scheme](k, batch=PairBatch._trusted(batch.x, y, "gaussian"),
+                                 **params)
+        assert result.rho_hat.hex() == stack["rho_hat"][t].item().hex()
+        assert result.aux["raw"].hex() == stack["raw"][t].item().hex()
 
 
 SMALL_BUCKETS = {"rho_tilde": 0.5, "n_block": 16, "rho_nominal": 0.9, "guard_bits": 0}

@@ -6,17 +6,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri as scipy_ndtri  # an oracle: the package has its own
 
+from conftest import word_normals
 from corrcomm import (
     CorrelationModel,
     PairBatch,
     binary_to_gaussian,
+    expected_max_normal,
     gen_pairs,
     shift_correlation,
     shift_params,
+    var_max_normal,
 )
 from corrcomm.rng import substream
-from corrcomm.sources import _draw_pairs, _draw_stack
+from corrcomm.sources import _draw_pairs, _draw_stack, _normals
 
 SEED = 20240817
 
@@ -98,8 +102,9 @@ def test_gen_pairs_stream_is_pinned(family, n, seed, rho):
         agree = (words >> 11) * 2.0**-53 < (1.0 + rho) / 2.0
         y = np.where(agree, x, -x)
     else:
-        x = rng.standard_normal(n)
-        z = rng.standard_normal(n)
+        # two raw words a pair, x's n then the noise z's n, each the normal
+        # quantile at the middle of its high 53 bits' cell
+        x, z = word_normals(rng.bit_generator.random_raw(2 * n)).reshape(2, n)
         y = rho * x + math.sqrt(1.0 - rho**2) * z
     for got, want in ((batch.x, x), (batch.y, y)):
         assert got.dtype == np.float64 and got.shape == (n,)
@@ -161,6 +166,25 @@ def test_binary_stack_is_consecutive_one_row_draws(rows):
         assert batch.y.tobytes() == y[t].astype(float).tobytes()
 
 
+def test_gaussian_stack_is_consecutive_one_row_draws():
+    # read indexes the stack as numpy indexes a rows x n array, and gives
+    # the floats of the consecutive batches gen_pairs' recipe draws
+    model = CorrelationModel("gaussian", 0.6)
+    rows, n = 7, 64
+    keys, read = _draw_stack(model, n, rows, substream(SEED, "stack"))
+    assert keys.dtype == np.uint64 and keys.shape == (rows, n)
+    rng = substream(SEED, "stack")
+    batches = [_draw_pairs(model, n, rng) for _ in range(rows)]
+    x = np.array([batch.x for batch in batches])
+    y = np.array([batch.y for batch in batches])
+    assert np.array_equal(keys.argmax(axis=1), x.argmax(axis=1))
+    at = (np.array([[6], [0]]), np.array([[3, 63, 0], [5, 5, 1]]))
+    for index in ((slice(None), slice(None)), (2, slice(10, 20)), at):
+        got_x, got_y = read(*index)
+        assert got_x.tobytes() == x[index].tobytes()
+        assert got_y.tobytes() == y[index].tobytes()
+
+
 @pytest.mark.parametrize("rho", [-0.3, 0.6])
 def test_binary_pairs_follow_their_law(rho):
     # agreement rate and x's mean on a million pairs, within 4 standard errors
@@ -169,6 +193,64 @@ def test_binary_pairs_follow_their_law(rho):
     p = (1.0 + rho) / 2.0
     assert abs(np.mean(batch.x == batch.y) - p) < 4 * math.sqrt(p * (1 - p) / n)
     assert abs(batch.x.mean()) < 4 / math.sqrt(n)
+
+
+# ----------------------------------------------------------------------
+# gaussian words: the word-to-normal map and its law
+# ----------------------------------------------------------------------
+
+def high_bits(words):
+    return np.asarray(words, dtype=np.uint64) >> 11
+
+
+def test_word_normals_are_finite_at_the_extreme_words():
+    # the two ends of the range, the top bit's edge, and the low 11 bits
+    # that the map drops
+    words = [0, 2**11 - 1, 2**63 - 1, 2**63, 2**64 - 1]
+    x = _normals(high_bits(words))
+    assert np.isfinite(x).all() and np.abs(x).max() <= 8.3
+    assert x[0] == x[1] == -x[4] < -8.29  # Phi^-1(2^-54)
+    assert x[2] == -x[3] and -1e-15 < x[2] < 0.0 < x[3] < 1e-15
+
+
+def test_word_normals_are_odd_in_the_complement_and_signed_by_the_top_bit():
+    words = substream(SEED, "odd").bit_generator.random_raw(200_000)
+    x = _normals(high_bits(words))
+    assert _normals(high_bits(~words)).tobytes() == (-x).tobytes()
+    assert np.array_equal(x > 0, words >> 63 == 1) and not np.any(x == 0)
+
+
+def test_word_normals_rise_with_the_high_bits():
+    high = np.sort(high_bits(substream(SEED, "sorted").bit_generator.random_raw(200_000)))
+    assert np.all(np.diff(_normals(high)) >= 0)
+
+
+def test_word_normals_are_the_quantiles_at_the_cell_midpoints():
+    # scipy's ndtri on the exact mirrored midpoint, signed by the top bit
+    high = high_bits(substream(SEED, "midpoints").bit_generator.random_raw(200_000))
+    high[:4] = [0, 2**52 - 1, 2**52, 2**53 - 1]
+    mirror = np.minimum(high, 2**53 - 1 - high)
+    want = scipy_ndtri((mirror + 0.5) * 2.0**-53)
+    want = np.where(high >= 2**52, -want, want)
+    x = _normals(high)
+    assert np.all(np.abs(x - want) <= 2e-15 * np.abs(want))
+
+
+def test_gaussian_pairs_follow_their_law():
+    # a million pairs at 4 standard errors: the moments and the correlation,
+    # and the maxima of 976 pools of 1024 x's, which reach the upper tail
+    n, rho, pool = 10**6, 0.6, 1024
+    batch = gen_pairs(CorrelationModel("gaussian", rho), n, SEED)
+    for column in (batch.x, batch.y):
+        assert abs(column.mean()) < 4 / math.sqrt(n)
+        assert abs(column.var() - 1.0) < 4 * math.sqrt(2.0 / n)
+    assert abs(batch.empirical_correlation() - rho) < 4 * (1 - rho**2) / math.sqrt(n)
+    maxima = batch.x[: n // pool * pool].reshape(-1, pool).max(axis=1)
+    mean, var = expected_max_normal(pool), var_max_normal(pool)
+    assert abs(maxima.mean() - mean) < 4 * math.sqrt(var / maxima.size)
+    fourth = np.mean((maxima - mean) ** 4)
+    assert abs(np.mean((maxima - mean) ** 2) - var) < 4 * math.sqrt(
+        (fourth - var**2) / maxima.size)
 
 
 def test_gen_pairs_rejects_empty():
